@@ -17,7 +17,7 @@ to the original telemetry.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Sequence
 
@@ -36,7 +36,6 @@ class Advisory:
     at: datetime
     value: float
     threshold: float
-    region: str | None = None
     rule: str | None = None
 
     def to_dict(self) -> dict:
@@ -232,7 +231,3 @@ def report_text(table: ReportTable) -> str:
     out.extend(fmt(r) for r in body)
     return "\n".join(out) + "\n"
 
-
-def tag_region(advisories: Sequence[Advisory], region: str) -> list[Advisory]:
-    """Return the advisories stamped with their region key."""
-    return [replace(a, region=region) for a in advisories]

@@ -13,6 +13,15 @@ subsequence spanning at most win_c whose first sample falls strictly
 after the antecedent's last sample but no later than lag after it.
 Support counts events (binary per event), confidence divides support
 by the number of events containing the antecedent at all.
+
+Every count is read from one occurrence table: for an episode and a
+window, one greedy scan per event gives its feasible start times, and
+the same scan over the reversed event gives its feasible end times
+(the minimal-occurrence idea of Mannila, Toivonen & Verkamo, 1997).
+Episode counts are the events with a non-empty list; a rule holds in
+an event when some antecedent end and consequent start are lag-paired.
+The cumulative confidence curve scans each event once and walks the
+grid with running antecedent and rule counts.
 """
 
 from __future__ import annotations
@@ -135,132 +144,58 @@ def build_events(
     return segment_events(discretize(series, k), delta)
 
 
-# --- occurrence tests ------------------------------------------------------
+# --- occurrence table ------------------------------------------------------
 
 
-def _feasible_starts(event: Event, episode: Episode, window: timedelta) -> list[datetime]:
+def _feasible_starts(
+    items: Sequence[tuple[datetime, int]], episode: Episode, window: timedelta
+) -> list[datetime]:
     """Times at which an occurrence of episode can begin, span <= window.
 
     For a fixed start, matching each later symbol as early as possible
     minimises the span, so a start is feasible iff the greedy match
-    fits the window.
+    fits the window.  Once a greedy match runs out of items, no later
+    start can complete either.  Run over reversed items and a reversed
+    episode, the same scan yields feasible ends, latest first; the span
+    is an absolute difference so the test holds in both directions.
     """
-    items = event.items
     n = len(items)
-    m = len(episode)
     out = []
-    for i in range(n - m + 1):
+    for i in range(n - len(episode) + 1):
         if items[i][1] != episode[0]:
             continue
         j = i
-        ok = True
         for sym in episode[1:]:
             j += 1
             while j < n and items[j][1] != sym:
                 j += 1
             if j >= n:
-                ok = False
-                break
-        if ok and items[j][0] - items[i][0] <= window:
+                return out
+        if abs(items[j][0] - items[i][0]) <= window:
             out.append(items[i][0])
     return out
 
 
-def _feasible_ends(event: Event, episode: Episode, window: timedelta) -> list[datetime]:
-    """Times at which an occurrence of episode can end, span <= window.
-
-    Mirror image of _feasible_starts: matching backwards as late as
-    possible maximises the start time for a fixed end.
-    """
-    items = event.items
-    n = len(items)
-    m = len(episode)
-    out = []
-    for j in range(m - 1, n):
-        if items[j][1] != episode[-1]:
-            continue
-        i = j
-        ok = True
-        for sym in reversed(episode[:-1]):
-            i -= 1
-            while i >= 0 and items[i][1] != sym:
-                i -= 1
-            if i < 0:
-                ok = False
-                break
-        if ok and items[j][0] - items[i][0] <= window:
-            out.append(items[j][0])
-    return out
-
-
-def event_contains(event: Event, episode: Episode, window: timedelta) -> bool:
-    return bool(_feasible_starts(event, episode, window))
-
-
-def episode_event_count(
-    episode: Episode, events: Sequence[Event], window: timedelta
-) -> int:
-    """Number of events containing the episode within the window."""
-    return sum(1 for ev in events if event_contains(ev, episode, window))
-
-
-def _pair_in_event(
-    event: Event,
-    antecedent: Episode,
-    consequent: Episode,
-    win_a: timedelta,
-    win_c: timedelta,
-    lag: timedelta,
-) -> bool:
-    ends = _feasible_ends(event, antecedent, win_a)
+def _occurrences(
+    events: Sequence[Event], episode: Episode, window: timedelta, ends: bool = False
+) -> list[list[datetime]]:
+    """One scan per event: the episode's feasible start (or end) times, ascending."""
     if not ends:
-        return False
-    starts = _feasible_starts(event, consequent, win_c)
-    if not starts:
-        return False
-    ends = sorted(set(ends))
+        return [_feasible_starts(ev.items, episode, window) for ev in events]
+    back = episode[::-1]
+    return [_feasible_starts(ev.items[::-1], back, window)[::-1] for ev in events]
+
+
+def _lag_paired(ends: list[datetime], starts: list[datetime], lag: timedelta) -> bool:
+    """Whether some end e and start s satisfy e < s <= e + lag (ends ascending)."""
     for s in starts:
-        # any antecedent end e with e < s <= e + lag
-        lo = bisect_left(ends, s - lag)
-        if lo < len(ends) and ends[lo] < s:
+        i = bisect_left(ends, s)
+        if i and s - ends[i - 1] <= lag:
             return True
     return False
 
 
-# --- support, confidence, mining -------------------------------------------
-
-
-def support_of(
-    antecedent: Episode,
-    consequent: Episode,
-    events: Sequence[Event],
-    win_a: timedelta,
-    win_c: timedelta,
-    lag: timedelta,
-) -> int:
-    """Events in which the rule's occurrence pairing exists (binary)."""
-    if lag < timedelta(0):
-        raise ConfigError(f"lag must be non-negative, got {lag}")
-    return sum(
-        1
-        for ev in events
-        if _pair_in_event(ev, antecedent, consequent, win_a, win_c, lag)
-    )
-
-
-def confidence_of(
-    antecedent: Episode,
-    consequent: Episode,
-    events: Sequence[Event],
-    win_a: timedelta,
-    win_c: timedelta,
-    lag: timedelta,
-) -> float:
-    """support / events-containing-antecedent; 0.0 when inapplicable."""
-    denom = episode_event_count(antecedent, events, win_a)
-    if denom == 0:
-        return 0.0
-    return support_of(antecedent, consequent, events, win_a, win_c, lag) / denom
+# --- mining ----------------------------------------------------------------
 
 
 def frequent_episodes(
@@ -271,9 +206,9 @@ def frequent_episodes(
 ) -> dict[Episode, int]:
     """Level-wise enumeration of episodes with event count >= min_support.
 
-    Length-n candidates extend frequent length-(n-1) episodes by one
-    alphabet symbol; event-count support is anti-monotone over
-    prefixes, so nothing frequent is missed.
+    Length-n candidates extend frequent length-(n-1) episodes (starting
+    from the empty episode) by one alphabet symbol; event-count support
+    is anti-monotone over prefixes, so nothing frequent is missed.
     """
     if min_support < 1:
         raise ConfigError(f"min support must be >= 1, got {min_support}")
@@ -281,24 +216,17 @@ def frequent_episodes(
         raise ConfigError(f"max episode length must be >= 1, got {max_len}")
     alphabet = sorted({sym for ev in events for _, sym in ev.items})
     freq: dict[Episode, int] = {}
-    level: list[Episode] = []
-    for s in alphabet:
-        count = episode_event_count((s,), events, window)
-        if count >= min_support:
-            freq[(s,)] = count
-            level.append((s,))
-    for _ in range(max_len - 1):
+    level: list[Episode] = [()]
+    for _ in range(max_len):
         nxt: list[Episode] = []
         for ep in level:
             for s in alphabet:
                 cand = ep + (s,)
-                count = episode_event_count(cand, events, window)
+                count = sum(1 for starts in _occurrences(events, cand, window) if starts)
                 if count >= min_support:
                     freq[cand] = count
                     nxt.append(cand)
         level = nxt
-        if not level:
-            break
     return freq
 
 
@@ -313,19 +241,28 @@ def mine_rules(
     """Mine every rule with support >= min_support, deterministically.
 
     A rule's support never exceeds the event count of either side, so
-    candidate pairs come from the frequent episode sets.  Output is
+    candidate pairs come from the frequent episode sets.  Each frequent
+    antecedent's ends and each frequent consequent's starts are scanned
+    once per event; every pair is scored from those lists.  Output is
     sorted by confidence desc, support desc, then lexicographically.
     """
+    if lag < timedelta(0):
+        raise ConfigError(f"lag must be non-negative, got {lag}")
     freq_a = frequent_episodes(events, min_support, max_len, win_a)
     if win_c == win_a:
         freq_c = freq_a
     else:
         freq_c = frequent_episodes(events, min_support, max_len, win_c)
+    ends = {a: _occurrences(events, a, win_a, ends=True) for a in freq_a}
+    starts = {c: _occurrences(events, c, win_c) for c in freq_c}
     rules: list[EpisodeRule] = []
-    for antecedent in freq_a:
-        n_ant = freq_a[antecedent]
+    for antecedent, n_ant in freq_a.items():
         for consequent in freq_c:
-            sup = support_of(antecedent, consequent, events, win_a, win_c, lag)
+            sup = sum(
+                1
+                for e, s in zip(ends[antecedent], starts[consequent])
+                if _lag_paired(e, s, lag)
+            )
             if sup < min_support:
                 continue
             rules.append(
@@ -365,25 +302,39 @@ def confidence_series(
     """Cumulative-prefix confidence of a rule on a step-aligned grid.
 
     Grid points are whole multiples of step covering the events' span;
-    at each point the rule's confidence is recomputed over only the
-    events that have started by then.  Points before the first event
-    carry confidence 0.
+    the value at each point is the rule's confidence over only the
+    events that have started by then.  Each event's antecedent ends and
+    consequent starts are scanned once, giving whether it holds the
+    antecedent and whether it holds the rule; the events are then sorted
+    by start and the grid is walked with running counts, so each point
+    is the same integer ratio a recomputation over the prefix would
+    give.  Points before the first event carry 0.
     """
     if step <= timedelta(0):
         raise ConfigError(f"step must be positive, got {step}")
     if not events:
         raise SeriesTooShort("no events to trace confidence over")
-    span_lo = min(ev.start for ev in events)
+    ends = _occurrences(events, rule.antecedent, rule.win_a, ends=True)
+    starts = _occurrences(events, rule.consequent, rule.win_c)
+    table = sorted(
+        (ev.start, bool(e), _lag_paired(e, s, rule.lag))
+        for ev, e, s in zip(events, ends, starts)
+    )
+    span_lo = table[0][0]
     span_hi = max(ev.end for ev in events)
     step_s = step.total_seconds()
     n0 = math.floor(_to_epoch(span_lo) / step_s)
     n1 = math.ceil(_to_epoch(span_hi) / step_s)
+    try:
+        grid = [_from_epoch(n * step_s) for n in range(n0, n1 + 1)]
+    except OverflowError:
+        raise ConfigError(f"step {step} puts grid points outside the calendar") from None
     curve = []
-    for n in range(n0, n1 + 1):
-        t = _from_epoch(n * step_s)
-        prefix = [ev for ev in events if ev.start <= t]
-        conf = confidence_of(
-            rule.antecedent, rule.consequent, prefix, rule.win_a, rule.win_c, rule.lag
-        )
-        curve.append((t, conf))
+    i = n_ant = n_pair = 0
+    for t in grid:
+        while i < len(table) and table[i][0] <= t:
+            n_ant += table[i][1]
+            n_pair += table[i][2]
+            i += 1
+        curve.append((t, n_pair / n_ant if n_ant else 0.0))
     return curve

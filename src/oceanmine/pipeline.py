@@ -19,6 +19,7 @@ Output layout under the configured directory:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -49,6 +50,8 @@ from .telemetry import HeaderFields, parse_file
 
 DEFAULT_CELL_SIZE = 1.0
 DEFAULT_DELTA_S = 14400.0  # bridges same-day profile pairs, splits days
+# Seconds values must stay below this to fit a timedelta.
+_MAX_SECONDS = timedelta.max.total_seconds()
 
 
 @dataclass
@@ -72,24 +75,35 @@ class PipelineConfig:
     def validate(self) -> None:
         if not self.inputs:
             raise ConfigError("at least one input file is required")
-        if self.cell_size <= 0:
-            raise ConfigError(f"cell size must be positive, got {self.cell_size}")
-        if self.pressure_floor <= 0:
+        if not (math.isfinite(self.cell_size) and self.cell_size > 0):
             raise ConfigError(
-                f"pressure floor must be positive, got {self.pressure_floor}"
+                f"cell size must be positive and finite, got {self.cell_size}"
+            )
+        # coordinates reach +-180 and are floored after dividing by the cell size
+        if not math.isfinite(180.0 / self.cell_size):
+            raise ConfigError(f"cell size {self.cell_size} is too small to grid")
+        if not (math.isfinite(self.pressure_floor) and self.pressure_floor > 0):
+            raise ConfigError(
+                f"pressure floor must be positive and finite, got {self.pressure_floor}"
             )
         if self.window_len < 1:
             raise ConfigError(f"window length must be >= 1, got {self.window_len}")
-        if self.delta_s < 0:
-            raise ConfigError(f"delta must be non-negative, got {self.delta_s}")
+        for name, seconds in (
+            ("delta", self.delta_s),
+            ("win_a", self.win_a_s),
+            ("win_c", self.win_c_s),
+            ("lag", self.lag_s),
+        ):
+            if seconds is None:
+                continue
+            if not (math.isfinite(seconds) and 0 <= seconds < _MAX_SECONDS):
+                raise ConfigError(
+                    f"{name} must be in [0, {_MAX_SECONDS:.0f}) seconds, got {seconds}"
+                )
         if self.k < 1:
             raise ConfigError(f"class count must be >= 1, got {self.k}")
         if self.max_len < 1:
             raise ConfigError(f"max episode length must be >= 1, got {self.max_len}")
-        if self.win_a_s < 0 or self.win_c_s < 0:
-            raise ConfigError("episode windows must be non-negative")
-        if self.lag_s is not None and self.lag_s < 0:
-            raise ConfigError(f"lag must be non-negative, got {self.lag_s}")
         if self.min_support < 1:
             raise ConfigError(f"min support must be >= 1, got {self.min_support}")
         if not 0.0 < self.theta <= 1.0:
@@ -125,29 +139,6 @@ def records_csv(records: list[ProfileRecord]) -> str:
             f"{r.temperature:.3f},{r.salinity:.3f},{r.pressure:.1f}"
         )
     return "\n".join(lines) + "\n"
-
-
-def load_records(path: str | Path) -> list[ProfileRecord]:
-    """Read a records CSV back; inverse of records_csv."""
-    from .regions import RegionKey
-
-    records = []
-    lines = Path(path).read_text(encoding="ascii").splitlines()
-    for line in lines[1:]:
-        region, ts, level, t, s, p = line.split(",")
-        parts = region.rsplit("_", 2)
-        key = RegionKey(parts[0], int(parts[1]), int(parts[2])) if region else None
-        records.append(
-            ProfileRecord(
-                observed_at=datetime.fromisoformat(ts),
-                level=int(level),
-                temperature=float(t),
-                salinity=float(s),
-                pressure=float(p),
-                region_key=key,
-            )
-        )
-    return records
 
 
 def index_csv(samples: list[IndexSample]) -> str:
@@ -305,7 +296,7 @@ def run(config: PipelineConfig) -> RunResult:
             band=band,
             top_rule=top_rule,
             top_confidence=top_confidence,
-            advisories=adv.tag_region(advisories, key_str),
+            advisories=advisories,
         )
         regions.append(art)
 

@@ -195,24 +195,6 @@ def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
     )
 
 
-def words_of(lines: Iterable[str]) -> list[int]:
-    """Pair hex byte tokens into big-endian 16-bit words.
-
-    Bytes pair across line boundaries.  Raises BadHexToken on a token
-    that is not exactly two hex digits and OddByteCount when the total
-    byte count is odd.
-    """
-    raw: list[int] = []
-    for line in lines:
-        for tok in line.split():
-            if not _HEX_RE.match(tok):
-                raise BadHexToken(tok)
-            raw.append(int(tok, 16))
-    if len(raw) % 2:
-        raise OddByteCount(f"{len(raw)} bytes leave one unpaired")
-    return [(raw[i] << 8) | raw[i + 1] for i in range(0, len(raw), 2)]
-
-
 def _looks_like_header(tokens: list[str]) -> bool:
     return bool(tokens) and _PLATFORM_RE.match(tokens[0]) is not None
 

@@ -15,7 +15,6 @@ from oceanmine.advisories import (
     detect_strong_waves,
     report_jsonl,
     report_text,
-    tag_region,
 )
 from oceanmine.errors import ConfigError
 from oceanmine.oscillation import IndexBand, IndexSample, band_of
@@ -240,10 +239,3 @@ class TestReport:
         assert report_jsonl(table).splitlines()[0]
         assert report_text(table).splitlines()[1].startswith("region")
 
-
-class TestTagRegion:
-    def test_stamps_without_mutating(self):
-        adv = [Advisory(KIND_STRONG_WAVE, at(10), 9.0, 5.5)]
-        tagged = tag_region(adv, "02602_0_76")
-        assert tagged[0].region == "02602_0_76"
-        assert adv[0].region is None

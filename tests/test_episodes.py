@@ -5,20 +5,18 @@ from datetime import datetime, timedelta
 
 import pytest
 
+from oceanmine import episodes
 from oceanmine.episodes import (
     Event,
     EpisodeRule,
     build_events,
-    confidence_of,
     confidence_series,
     discretize,
-    episode_event_count,
     episode_label,
     frequent_episodes,
     mine_rules,
     rule_id,
     segment_events,
-    support_of,
 )
 from oceanmine.errors import ConfigError
 from oceanmine.oscillation import IndexSample
@@ -104,51 +102,75 @@ class TestDiscretize:
             discretize(series_of([1, 2]), 0)
 
 
+def mined_support(antecedent, consequent, events, win_a, win_c, lag):
+    """A rule's support as the miner reports it; an absent rule has 0."""
+    rules = mine_rules(
+        events, min_support=1, max_len=max(len(antecedent), len(consequent)),
+        win_a=win_a, win_c=win_c, lag=lag,
+    )
+    for r in rules:
+        if (r.antecedent, r.consequent) == (antecedent, consequent):
+            return r.support
+    return 0
+
+
+def final_confidence(antecedent, consequent, events, win_a, win_c, lag):
+    """A rule's confidence over all events: the last confidence_series point."""
+    rule = EpisodeRule(antecedent, consequent, win_a, win_c, lag, 0, 0.0, 0)
+    curve = confidence_series(events, rule, timedelta(seconds=1))
+    assert curve[-1][0] >= max(e.start for e in events)
+    return curve[-1][1]
+
+
 class TestSupportConfidence:
     def test_reference_events(self):
-        assert support_of((A,), (B,), EVENTS_ABC, Z, Z, LAG2) == 1
-        assert confidence_of((A,), (B,), EVENTS_ABC, Z, Z, LAG2) == 0.5
+        assert mined_support((A,), (B,), EVENTS_ABC, Z, Z, LAG2) == 1
+        assert final_confidence((A,), (B,), EVENTS_ABC, Z, Z, LAG2) == 0.5
+        rules = mine_rules(EVENTS_ABC, min_support=1, max_len=1,
+                           win_a=Z, win_c=Z, lag=LAG2)
+        (rule,) = [r for r in rules if (r.antecedent, r.consequent) == ((A,), (B,))]
+        assert (rule.support, rule.confidence, rule.antecedent_events) == (1, 0.5, 2)
 
     def test_self_rule_needs_second_occurrence(self):
         lone = [ev((0, A))]
         eps = timedelta(seconds=1)
-        assert support_of((A,), (A,), lone, Z, Z, eps) == 0
+        assert mined_support((A,), (A,), lone, Z, Z, eps) == 0
 
     def test_consequent_must_start_strictly_later(self):
         # antecedent ends and consequent starts at the same instant: no pair
         tied = [ev((0, A), (0, B))]
-        assert support_of((A,), (B,), tied, Z, Z, LAG2) == 0
+        assert mined_support((A,), (B,), tied, Z, Z, LAG2) == 0
 
     def test_lag_bound_is_inclusive(self):
         events = [ev((0, A), (2, B))]
-        assert support_of((A,), (B,), events, Z, Z, timedelta(seconds=2)) == 1
-        assert support_of((A,), (B,), events, Z, Z, timedelta(seconds=1)) == 0
+        assert mined_support((A,), (B,), events, Z, Z, timedelta(seconds=2)) == 1
+        assert mined_support((A,), (B,), events, Z, Z, timedelta(seconds=1)) == 0
 
     def test_zero_lag_never_holds(self):
         events = [ev((0, A), (1, B))]
-        assert support_of((A,), (B,), events, Z, Z, Z) == 0
+        assert mined_support((A,), (B,), events, Z, Z, Z) == 0
 
     def test_windows_bound_span(self):
         # antecedent A..B spans 3s; consequent C follows
         events = [ev((0, A), (3, B), (5, C))]
         w3 = timedelta(seconds=3)
         lag5 = timedelta(seconds=5)
-        assert support_of((A, B), (C,), events, w3, Z, lag5) == 1
-        assert support_of((A, B), (C,), events, timedelta(seconds=2), Z, lag5) == 0
+        assert mined_support((A, B), (C,), events, w3, Z, lag5) == 1
+        assert mined_support((A, B), (C,), events, timedelta(seconds=2), Z, lag5) == 0
 
     def test_late_antecedent_end_can_pair(self):
         # A@0 B@1 B@4 C@5: with win_a=4 the A..B occurrence ending at 4
         # reaches C@5 under lag 1 even though the earliest end is 1
         events = [ev((0, A), (1, B), (4, B), (5, C))]
-        assert support_of(
+        assert mined_support(
             (A, B), (C,), events, timedelta(seconds=4), Z, timedelta(seconds=1)
         ) == 1
 
     def test_confidence_inapplicable_is_zero(self):
-        assert confidence_of((C,), (B,), EVENTS_ABC, Z, Z, LAG2) == 0.0
+        assert final_confidence((C,), (B,), EVENTS_ABC, Z, Z, LAG2) == 0.0
 
     def test_matches_brute_force_on_reference(self):
-        got = support_of((A,), (B,), EVENTS_ABC, Z, Z, LAG2)
+        got = mined_support((A,), (B,), EVENTS_ABC, Z, Z, LAG2)
         assert got == oracles.support_brute(EVENTS_ABC, (A,), (B,), Z, Z, LAG2)
 
 
@@ -204,6 +226,17 @@ class TestMineRules:
                     for cut in range(1, len(epi)):
                         assert freq[epi[:cut]] >= count
 
+    def test_negative_lag_rejected(self):
+        with pytest.raises(ConfigError):
+            mine_rules([], min_support=1, lag=timedelta(seconds=-1))
+
+    def test_lag_near_longest_duration(self):
+        rules = mine_rules(EVENTS_ABC, min_support=1, max_len=1,
+                           win_a=Z, win_c=Z, lag=timedelta.max)
+        pairs = {(r.antecedent, r.consequent): r.support for r in rules}
+        assert pairs[(A,), (B,)] == 1
+        assert pairs[(B,), (B,)] == 1
+
     def test_support_bounded_by_events(self):
         rules = mine_rules(EVENTS_ABC, min_support=1, max_len=2,
                            win_a=Z, win_c=Z, lag=LAG2)
@@ -243,6 +276,50 @@ class TestConfidenceSeries:
                 )
                 assert conf == want
                 assert 0.0 <= conf <= 1.0
+
+    def test_shuffled_events_match_prefix_recomputation(self):
+        rng = random.Random(13)
+        checked = 0
+        for _ in range(40):
+            events, params = oracles.random_instance(rng)
+            rules = mine_rules(events, **params)
+            if len(events) < 2 or not rules:
+                continue
+            shuffled = events[:]
+            rng.shuffle(shuffled)
+            rule = rules[rng.randrange(len(rules))]
+            for t, conf in confidence_series(shuffled, rule, timedelta(seconds=1)):
+                prefix = [e for e in shuffled if e.start <= t]
+                assert conf == oracles.confidence_brute(
+                    prefix, rule.antecedent, rule.consequent,
+                    rule.win_a, rule.win_c, rule.lag,
+                )
+            checked += 1
+        assert checked >= 5
+
+    def test_scans_independent_of_grid_points(self, monkeypatch):
+        events = [ev((10 * d, A), (10 * d + 1, B), (10 * d + 2, A)) for d in range(30)]
+        rule = EpisodeRule((A,), (B,), Z, Z, LAG2, 1, 1.0, 1)
+        calls = [0]
+        scan = episodes._feasible_starts
+
+        def counted(*args):
+            calls[0] += 1
+            return scan(*args)
+
+        monkeypatch.setattr(episodes, "_feasible_starts", counted)
+        scans = []
+        for step_s in (100, 10, 1):
+            calls[0] = 0
+            curve = confidence_series(events, rule, timedelta(seconds=step_s))
+            scans.append((len(curve), calls[0]))
+        assert scans[-1][0] >= 290  # one point per second over the span
+        assert all(n <= 2 * len(events) for _, n in scans)
+
+    def test_step_past_calendar_rejected(self):
+        rule = EpisodeRule((A,), (B,), Z, Z, LAG2, 1, 0.5, 2)
+        with pytest.raises(ConfigError):
+            confidence_series(EVENTS_ABC, rule, timedelta(days=10 ** 8))
 
     def test_bad_step(self):
         rule = EpisodeRule((A,), (B,), Z, Z, LAG2, 1, 0.5, 2)

@@ -16,7 +16,6 @@ from oceanmine.errors import AllSamplesRejected, ConfigError, DataError
 from oceanmine.pipeline import (
     PipelineConfig,
     index_csv,
-    load_records,
     records_csv,
     run,
 )
@@ -27,6 +26,27 @@ from oceanmine.telemetry import HeaderFields, MessageBlock, render_stream
 from oracles import at
 
 SAMPLE_REGION = "02602_0_76"
+
+
+def load_records(path):
+    """Read a records CSV back; inverse of records_csv."""
+    records = []
+    lines = Path(path).read_text(encoding="ascii").splitlines()
+    for line in lines[1:]:
+        region, ts, level, t, s, p = line.split(",")
+        parts = region.rsplit("_", 2)
+        key = RegionKey(parts[0], int(parts[1]), int(parts[2])) if region else None
+        records.append(
+            ProfileRecord(
+                observed_at=datetime.fromisoformat(ts),
+                level=int(level),
+                temperature=float(t),
+                salinity=float(s),
+                pressure=float(p),
+                region_key=key,
+            )
+        )
+    return records
 
 
 def config_for(sample_path, out_dir, **kw):
@@ -199,6 +219,16 @@ class TestFailureModes:
             ("min_support", 0),
             ("pressure_floor", 0.0),
             ("delta_s", -5.0),
+            ("cell_size", float("nan")),
+            ("cell_size", 5e-324),
+            ("pressure_floor", float("inf")),
+            ("delta_s", float("nan")),
+            ("delta_s", float("inf")),
+            ("win_a_s", float("inf")),
+            ("win_c_s", float("nan")),
+            ("lag_s", float("nan")),
+            ("lag_s", 1e300),
+            ("lag_s", 86400e9),
         ]:
             with pytest.raises(ConfigError):
                 run(config_for(sample_path, out, **{field: value}))
@@ -275,6 +305,24 @@ class TestCli:
         code = main([str(src), "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_DATA
         assert "data error [decode]" in capsys.readouterr().err
+
+    def test_non_finite_and_huge_flags_are_config_errors(
+        self, sample_path, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        for flags in (
+            ["--delta", "nan"],
+            ["--lag", "nan"],
+            ["--lag", "1e300"],
+            ["--win-a", "inf"],
+            ["--cell-size", "nan"],
+            ["--delta", "1e13", "--min-support", "1"],
+        ):
+            # main returning, not raising, is what keeps a traceback off stderr
+            code = main([str(sample_path), "--out-dir", str(out), *flags])
+            assert code == EXIT_CONFIG, flags
+            assert "config error" in capsys.readouterr().err, flags
+            assert not out.exists(), flags
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -19,7 +19,6 @@ from oceanmine.telemetry import (
     parse_stream,
     render_block,
     render_stream,
-    words_of,
 )
 
 from conftest import SPLIT_ID_HEADER
@@ -88,30 +87,38 @@ class TestParseHeader:
         assert h.observed_at.microsecond == 500_000
 
 
+def block_words(lines):
+    """Words of a one-block dump whose data lines are lines."""
+    (block,) = parse_stream([SPLIT_ID_HEADER, *lines])
+    return block.words
+
+
 class TestWordsOf:
+    """Byte pairing into words, on the parse_stream path."""
+
     def test_single_line_pairs(self):
-        assert words_of(["35 9D 89 3E"]) == [13725, 35134]
+        assert block_words(["35 9D 89 3E"]) == [13725, 35134]
 
     def test_pairs_cross_line_boundaries(self):
-        assert words_of(["EE 05", "35 9D"]) == [60933, 13725]
-        assert words_of(["EE", "05 35", "9D"]) == [60933, 13725]
+        assert block_words(["EE 05", "35 9D"]) == [60933, 13725]
+        assert block_words(["EE", "05 35", "9D"]) == [60933, 13725]
 
     def test_extreme_words(self):
-        assert words_of(["00 00"]) == [0]
-        assert words_of(["FF FF"]) == [65535]
+        assert block_words(["00 00"]) == [0]
+        assert block_words(["FF FF"]) == [65535]
 
     def test_case_insensitive(self):
-        assert words_of(["ee 05"]) == [60933]
+        assert block_words(["ee 05"]) == [60933]
 
     def test_bad_token(self):
         with pytest.raises(BadHexToken):
-            words_of(["35 9"])
+            block_words(["35 9"])
         with pytest.raises(BadHexToken):
-            words_of(["GG 00"])
+            block_words(["GG 00"])
 
     def test_odd_byte_count(self):
         with pytest.raises(OddByteCount):
-            words_of(["35 9D 89"])
+            block_words(["35 9D 89"])
 
 
 class TestParseStream:
