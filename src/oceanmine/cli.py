@@ -102,8 +102,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"oceanmine: io error: {e}", file=sys.stderr)
         return EXIT_IO
     except DataError as e:
-        stage = getattr(e, "stage", "data")
-        print(f"oceanmine: data error [{stage}]: {e}", file=sys.stderr)
+        print(f"oceanmine: data error [{e.stage}]: {e}", file=sys.stderr)
         return EXIT_DATA
 
     waves = sum(

@@ -21,9 +21,10 @@ for pressure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from datetime import datetime
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from pathlib import Path
 
 from .errors import ConfigError, NonTripleWordCount
@@ -71,7 +72,6 @@ class ProfileRecord:
     temperature: float
     salinity: float
     pressure: float
-    region_key: tuple[str, int, int] | None = None
 
 
 def round_half_away(value: float, ndigits: int) -> float:
@@ -89,25 +89,6 @@ def decode_word(word: int, channel: str, cal: CalibrationTable = DEFAULT_CALIBRA
     return offset + word * resolution
 
 
-def quantize(value: float, channel: str, cal: CalibrationTable = DEFAULT_CALIBRATION) -> int:
-    """Map a physical value back to the nearest raw count."""
-    offset, resolution = cal.line_for(channel)
-    return round((value - offset) / resolution)
-
-
-def apply_precision(record: ProfileRecord) -> ProfileRecord:
-    """Return the record with channel values at canonical precision.
-
-    Idempotent: applying twice equals applying once.
-    """
-    return replace(
-        record,
-        temperature=round_half_away(record.temperature, PRECISION["temperature"]),
-        salinity=round_half_away(record.salinity, PRECISION["salinity"]),
-        pressure=round_half_away(record.pressure, PRECISION["pressure"]),
-    )
-
-
 def decode_block(
     block: MessageBlock, cal: CalibrationTable = DEFAULT_CALIBRATION
 ) -> list[ProfileRecord]:
@@ -122,17 +103,20 @@ def decode_block(
     if len(words) % 3:
         raise NonTripleWordCount(len(words), span=block.source_line_span)
     observed_at = block.block_time or block.header.observed_at
-    records = []
-    for i in range(0, len(words), 3):
-        rec = ProfileRecord(
+
+    def value(word: int, channel: str) -> float:
+        return round_half_away(decode_word(word, channel, cal), PRECISION[channel])
+
+    return [
+        ProfileRecord(
             observed_at=observed_at,
             level=i // 3 + 1,
-            temperature=decode_word(words[i], "temperature", cal),
-            salinity=decode_word(words[i + 1], "salinity", cal),
-            pressure=decode_word(words[i + 2], "pressure", cal),
+            temperature=value(words[i], "temperature"),
+            salinity=value(words[i + 1], "salinity"),
+            pressure=value(words[i + 2], "pressure"),
         )
-        records.append(apply_precision(rec))
-    return records
+        for i in range(0, len(words), 3)
+    ]
 
 
 _CAL_KEYS = (
@@ -149,11 +133,16 @@ def load_calibration(path: str | Path) -> CalibrationTable:
     """Load a calibration table from a key = value file.
 
     Lines are "key = value"; blank lines and '#' comments are ignored.
-    Missing keys keep their defaults.  Unknown keys, unparseable
-    values, and non-positive resolutions raise ConfigError.
+    Missing keys keep their defaults.  A file that is not ASCII,
+    unknown keys, unparseable or non-finite values, non-positive
+    resolutions, and a channel whose decoded range cannot be rounded
+    to its precision raise ConfigError.
     """
     values: dict[str, float] = {}
-    text = Path(path).read_text(encoding="ascii")
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: non-ASCII byte at offset {e.start}") from None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -170,9 +159,20 @@ def load_calibration(path: str | Path) -> CalibrationTable:
             raise ConfigError(
                 f"{path}:{line_no}: bad value for {key}: {val.strip()!r}"
             ) from None
-    cal = replace(DEFAULT_CALIBRATION, **values)
+        if not math.isfinite(values[key]):
+            raise ConfigError(f"{path}:{line_no}: {key} must be finite, got {values[key]}")
+    cal = CalibrationTable(**values)
     for channel in CHANNELS:
         _, resolution = cal.line_for(channel)
         if resolution <= 0:
             raise ConfigError(f"{channel} resolution must be positive, got {resolution}")
+        # The map is linear, so every word rounds if both extremes do.
+        for word in (0, _WORD_MAX):
+            try:
+                round_half_away(decode_word(word, channel, cal), PRECISION[channel])
+            except InvalidOperation:
+                raise ConfigError(
+                    f"{channel} calibration maps word {word} to "
+                    f"{decode_word(word, channel, cal)}, beyond the decodable range"
+                ) from None
     return cal

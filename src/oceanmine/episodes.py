@@ -27,12 +27,11 @@ grid with running antecedent and rule counts.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import ConfigError, SeriesTooShort
 from .oscillation import IndexSample
@@ -74,7 +73,6 @@ class EpisodeRule:
     lag: timedelta
     support: int
     confidence: float
-    antecedent_events: int
 
 
 def symbol_label(class_id: int, k: int = DEFAULT_K) -> str:
@@ -94,27 +92,48 @@ def rule_id(rule: EpisodeRule, k: int = DEFAULT_K) -> str:
 # --- discretization and event segmentation -------------------------------
 
 
+def _quantile(ordered: Sequence[float], q: float) -> float:
+    """Type-7 sample quantile of ascending values (Hyndman & Fan, 1996).
+
+    The arithmetic is numpy's "linear" method step for step, so on
+    finite values the result equals np.quantile(values, q) bit for bit
+    (zeros of either sign compare equal and may sort in either order).
+    """
+    h = (len(ordered) - 1) * q
+    lo = math.floor(h)
+    if lo + 1 >= len(ordered):
+        return ordered[-1]
+    a, b = ordered[lo], ordered[lo + 1]
+    t = h - lo
+    d = b - a
+    return b - d * (1 - t) if t >= 0.5 else a + d * t
+
+
 def discretize(series: Sequence[IndexSample], k: int = DEFAULT_K) -> list[tuple[datetime, int]]:
     """Map each sample to a quantile class in [0, k).
 
     Class boundaries are the k-quantiles of this series' values; a
     value lands in class c when it lies strictly above c boundaries,
     so intervals are half-open with the top class closed above.  A
-    constant series maps everything to class 0.
+    constant series maps everything to class 0.  Boundaries rise with
+    their rank, so each class is a binary search over them and any k
+    costs O(log k) quantiles per sample.
     """
-    if k < 1:
-        raise ConfigError(f"class count must be >= 1, got {k}")
+    if not 1 <= k <= sys.maxsize:  # bisect needs len(range(1, k))
+        raise ConfigError(f"class count must be in [1, {sys.maxsize}], got {k}")
     if not series:
         return []
     values = [s.n_value for s in series]
     if min(values) == max(values) or k == 1:
         return [(s.observed_at, 0) for s in series]
-    bounds = [float(np.quantile(values, i / k)) for i in range(1, k)]
-    out = []
-    for s in series:
-        cls = sum(1 for b in bounds if s.n_value > b)
-        out.append((s.observed_at, cls))
-    return out
+    ordered = sorted(values)
+    return [
+        (
+            s.observed_at,
+            bisect_left(range(1, k), s.n_value, key=lambda i: _quantile(ordered, i / k)),
+        )
+        for s in series
+    ]
 
 
 def segment_events(
@@ -274,7 +293,6 @@ def mine_rules(
                     lag=lag,
                     support=sup,
                     confidence=sup / n_ant,
-                    antecedent_events=n_ant,
                 )
             )
     rules.sort(

@@ -18,7 +18,14 @@ class ConfigError(OceanMineError):
 
 
 class DataError(OceanMineError):
-    """Input data violates the format or leaves a stage with nothing to do."""
+    """Input data violates the format or leaves a stage with nothing to do.
+
+    ``stage`` names the pipeline stage that failed, for the CLI message.
+    """
+
+    def __init__(self, *args: object, stage: str = "data"):
+        super().__init__(*args)
+        self.stage = stage
 
 
 class MalformedHeader(DataError):

@@ -85,11 +85,6 @@ def compute_index(
     )
 
 
-def d_index_d_temperature(temperature: float, salinity: float) -> float:
-    """Analytic partial derivative of the index in temperature."""
-    return 2.0 * T2_COEFF * temperature + ST_COEFF * salinity
-
-
 def compute_series(
     seg: RegionSegment,
     pressure_floor: float = DEFAULT_PRESSURE_FLOOR,

@@ -20,6 +20,7 @@ Output layout under the configured directory:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -100,8 +101,8 @@ class PipelineConfig:
                 raise ConfigError(
                     f"{name} must be in [0, {_MAX_SECONDS:.0f}) seconds, got {seconds}"
                 )
-        if self.k < 1:
-            raise ConfigError(f"class count must be >= 1, got {self.k}")
+        if not 1 <= self.k <= sys.maxsize:
+            raise ConfigError(f"class count must be in [1, {sys.maxsize}], got {self.k}")
         if self.max_len < 1:
             raise ConfigError(f"max episode length must be >= 1, got {self.max_len}")
         if self.min_support < 1:
@@ -117,7 +118,6 @@ class PipelineConfig:
 @dataclass
 class RunResult:
     report: adv.ReportTable
-    written: list[Path]
     record_count: int
     region_count: int
     rejected_blocks: int
@@ -130,10 +130,9 @@ def _fmt17(value: float) -> str:
 # --- persistence -----------------------------------------------------------
 
 
-def records_csv(records: list[ProfileRecord]) -> str:
+def records_csv(records: list[ProfileRecord], region: str) -> str:
     lines = ["region,observed_at,level,temperature,salinity,pressure"]
     for r in records:
-        region = key_string(r.region_key) if r.region_key else ""
         lines.append(
             f"{region},{r.observed_at.isoformat()},{r.level},"
             f"{r.temperature:.3f},{r.salinity:.3f},{r.pressure:.1f}"
@@ -180,16 +179,11 @@ class _RegionArtifacts:
     summary: adv.RegionSummary | None = None
 
 
-def _tag(err: DataError, stage: str) -> DataError:
-    err.stage = stage  # type: ignore[attr-defined]
-    return err
-
-
 def run(config: PipelineConfig) -> RunResult:
     """Execute the full pipeline for one configuration.
 
     Raises ConfigError for bad parameters, OSError for unreadable
-    inputs, DataError subclasses (tagged with a .stage attribute) for
+    inputs, DataError subclasses (naming the failed stage in .stage) for
     format and content failures.  Nothing is written unless the whole
     run succeeds.
     """
@@ -209,7 +203,8 @@ def run(config: PipelineConfig) -> RunResult:
         try:
             blocks.extend(parse_file(path))
         except DataError as e:
-            raise _tag(e, f"parse {path}")
+            e.stage = f"parse {path}"
+            raise
 
     tagged: list[tuple[ProfileRecord, HeaderFields]] = []
     rejected_blocks = 0
@@ -224,12 +219,10 @@ def run(config: PipelineConfig) -> RunResult:
         for rec in block_records:
             tagged.append((rec, block.header))
     if not tagged:
-        raise _tag(
-            DataError(
-                f"no decodable records in {len(blocks)} blocks "
-                f"({rejected_blocks} rejected)"
-            ),
-            "decode",
+        raise DataError(
+            f"no decodable records in {len(blocks)} blocks "
+            f"({rejected_blocks} rejected)",
+            stage="decode",
         )
 
     segments = segment(tagged, config.cell_size)
@@ -301,9 +294,7 @@ def run(config: PipelineConfig) -> RunResult:
         regions.append(art)
 
     if alive == 0:
-        raise _tag(
-            AllSamplesRejected("every region failed the pressure floor"), "index"
-        )
+        raise AllSamplesRejected("every region failed the pressure floor", stage="index")
 
     generated_at = max(rec.observed_at for rec, _ in tagged)
     report = adv.compose_report(
@@ -313,15 +304,12 @@ def run(config: PipelineConfig) -> RunResult:
     # Compute done; now write the tree.
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
 
     def emit(name: str, text: str) -> None:
-        path = out_dir / name
-        path.write_text(text, encoding="ascii", newline="")
-        written.append(path)
+        (out_dir / name).write_text(text, encoding="ascii", newline="")
 
     for art in regions:
-        emit(f"records_{art.key_str}.csv", records_csv(art.records))
+        emit(f"records_{art.key_str}.csv", records_csv(art.records, art.key_str))
         emit(f"rules_{art.key_str}.csv", rules_csv(art.rules, config.k))
         if config.write_plots:
             emit(f"index_{art.key_str}.csv", index_csv(art.samples))
@@ -334,7 +322,6 @@ def run(config: PipelineConfig) -> RunResult:
 
     return RunResult(
         report=report,
-        written=written,
         record_count=len(tagged),
         region_count=len(segments),
         rejected_blocks=rejected_blocks,

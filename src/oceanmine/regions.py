@@ -10,7 +10,7 @@ in negative cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .decoder import ProfileRecord
@@ -61,7 +61,7 @@ def segment(
     by_key: dict[RegionKey, list[ProfileRecord]] = {}
     for record, header in tagged_records:
         key = region_key_of(header, cell_size)
-        by_key.setdefault(key, []).append(replace(record, region_key=key))
+        by_key.setdefault(key, []).append(record)
     segments = []
     for key in sorted(by_key):
         records = sorted(by_key[key], key=lambda r: (r.observed_at, r.level))

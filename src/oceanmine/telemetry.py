@@ -28,8 +28,7 @@ Header token layout (left to right):
 Some feeds split message_id across several tokens ("29021 02" for
 "2902102").  The reader re-joins them: the tokens between platform_id
 and the two integers preceding class_code are concatenated, so both
-renditions parse to the same header.  Rendering always emits the
-canonical 12-token form.
+renditions parse to the same header.
 
 A block time line is "DATE TIME SEQ [BYTE ...]"; SEQ is a decimal
 sequence number and is validated then dropped.  The first block time
@@ -42,6 +41,7 @@ within a block.  A block ending on an unpaired byte is an error.
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -50,6 +50,7 @@ from typing import Iterable, Iterator
 
 from .errors import (
     BadHexToken,
+    DataError,
     EmptyInput,
     MalformedHeader,
     OddByteCount,
@@ -63,8 +64,6 @@ _PLATFORM_RE = re.compile(r"^\d{5}$")
 # Minimum token count for a header line; message_id may span extra
 # tokens beyond this, the rest of the layout is fixed.
 _MIN_TOKENS = 12
-
-WORDS_PER_RENDER_LINE = 3
 
 
 @dataclass(frozen=True)
@@ -93,11 +92,6 @@ class MessageBlock:
     block_time: datetime | None = None
     source_line_span: tuple[int, int] = field(default=(0, 0), compare=False)
 
-    @property
-    def is_position_only(self) -> bool:
-        """True when the block carried no payload at all."""
-        return not self.words
-
 
 def _parse_timestamp(date_tok: str, time_tok: str, line_no: int | None) -> datetime:
     if not _DATE_RE.match(date_tok) or not _TIME_RE.match(time_tok):
@@ -111,14 +105,6 @@ def _parse_timestamp(date_tok: str, time_tok: str, line_no: int | None) -> datet
         except ValueError:
             continue
     raise MalformedHeader(f"unparseable timestamp {text!r}", line_no)
-
-
-def _format_timestamp(ts: datetime) -> str:
-    base = ts.strftime("%Y-%m-%d %H:%M:%S")
-    if ts.microsecond:
-        frac = f"{ts.microsecond:06d}".rstrip("0")
-        return f"{base}.{frac}"
-    return base
 
 
 def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
@@ -300,50 +286,16 @@ def parse_stream(source: str | Iterable[str]) -> list[MessageBlock]:
 
 
 def parse_file(path: str | Path) -> list[MessageBlock]:
-    """Parse a telemetry dump from disk."""
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_stream(fh)
+    """Parse a telemetry dump from disk.
 
-
-def render_header(h: HeaderFields) -> str:
-    """Render a header back to its canonical 12-token line."""
-    return " ".join(
-        [
-            h.platform_id,
-            h.message_id,
-            str(h.field_a),
-            str(h.field_b),
-            h.class_code,
-            str(h.pass_count),
-            _format_timestamp(h.observed_at),
-            repr(h.latitude),
-            repr(h.longitude),
-            repr(h.altitude_or_zero),
-            h.transmitter_id,
-        ]
-    )
-
-
-def render_block(block: MessageBlock) -> str:
-    """Render a block to text such that re-parsing reproduces it.
-
-    Words are split back into big-endian byte pairs, three words per
-    line.  The block time line, when present, is emitted with sequence
-    number 1 and no payload of its own.
+    Lines end at LF, CR or CRLF.  A byte outside ASCII raises
+    DataError naming its line.
     """
-    out = [render_header(block.header)]
-    if block.block_time is not None:
-        out.append(f"{_format_timestamp(block.block_time)} 1")
-    byte_toks = []
-    for w in block.words:
-        byte_toks.append(f"{w >> 8:02X}")
-        byte_toks.append(f"{w & 0xFF:02X}")
-    per_line = WORDS_PER_RENDER_LINE * 2
-    for i in range(0, len(byte_toks), per_line):
-        out.append(" ".join(byte_toks[i : i + per_line]))
-    return "\n".join(out) + "\n"
-
-
-def render_stream(blocks: Iterable[MessageBlock]) -> str:
-    """Render a sequence of blocks to one dump."""
-    return "".join(render_block(b) for b in blocks)
+    data = Path(path).read_bytes()
+    if not data.isascii():
+        at = next(i for i, byte in enumerate(data) if byte > 0x7F)
+        before = data[:at].replace(b"\r\n", b"\n")
+        line_no = before.count(b"\n") + before.count(b"\r") + 1
+        raise DataError(f"line {line_no}: non-ASCII byte 0x{data[at]:02x}")
+    with io.TextIOWrapper(io.BytesIO(data), encoding="ascii") as fh:
+        return parse_stream(fh)

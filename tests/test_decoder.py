@@ -9,17 +9,16 @@ from oceanmine.decoder import (
     DEFAULT_CALIBRATION,
     CalibrationTable,
     ProfileRecord,
-    apply_precision,
     decode_block,
     decode_word,
     load_calibration,
-    quantize,
     round_half_away,
 )
 from oceanmine.errors import ConfigError, NonTripleWordCount
 from oceanmine.telemetry import MessageBlock, parse_header
 
 from conftest import SPLIT_ID_HEADER
+from helpers import apply_precision, quantize
 
 HEADER = parse_header(SPLIT_ID_HEADER)
 
@@ -157,4 +156,22 @@ class TestLoadCalibration:
         path = tmp_path / "cal.txt"
         path.write_text("sal_resolution = 0\n")
         with pytest.raises(ConfigError):
+            load_calibration(path)
+
+    def test_nan_offset(self, tmp_path):
+        path = tmp_path / "cal.txt"
+        path.write_text("temp_offset = nan\n")
+        with pytest.raises(ConfigError, match="finite"):
+            load_calibration(path)
+
+    def test_infinite_resolution(self, tmp_path):
+        path = tmp_path / "cal.txt"
+        path.write_text("temp_resolution = inf\n")
+        with pytest.raises(ConfigError, match="finite"):
+            load_calibration(path)
+
+    def test_offset_beyond_rounding_range(self, tmp_path):
+        path = tmp_path / "cal.txt"
+        path.write_text("pres_offset = 1e308\n")
+        with pytest.raises(ConfigError, match="pressure"):
             load_calibration(path)

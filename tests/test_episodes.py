@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import random
+import struct
+import sys
 from datetime import datetime, timedelta
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oceanmine import episodes
 from oceanmine.episodes import (
@@ -38,6 +43,18 @@ def series_of(values, spacing_s=1.0, start_s=0.0):
         for i, v in enumerate(values)
     ]
 
+
+# Index values are finite and never -0.0 (every term is added to a
+# positive constant); zeros of either sign compare equal, so a sort may
+# leave them in any order.  The sampled pool makes ties common.
+_values = st.lists(
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([-1.5, 0.0, 2.0]),
+    ).map(lambda v: v + 0.0),
+    min_size=1,
+    max_size=30,
+)
 
 # Reference events for the support/confidence examples: three events,
 # all samples one second apart globally.
@@ -100,6 +117,35 @@ class TestDiscretize:
     def test_bad_k(self):
         with pytest.raises(ConfigError):
             discretize(series_of([1, 2]), 0)
+        with pytest.raises(ConfigError):
+            discretize(series_of([1, 2]), sys.maxsize + 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=_values, k=st.integers(2, 20))
+    @example(values=[5.0], k=3)
+    def test_quantile_matches_numpy_bit_for_bit(self, values, k):
+        ordered = sorted(values)
+        for i in range(1, k):
+            ours = episodes._quantile(ordered, i / k)
+            ref = float(np.quantile(values, i / k))
+            assert struct.pack("<d", ours) == struct.pack("<d", ref), (i, k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=_values, k=st.integers(1, 13))
+    def test_classes_match_enumerating_every_boundary(self, values, k):
+        bounds = [float(np.quantile(values, i / k)) for i in range(1, k)]
+        want = [sum(1 for b in bounds if v > b) for v in values]
+        assert [c for _, c in discretize(series_of(values), k)] == want
+
+    def test_huge_k_takes_few_quantiles(self, monkeypatch):
+        calls = []
+        real = episodes._quantile
+        monkeypatch.setattr(
+            episodes, "_quantile", lambda o, q: calls.append(q) or real(o, q)
+        )
+        out = discretize(series_of([3, 1, 4, 1, 5]), k=10**12)
+        assert [c for _, c in out] == [499999999999, 0, 749999999999, 0, 999999999999]
+        assert len(calls) <= 5 * 41
 
 
 def mined_support(antecedent, consequent, events, win_a, win_c, lag):
@@ -116,7 +162,7 @@ def mined_support(antecedent, consequent, events, win_a, win_c, lag):
 
 def final_confidence(antecedent, consequent, events, win_a, win_c, lag):
     """A rule's confidence over all events: the last confidence_series point."""
-    rule = EpisodeRule(antecedent, consequent, win_a, win_c, lag, 0, 0.0, 0)
+    rule = EpisodeRule(antecedent, consequent, win_a, win_c, lag, 0, 0.0)
     curve = confidence_series(events, rule, timedelta(seconds=1))
     assert curve[-1][0] >= max(e.start for e in events)
     return curve[-1][1]
@@ -129,7 +175,7 @@ class TestSupportConfidence:
         rules = mine_rules(EVENTS_ABC, min_support=1, max_len=1,
                            win_a=Z, win_c=Z, lag=LAG2)
         (rule,) = [r for r in rules if (r.antecedent, r.consequent) == ((A,), (B,))]
-        assert (rule.support, rule.confidence, rule.antecedent_events) == (1, 0.5, 2)
+        assert (rule.support, rule.confidence) == (1, 0.5)
 
     def test_self_rule_needs_second_occurrence(self):
         lone = [ev((0, A))]
@@ -247,14 +293,14 @@ class TestMineRules:
 
 class TestConfidenceSeries:
     def test_reference_curve(self):
-        rule = EpisodeRule((A,), (B,), Z, Z, LAG2, 1, 0.5, 2)
+        rule = EpisodeRule((A,), (B,), Z, Z, LAG2, 1, 0.5)
         curve = confidence_series(EVENTS_ABC, rule, timedelta(seconds=2))
         assert [c for _, c in curve] == [0.0, 1.0, 0.5, 0.5]
         assert [t for t, _ in curve] == [at(0), at(2), at(4), at(6)]
 
     def test_point_before_first_event_is_zero(self):
         events = [ev((3, A), (4, B))]
-        rule = EpisodeRule((A,), (B,), Z, Z, LAG2, 1, 1.0, 1)
+        rule = EpisodeRule((A,), (B,), Z, Z, LAG2, 1, 1.0)
         curve = confidence_series(events, rule, timedelta(seconds=2))
         assert curve[0] == (at(2), 0.0)
 
@@ -299,7 +345,7 @@ class TestConfidenceSeries:
 
     def test_scans_independent_of_grid_points(self, monkeypatch):
         events = [ev((10 * d, A), (10 * d + 1, B), (10 * d + 2, A)) for d in range(30)]
-        rule = EpisodeRule((A,), (B,), Z, Z, LAG2, 1, 1.0, 1)
+        rule = EpisodeRule((A,), (B,), Z, Z, LAG2, 1, 1.0)
         calls = [0]
         scan = episodes._feasible_starts
 
@@ -317,12 +363,12 @@ class TestConfidenceSeries:
         assert all(n <= 2 * len(events) for _, n in scans)
 
     def test_step_past_calendar_rejected(self):
-        rule = EpisodeRule((A,), (B,), Z, Z, LAG2, 1, 0.5, 2)
+        rule = EpisodeRule((A,), (B,), Z, Z, LAG2, 1, 0.5)
         with pytest.raises(ConfigError):
             confidence_series(EVENTS_ABC, rule, timedelta(days=10 ** 8))
 
     def test_bad_step(self):
-        rule = EpisodeRule((A,), (B,), Z, Z, LAG2, 1, 0.5, 2)
+        rule = EpisodeRule((A,), (B,), Z, Z, LAG2, 1, 0.5)
         with pytest.raises(ConfigError):
             confidence_series(EVENTS_ABC, rule, Z)
 
@@ -336,7 +382,7 @@ class TestLabels:
         assert episode_label((0, 3), 5) == "C0+C3"
 
     def test_rule_id(self):
-        rule = EpisodeRule((0,), (2, 2), Z, Z, LAG2, 1, 0.5, 2)
+        rule = EpisodeRule((0,), (2, 2), Z, Z, LAG2, 1, 0.5)
         assert rule_id(rule, 3) == "LOW=>HIGH+HIGH"
 
 

@@ -19,11 +19,11 @@ from oceanmine.oscillation import (
     band_of,
     compute_index,
     compute_series,
-    d_index_d_temperature,
 )
 from oceanmine.regions import RegionKey, RegionSegment
 
 import oracles
+from helpers import d_index_d_temperature
 
 # Frozen from the 50-digit reference evaluation of the first decoded
 # profile row: N(13.725, 35.134, 199.5).

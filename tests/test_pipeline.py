@@ -5,13 +5,15 @@ a morning deep profile and an afternoon shallow profile per day, plus
 one zero-pressure record that the index stage must skip.
 """
 
+import subprocess
+import sys
 from datetime import datetime
 from pathlib import Path
 
 import pytest
 
 from oceanmine.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, main
-from oceanmine.decoder import ProfileRecord, quantize
+from oceanmine.decoder import ProfileRecord
 from oceanmine.errors import AllSamplesRejected, ConfigError, DataError
 from oceanmine.pipeline import (
     PipelineConfig,
@@ -20,22 +22,25 @@ from oceanmine.pipeline import (
     run,
 )
 from oceanmine.oscillation import IndexSample
-from oceanmine.regions import RegionKey
-from oceanmine.telemetry import HeaderFields, MessageBlock, render_stream
+from oceanmine.telemetry import HeaderFields, MessageBlock
 
+from helpers import quantize, render_stream
 from oracles import at
 
 SAMPLE_REGION = "02602_0_76"
 
 
 def load_records(path):
-    """Read a records CSV back; inverse of records_csv."""
+    """Read a records CSV back; inverse of records_csv.
+
+    Returns the region names column and the records.
+    """
+    regions = []
     records = []
     lines = Path(path).read_text(encoding="ascii").splitlines()
     for line in lines[1:]:
         region, ts, level, t, s, p = line.split(",")
-        parts = region.rsplit("_", 2)
-        key = RegionKey(parts[0], int(parts[1]), int(parts[2])) if region else None
+        regions.append(region)
         records.append(
             ProfileRecord(
                 observed_at=datetime.fromisoformat(ts),
@@ -43,10 +48,9 @@ def load_records(path):
                 temperature=float(t),
                 salinity=float(s),
                 pressure=float(p),
-                region_key=key,
             )
         )
-    return records
+    return regions, records
 
 
 def config_for(sample_path, out_dir, **kw):
@@ -89,7 +93,6 @@ class TestCsvRoundTrips:
                 temperature=13.725,
                 salinity=35.134,
                 pressure=199.5,
-                region_key=RegionKey("02602", 0, 76),
             ),
             ProfileRecord(
                 observed_at=datetime(2003, 1, 10, 11, 50, 18),
@@ -97,12 +100,11 @@ class TestCsvRoundTrips:
                 temperature=-1.5,
                 salinity=34.0,
                 pressure=0.0,
-                region_key=RegionKey("02602", -3, -77),
             ),
         ]
         path = tmp_path / "records.csv"
-        path.write_text(records_csv(records), encoding="ascii")
-        assert load_records(path) == records
+        path.write_text(records_csv(records, "02602_-3_-77"), encoding="ascii")
+        assert load_records(path) == (["02602_-3_-77"] * 2, records)
 
     def test_index_csv_floats_survive(self, tmp_path):
         samples = [
@@ -137,7 +139,7 @@ class TestRunOnSample:
 
     def test_output_tree(self, sample_path, tmp_path):
         out = tmp_path / "out"
-        result = run(config_for(sample_path, out))
+        run(config_for(sample_path, out))
         names = sorted(p.name for p in out.iterdir())
         assert names == [
             f"confidence_{SAMPLE_REGION}.csv",
@@ -147,7 +149,6 @@ class TestRunOnSample:
             "report.txt",
             f"rules_{SAMPLE_REGION}.csv",
         ]
-        assert sorted(p.name for p in result.written) == names
         records = (out / f"records_{SAMPLE_REGION}.csv").read_text(encoding="ascii")
         assert len(records.splitlines()) == 1 + 31
         rules = (out / f"rules_{SAMPLE_REGION}.csv").read_text(encoding="ascii")
@@ -181,10 +182,10 @@ class TestRunOnSample:
         )
         out = tmp_path / "out"
         run(config_for(sample_path, out, calibration_path=cal))
-        records = load_records(out / f"records_{SAMPLE_REGION}.csv")
+        _, records = load_records(out / f"records_{SAMPLE_REGION}.csv")
         baseline_out = tmp_path / "base"
         run(config_for(sample_path, baseline_out))
-        baseline = load_records(baseline_out / f"records_{SAMPLE_REGION}.csv")
+        _, baseline = load_records(baseline_out / f"records_{SAMPLE_REGION}.csv")
         for got, plain in zip(records, baseline):
             assert got.temperature == pytest.approx(plain.temperature + 1.0)
             assert got.pressure == pytest.approx(plain.pressure * 2.0)
@@ -229,10 +230,15 @@ class TestFailureModes:
             ("lag_s", float("nan")),
             ("lag_s", 1e300),
             ("lag_s", 86400e9),
+            ("k", sys.maxsize + 1),
         ]:
             with pytest.raises(ConfigError):
                 run(config_for(sample_path, out, **{field: value}))
         assert not out.exists()
+
+    def test_data_error_stage_defaults_to_data(self):
+        assert DataError("x").stage == "data"
+        assert AllSamplesRejected("x", stage="index").stage == "index"
 
     def test_every_region_rejected(self, sample_path, tmp_path):
         out = tmp_path / "out"
@@ -317,12 +323,55 @@ class TestCli:
             ["--win-a", "inf"],
             ["--cell-size", "nan"],
             ["--delta", "1e13", "--min-support", "1"],
+            ["--k", str(sys.maxsize + 1)],
         ):
             # main returning, not raising, is what keeps a traceback off stderr
             code = main([str(sample_path), "--out-dir", str(out), *flags])
             assert code == EXIT_CONFIG, flags
             assert "config error" in capsys.readouterr().err, flags
             assert not out.exists(), flags
+
+    def test_non_ascii_input_is_a_data_error(self, sample_path, tmp_path, capsys):
+        src = tmp_path / "latin1.txt"
+        lines = Path(sample_path).read_bytes().split(b"\n")
+        lines[4] += b" \xe9"
+        src.write_bytes(b"\n".join(lines))
+        out = tmp_path / "out"
+        code = main([str(src), "--out-dir", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error [parse" in err
+        assert "line 5: non-ASCII byte 0xe9" in err
+        assert not out.exists()
+
+    def test_non_ascii_calibration_is_a_config_error(self, sample_path, tmp_path, capsys):
+        cal = tmp_path / "cal.txt"
+        cal.write_bytes(b"# bench unit \xc2\xb5\ntemp_offset = -4.0\n")
+        out = tmp_path / "out"
+        code = main([str(sample_path), "--out-dir", str(out), "--calibration", str(cal)])
+        assert code == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_huge_k_finishes(self, sample_path, tmp_path):
+        # enumerating k-1 class boundaries per sample would never finish
+        proc = subprocess.run(
+            [sys.executable, "-m", "oceanmine", str(sample_path),
+             "--out-dir", str(tmp_path / "out"), "--k", "1000000000000"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+
+    def test_import_loads_no_numpy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, oceanmine.cli; assert 'numpy' not in sys.modules"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -101,11 +101,6 @@ class TestSegment:
         segs = segment(pairs, 1.0)
         assert [s.key for s in segs] == sorted(s.key for s in segs)
 
-    def test_records_tagged_with_their_key(self):
-        t0 = datetime(2003, 1, 10)
-        (seg,) = segment([(record_at(t0), header_at(0.5, 76.5))], 1.0)
-        assert seg.records[0].region_key == seg.key
-
     def test_partition_fuzz(self):
         rng = random.Random(76559)
         t0 = datetime(2003, 1, 10)
@@ -122,5 +117,6 @@ class TestSegment:
         assert sum(len(s.records) for s in segs) == 1000
         levels = [r.level for s in segs for r in s.records]
         assert len(set(levels)) == 1000  # no record in two segments
+        header_of = {rec.level: h for rec, h in pairs}
         for s in segs:
-            assert all(r.region_key == s.key for r in s.records)
+            assert all(region_key_of(header_of[r.level], 1.0) == s.key for r in s.records)

@@ -17,11 +17,10 @@ from oceanmine.telemetry import (
     MessageBlock,
     parse_header,
     parse_stream,
-    render_block,
-    render_stream,
 )
 
 from conftest import SPLIT_ID_HEADER
+from helpers import is_position_only, render_block, render_stream
 
 SECOND_HEADER = (
     "02602 32134 73 32 K 2 2003-01-10 14:34:18 0.706 76.542 0.000 401647210"
@@ -155,8 +154,8 @@ class TestParseStream:
         blocks = parse_stream(f"{SPLIT_ID_HEADER}\n{SECOND_HEADER}\n4D 0B\n")
         assert len(blocks) == 2
         assert blocks[0].words == []
-        assert blocks[0].is_position_only
-        assert not blocks[1].is_position_only
+        assert is_position_only(blocks[0])
+        assert not is_position_only(blocks[1])
 
     def test_bytes_pair_across_lines_within_block(self):
         text = f"{SPLIT_ID_HEADER}\nEE\n05 35\n9D\n"
