@@ -1,7 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 data
-error (malformed input, nothing decodable, or all samples rejected).
+Exit codes: 0 success, 1 configuration error (including unusable
+flags), 2 I/O error, 3 data error (malformed input, nothing decodable,
+or all samples rejected).
 All knobs are long-form flags; the environment is never consulted.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import __version__
 from .advisories import DEFAULT_THETA
@@ -24,8 +26,16 @@ EXIT_IO = 2
 EXIT_DATA = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit as configuration errors."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oceanmine",
         description=(
             "Decode drifting-float telemetry, index it per region, mine "

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable, Sequence
@@ -225,18 +226,24 @@ def frequent_episodes(
 ) -> dict[Episode, int]:
     """Level-wise enumeration of episodes with event count >= min_support.
 
-    Length-n candidates extend frequent length-(n-1) episodes (starting
-    from the empty episode) by one alphabet symbol; event-count support
-    is anti-monotone over prefixes, so nothing frequent is missed.
+    A single symbol spans 0, so it fits any window and its count comes
+    from one pass over each event's symbol set.  Length-n candidates
+    extend frequent length-(n-1) episodes by one frequent symbol, in
+    sorted order: an event holding an episode holds each of its symbols
+    and, with the same occurrence, its prefix, so nothing frequent is
+    missed.  The search stops at the first empty level.
     """
     if min_support < 1:
         raise ConfigError(f"min support must be >= 1, got {min_support}")
     if max_len < 1:
         raise ConfigError(f"max episode length must be >= 1, got {max_len}")
-    alphabet = sorted({sym for ev in events for _, sym in ev.items})
-    freq: dict[Episode, int] = {}
-    level: list[Episode] = [()]
-    for _ in range(max_len):
+    if window < timedelta(0):
+        raise ConfigError(f"window must be non-negative, got {window}")
+    singles = Counter(s for ev in events for s in {sym for _, sym in ev.items})
+    alphabet = sorted(sym for sym, count in singles.items() if count >= min_support)
+    freq: dict[Episode, int] = {(sym,): singles[sym] for sym in alphabet}
+    level = list(freq)
+    while level and len(level[0]) < max_len:
         nxt: list[Episode] = []
         for ep in level:
             for s in alphabet:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -168,17 +168,6 @@ def confidence_csv(curve: list[tuple[datetime, float]], rule_label: str) -> str:
 # --- the run ---------------------------------------------------------------
 
 
-@dataclass
-class _RegionArtifacts:
-    key_str: str
-    records: list[ProfileRecord]
-    samples: list[IndexSample] = field(default_factory=list)
-    rules: list[ep.EpisodeRule] = field(default_factory=list)
-    curve: list[tuple[datetime, float]] = field(default_factory=list)
-    top_rule_label: str | None = None
-    summary: adv.RegionSummary | None = None
-
-
 def run(config: PipelineConfig) -> RunResult:
     """Execute the full pipeline for one configuration.
 
@@ -224,6 +213,7 @@ def run(config: PipelineConfig) -> RunResult:
             f"({rejected_blocks} rejected)",
             stage="decode",
         )
+    del blocks  # decoded; free the words before the region outputs accumulate
 
     segments = segment(tagged, config.cell_size)
 
@@ -232,93 +222,70 @@ def run(config: PipelineConfig) -> RunResult:
     win_c = timedelta(seconds=config.win_c_s)
     lag = config.lag
 
-    regions: list[_RegionArtifacts] = []
-    alive = 0
+    # Serialize each region once analysed; write only after all succeed.
+    files: dict[str, str] = {}
+    summaries: list[adv.RegionSummary] = []
     for seg in segments:
         key_str = key_string(seg.key)
-        art = _RegionArtifacts(key_str=key_str, records=seg.records)
-        first_seen = seg.records[0].observed_at
-        last_seen = seg.records[-1].observed_at
+        row = adv.RegionSummary(
+            region=key_str,
+            status=adv.STATUS_REJECTED,
+            sample_count=0,
+            skipped=len(seg.records),
+            first_seen=seg.records[0].observed_at,
+            last_seen=seg.records[-1].observed_at,
+        )
+        samples: list[IndexSample] = []
+        rules: list[ep.EpisodeRule] = []
+        curve: list[tuple[datetime, float]] = []
         try:
             series = compute_series(seg, config.pressure_floor)
         except AllSamplesRejected:
-            art.summary = adv.RegionSummary(
-                region=key_str,
-                status=adv.STATUS_REJECTED,
-                sample_count=0,
-                skipped=len(seg.records),
-                first_seen=first_seen,
-                last_seen=last_seen,
+            pass
+        else:
+            samples = series.samples
+            row.status = adv.STATUS_OK
+            row.sample_count = len(samples)
+            row.skipped = series.skipped
+            row.band = band_of([s.n_value for s in samples], config.window_len)
+            row.advisories = adv.detect_strong_waves(samples, row.band)
+
+            events = ep.build_events(samples, delta, config.k)
+            rules = ep.mine_rules(
+                events,
+                min_support=config.min_support,
+                max_len=config.max_len,
+                win_a=win_a,
+                win_c=win_c,
+                lag=lag,
             )
-            regions.append(art)
-            continue
-        alive += 1
-        art.samples = series.samples
+            if rules:
+                top = rules[0]
+                row.top_rule = ep.rule_id(top, config.k)
+                row.top_confidence = top.confidence
+                curve = ep.confidence_series(events, top, delta)
+                row.advisories.extend(
+                    adv.detect_fishing_zone(curve, config.theta, rule=row.top_rule)
+                )
+        summaries.append(row)
+        files[f"records_{key_str}.csv"] = records_csv(seg.records, key_str)
+        files[f"rules_{key_str}.csv"] = rules_csv(rules, config.k)
+        if config.write_plots:
+            files[f"index_{key_str}.csv"] = index_csv(samples)
+            files[f"confidence_{key_str}.csv"] = confidence_csv(curve, row.top_rule or "")
 
-        band = band_of([s.n_value for s in series.samples], config.window_len)
-        advisories = adv.detect_strong_waves(series.samples, band)
-
-        events = ep.build_events(series.samples, delta, config.k)
-        art.rules = ep.mine_rules(
-            events,
-            min_support=config.min_support,
-            max_len=config.max_len,
-            win_a=win_a,
-            win_c=win_c,
-            lag=lag,
-        )
-        top_rule = None
-        top_confidence = None
-        if art.rules:
-            top = art.rules[0]
-            top_rule = ep.rule_id(top, config.k)
-            top_confidence = top.confidence
-            art.top_rule_label = top_rule
-            art.curve = ep.confidence_series(events, top, delta)
-            advisories.extend(
-                adv.detect_fishing_zone(art.curve, config.theta, rule=top_rule)
-            )
-
-        art.summary = adv.RegionSummary(
-            region=key_str,
-            status=adv.STATUS_OK,
-            sample_count=len(series.samples),
-            skipped=series.skipped,
-            first_seen=first_seen,
-            last_seen=last_seen,
-            band=band,
-            top_rule=top_rule,
-            top_confidence=top_confidence,
-            advisories=advisories,
-        )
-        regions.append(art)
-
-    if alive == 0:
+    if all(row.status == adv.STATUS_REJECTED for row in summaries):
         raise AllSamplesRejected("every region failed the pressure floor", stage="index")
 
     generated_at = max(rec.observed_at for rec, _ in tagged)
-    report = adv.compose_report(
-        [art.summary for art in regions if art.summary is not None], generated_at
-    )
+    report = adv.compose_report(summaries, generated_at)
+    files["report.jsonl"] = adv.report_jsonl(report)
+    files["report.txt"] = adv.report_text(report)
 
-    # Compute done; now write the tree.
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    def emit(name: str, text: str) -> None:
+    for name, text in files.items():
         (out_dir / name).write_text(text, encoding="ascii", newline="")
-
-    for art in regions:
-        emit(f"records_{art.key_str}.csv", records_csv(art.records, art.key_str))
-        emit(f"rules_{art.key_str}.csv", rules_csv(art.rules, config.k))
-        if config.write_plots:
-            emit(f"index_{art.key_str}.csv", index_csv(art.samples))
-            emit(
-                f"confidence_{art.key_str}.csv",
-                confidence_csv(art.curve, art.top_rule_label or ""),
-            )
-    emit("report.jsonl", adv.report_jsonl(report))
-    emit("report.txt", adv.report_text(report))
 
     return RunResult(
         report=report,

@@ -1,6 +1,8 @@
 """Reader for raw drifting-float telemetry dumps.
 
-A dump is line-oriented ASCII.  Three kinds of line occur:
+A dump is line-oriented ASCII.  Lines end at LF, CR or CRLF; no other
+character breaks a line.  The first line holding a non-ASCII byte is
+a data error naming that line.  Three kinds of line occur:
 
   header line      one per satellite message, positional whitespace-
                    separated tokens (see table below)
@@ -41,12 +43,11 @@ within a block.  A block ending on an unpaired byte is an error.
 
 from __future__ import annotations
 
-import io
 import re
+import struct
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Iterator
 
 from .errors import (
     BadHexToken,
@@ -60,6 +61,9 @@ _DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 _TIME_RE = re.compile(r"^\d{2}:\d{2}:\d{2}(\.\d+)?$")
 _HEX_RE = re.compile(r"^[0-9a-fA-F]{2}$")
 _PLATFORM_RE = re.compile(r"^\d{5}$")
+# One line and its ending; only LF, CR and CRLF end a line.  Matching
+# lines in place keeps one copy of the dump in memory.
+_LINE_RE = re.compile(r"[^\r\n]*(?:\r\n?|\n)?")
 
 # Minimum token count for a header line; message_id may span extra
 # tokens beyond this, the rest of the layout is fixed.
@@ -99,12 +103,11 @@ def _parse_timestamp(date_tok: str, time_tok: str, line_no: int | None) -> datet
             f"bad timestamp tokens {date_tok!r} {time_tok!r}", line_no
         )
     text = f"{date_tok} {time_tok}"
-    for fmt in ("%Y-%m-%d %H:%M:%S.%f", "%Y-%m-%d %H:%M:%S"):
-        try:
-            return datetime.strptime(text, fmt)
-        except ValueError:
-            continue
-    raise MalformedHeader(f"unparseable timestamp {text!r}", line_no)
+    fmt = "%Y-%m-%d %H:%M:%S.%f" if "." in time_tok else "%Y-%m-%d %H:%M:%S"
+    try:
+        return datetime.strptime(text, fmt)
+    except ValueError:
+        raise MalformedHeader(f"unparseable timestamp {text!r}", line_no) from None
 
 
 def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
@@ -129,10 +132,6 @@ def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
     (class_code, pass_tok, date_tok, time_tok,
      lat_tok, lon_tok, alt_tok, transmitter_id) = tokens[-8:]
     mid = tokens[1:-8]
-    if len(mid) < 3:
-        raise MalformedHeader(
-            f"expected at least {_MIN_TOKENS} tokens, got {len(tokens)}", line_no
-        )
 
     message_id = "".join(mid[:-2])
     if not message_id.isdigit():
@@ -195,7 +194,7 @@ class _BlockBuilder:
     def __init__(self, header: HeaderFields, first_line: int):
         self.header = header
         self.block_time: datetime | None = None
-        self.bytes: list[int] = []
+        self.payload = bytearray()
         self.first_line = first_line
         self.last_line = first_line
 
@@ -203,45 +202,42 @@ class _BlockBuilder:
         for tok in tokens:
             if not _HEX_RE.match(tok):
                 raise BadHexToken(tok, line_no)
-            self.bytes.append(int(tok, 16))
+        self.payload += bytes.fromhex(" ".join(tokens))
         self.last_line = line_no
 
     def finish(self) -> MessageBlock:
-        if len(self.bytes) % 2:
+        n, odd = divmod(len(self.payload), 2)
+        if odd:
             raise OddByteCount(
-                f"block has {len(self.bytes)} bytes, one unpaired",
+                f"block has {len(self.payload)} bytes, one unpaired",
                 span=(self.first_line, self.last_line),
             )
-        words = [
-            (self.bytes[i] << 8) | self.bytes[i + 1]
-            for i in range(0, len(self.bytes), 2)
-        ]
         return MessageBlock(
             header=self.header,
-            words=words,
+            words=list(struct.unpack(f">{n}H", self.payload)),
             block_time=self.block_time,
             source_line_span=(self.first_line, self.last_line),
         )
 
 
-def parse_stream(source: str | Iterable[str]) -> list[MessageBlock]:
+def parse_stream(text: str) -> list[MessageBlock]:
     """Parse a telemetry dump into MessageBlocks, in input order.
 
-    Every data line is attributed to the most recent header.  Blank
-    lines are skipped; CR/LF and trailing whitespace are tolerated.
-    Raises MalformedHeader, BadHexToken, OddByteCount (all with line
-    positions) and EmptyInput when no block is found.
+    Lines end at LF, CR or CRLF.  Every data line is attributed to the
+    most recent header.  Blank lines are skipped and surrounding
+    whitespace is tolerated.  Raises DataError naming the line of the
+    first non-ASCII character, MalformedHeader, BadHexToken,
+    OddByteCount (all with line positions) and EmptyInput when no block
+    is found.
     """
-    lines: Iterator[str]
-    if isinstance(source, str):
-        lines = iter(source.splitlines())
-    else:
-        lines = iter(source)
-
     blocks: list[MessageBlock] = []
     current: _BlockBuilder | None = None
 
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, line in enumerate(_LINE_RE.finditer(text), start=1):
+        raw = line[0]
+        if not raw.isascii():
+            bad = next(ch for ch in raw if not ch.isascii())
+            raise DataError(f"line {line_no}: non-ASCII byte 0x{ord(bad):02x}")
         tokens = raw.split()
         if not tokens:
             continue
@@ -286,16 +282,9 @@ def parse_stream(source: str | Iterable[str]) -> list[MessageBlock]:
 
 
 def parse_file(path: str | Path) -> list[MessageBlock]:
-    """Parse a telemetry dump from disk.
+    """Parse a telemetry dump from disk, under parse_stream's rules.
 
-    Lines end at LF, CR or CRLF.  A byte outside ASCII raises
-    DataError naming its line.
+    latin-1 maps each byte to one character, so a non-ASCII byte
+    reaches parse_stream's check as itself.
     """
-    data = Path(path).read_bytes()
-    if not data.isascii():
-        at = next(i for i, byte in enumerate(data) if byte > 0x7F)
-        before = data[:at].replace(b"\r\n", b"\n")
-        line_no = before.count(b"\n") + before.count(b"\r") + 1
-        raise DataError(f"line {line_no}: non-ASCII byte 0x{data[at]:02x}")
-    with io.TextIOWrapper(io.BytesIO(data), encoding="ascii") as fh:
-        return parse_stream(fh)
+    return parse_stream(Path(path).read_bytes().decode("latin-1"))

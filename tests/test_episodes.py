@@ -276,6 +276,36 @@ class TestMineRules:
         with pytest.raises(ConfigError):
             mine_rules([], min_support=1, lag=timedelta(seconds=-1))
 
+    def test_negative_window_rejected(self):
+        # a single symbol spans 0, which only a non-negative window admits
+        with pytest.raises(ConfigError):
+            mine_rules(EVENTS_ABC, min_support=1, win_a=timedelta(seconds=-1))
+        with pytest.raises(ConfigError):
+            frequent_episodes(EVENTS_ABC, 1, 2, timedelta(seconds=-1))
+
+    def test_scans_independent_of_alphabet_size(self, monkeypatch):
+        calls = [0]
+        scan = episodes._feasible_starts
+
+        def counted(*args):
+            calls[0] += 1
+            return scan(*args)
+
+        monkeypatch.setattr(episodes, "_feasible_starts", counted)
+        found = []
+        for rare in (1, 300):
+            # A then B in every event, plus `rare` symbols seen in one event only
+            events = [
+                ev((1000 * d, A), (1000 * d + 1, B),
+                   *((1000 * d + 2 + j, 3 + d * rare + j) for j in range(rare)))
+                for d in range(30)
+            ]
+            calls[0] = 0
+            freq = frequent_episodes(events, 2, 3, timedelta(seconds=1))
+            found.append((freq, calls[0]))
+        assert found[0] == found[1]
+        assert found[0][0] == {(A,): 30, (B,): 30, (A, B): 30}
+
     def test_lag_near_longest_duration(self):
         rules = mine_rules(EVENTS_ABC, min_support=1, max_len=1,
                            win_a=Z, win_c=Z, lag=timedelta.max)

@@ -364,6 +364,30 @@ class TestCli:
         )
         assert proc.returncode == EXIT_OK, proc.stderr
 
+    def test_huge_max_len_finishes(self, sample_path, tmp_path):
+        # the level search stops at the first level with nothing frequent
+        proc = subprocess.run(
+            [sys.executable, "-m", "oceanmine", str(sample_path),
+             "--out-dir", str(tmp_path / "out"), "--max-len", "1000000000"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+
+    def test_unusable_flags_are_config_errors(self, sample_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        for argv in (
+            [str(sample_path), "--k", "abc"],
+            [str(sample_path), "--bogus"],
+            [],
+        ):
+            with pytest.raises(SystemExit) as info:
+                main([*argv, "--out-dir", str(out)])
+            assert info.value.code == EXIT_CONFIG, argv
+            assert "usage: oceanmine" in capsys.readouterr().err, argv
+            assert not out.exists(), argv
+
     def test_import_loads_no_numpy(self):
         proc = subprocess.run(
             [sys.executable, "-c",
@@ -377,6 +401,12 @@ class TestCli:
         with pytest.raises(SystemExit) as info:
             main(["--version"])
         assert info.value.code == 0
+
+    def test_help_flag(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        assert "usage: oceanmine" in capsys.readouterr().out
 
     def test_flags_reach_pipeline(self, sample_path, tmp_path, capsys):
         out = tmp_path / "out"

@@ -3,11 +3,12 @@ from __future__ import annotations
 from datetime import datetime
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oceanmine.errors import (
     BadHexToken,
+    DataError,
     EmptyInput,
     MalformedHeader,
     OddByteCount,
@@ -15,6 +16,7 @@ from oceanmine.errors import (
 from oceanmine.telemetry import (
     HeaderFields,
     MessageBlock,
+    parse_file,
     parse_header,
     parse_stream,
 )
@@ -88,7 +90,7 @@ class TestParseHeader:
 
 def block_words(lines):
     """Words of a one-block dump whose data lines are lines."""
-    (block,) = parse_stream([SPLIT_ID_HEADER, *lines])
+    (block,) = parse_stream("\n".join([SPLIT_ID_HEADER, *lines]))
     return block.words
 
 
@@ -183,6 +185,27 @@ class TestParseStream:
         (block,) = parse_stream(text)
         assert block.words == [0x359D, 0x893E]
 
+    def test_lines_end_only_at_lf_cr_crlf(self, tmp_path):
+        # \x0b, \x0c and \x1c-\x1e are whitespace inside a line, not breaks
+        text = (
+            f"{SPLIT_ID_HEADER}\n35 9D\x0c89 3E\x0c\n"
+            f"{SECOND_HEADER}\r\n4D 0B\x0b70 B9\x1c\n\x1d07 CB\x1e\r02 03\n"
+        )
+        path = tmp_path / "dump.txt"
+        path.write_bytes(text.encode("ascii"))
+        from_text = parse_stream(text)
+        from_file = parse_file(path)
+        assert [b.source_line_span for b in from_text] == [(1, 2), (3, 6)]
+        assert [b.source_line_span for b in from_file] == [(1, 2), (3, 6)]
+        assert from_text == from_file
+        assert from_file[1].words == [0x4D0B, 0x70B9, 0x07CB, 0x0203]
+
+    def test_first_faulty_line_is_reported(self):
+        with pytest.raises(BadHexToken, match="line 2"):
+            parse_stream(f"{SPLIT_ID_HEADER}\nGG\n35 \xe9\n")
+        with pytest.raises(DataError, match="line 3: non-ASCII byte 0xe9"):
+            parse_stream(f"{SPLIT_ID_HEADER}\r35 9D\r\nGG \xe9\n")
+
     def test_block_order_follows_input(self, sample_path):
         blocks = parse_stream(sample_path.read_text())
         stamps = [b.header.observed_at for b in blocks]
@@ -257,3 +280,41 @@ class TestRoundTrip:
         (block,) = parse_stream(f"{SPLIT_ID_HEADER}\n35 9D 89 3E 07 CB\n")
         again = parse_stream(render_block(block))
         assert again == [block]
+
+
+# --- fuzz ---------------------------------------------------------------------
+
+_FRAGMENTS = [
+    SPLIT_ID_HEADER.encode(),
+    SECOND_HEADER.encode(),
+    b"35 9D",
+    b"89",
+    b"GG",
+    b"2003-01-10 12:00:00 1",
+    b" ",
+    b"\n",
+    b"\r",
+    b"\r\n",
+    b"\x0c",
+    b"\xe9",
+]
+
+
+class TestFuzz:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        data=st.binary(max_size=200)
+        | st.lists(st.sampled_from(_FRAGMENTS), max_size=30).map(b"".join)
+    )
+    def test_parse_file_returns_blocks_or_raises_data_error(self, data, tmp_path):
+        path = tmp_path / "dump.txt"
+        path.write_bytes(data)
+        try:
+            blocks = parse_file(path)
+        except DataError:
+            return
+        assert blocks and all(isinstance(b, MessageBlock) for b in blocks)
