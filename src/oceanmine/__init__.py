@@ -8,73 +8,3 @@ fishing zone advisories into a report.
 """
 
 __version__ = "0.1.0"
-
-from .advisories import (
-    Advisory,
-    ReportTable,
-    detect_fishing_zone,
-    detect_strong_waves,
-)
-from .decoder import (
-    DEFAULT_CALIBRATION,
-    CalibrationTable,
-    ProfileRecord,
-    decode_block,
-    decode_word,
-)
-from .episodes import (
-    EpisodeRule,
-    Event,
-    build_events,
-    confidence_series,
-    discretize,
-    mine_rules,
-    segment_events,
-)
-from .errors import OceanMineError
-from .oscillation import (
-    IndexBand,
-    IndexSample,
-    band_of,
-    compute_index,
-    compute_series,
-)
-from .pipeline import PipelineConfig, RunResult, run
-from .regions import RegionKey, RegionSegment, region_key_of, segment
-from .telemetry import HeaderFields, MessageBlock, parse_file, parse_stream
-
-__all__ = [
-    "Advisory",
-    "CalibrationTable",
-    "DEFAULT_CALIBRATION",
-    "EpisodeRule",
-    "Event",
-    "HeaderFields",
-    "IndexBand",
-    "IndexSample",
-    "MessageBlock",
-    "OceanMineError",
-    "PipelineConfig",
-    "ProfileRecord",
-    "RegionKey",
-    "RegionSegment",
-    "ReportTable",
-    "RunResult",
-    "band_of",
-    "build_events",
-    "compute_index",
-    "compute_series",
-    "confidence_series",
-    "decode_block",
-    "decode_word",
-    "detect_fishing_zone",
-    "detect_strong_waves",
-    "discretize",
-    "mine_rules",
-    "parse_file",
-    "parse_stream",
-    "region_key_of",
-    "run",
-    "segment",
-    "segment_events",
-]

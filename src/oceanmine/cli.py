@@ -42,14 +42,15 @@ def build_parser() -> argparse.ArgumentParser:
             "time-lagged episode rules, and emit advisories."
         ),
     )
-    parser.add_argument("inputs", nargs="+", metavar="INPUT",
+    parser.add_argument("inputs", nargs="+", type=Path, metavar="INPUT",
                         help="telemetry dump file(s)")
-    parser.add_argument("--out-dir", default="out", metavar="DIR",
+    parser.add_argument("--out-dir", type=Path, default="out", metavar="DIR",
                         help="output directory (default: %(default)s)")
     parser.add_argument("--cell-size", type=float, default=DEFAULT_CELL_SIZE,
                         metavar="DEG", help="region grid cell size in degrees "
                         "(default: %(default)s)")
-    parser.add_argument("--calibration", default=None, metavar="FILE",
+    parser.add_argument("--calibration", dest="calibration_path", type=Path,
+                        default=None, metavar="FILE",
                         help="calibration table file (key = value lines)")
     parser.add_argument("--pressure-floor", type=float,
                         default=DEFAULT_PRESSURE_FLOOR, metavar="DBAR",
@@ -58,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--window-len", type=int, default=DEFAULT_WINDOW_LEN,
                         metavar="N", help="band window length in samples "
                         "(default: %(default)s)")
-    parser.add_argument("--delta", type=float, default=DEFAULT_DELTA_S,
+    parser.add_argument("--delta", dest="delta_s", type=float, default=DEFAULT_DELTA_S,
                         metavar="SECONDS", help="max in-event sample gap "
                         "(default: %(default)s)")
     parser.add_argument("--k", type=int, default=DEFAULT_K, metavar="N",
@@ -66,11 +67,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN,
                         metavar="N", help="max episode length "
                         "(default: %(default)s)")
-    parser.add_argument("--win-a", type=float, default=0.0, metavar="SECONDS",
+    parser.add_argument("--win-a", dest="win_a_s", type=float, default=0.0,
+                        metavar="SECONDS",
                         help="antecedent occurrence window (default: %(default)s)")
-    parser.add_argument("--win-c", type=float, default=0.0, metavar="SECONDS",
+    parser.add_argument("--win-c", dest="win_c_s", type=float, default=0.0,
+                        metavar="SECONDS",
                         help="consequent occurrence window (default: %(default)s)")
-    parser.add_argument("--lag", type=float, default=None, metavar="SECONDS",
+    parser.add_argument("--lag", dest="lag_s", type=float, default=None,
+                        metavar="SECONDS",
                         help="max antecedent-to-consequent lag (default: --delta)")
     parser.add_argument("--min-support", type=int, default=DEFAULT_MIN_SUPPORT,
                         metavar="N", help="min rule support in events "
@@ -78,31 +82,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--theta", type=float, default=DEFAULT_THETA,
                         metavar="X", help="fishing-zone confidence threshold "
                         "(default: %(default)s)")
-    parser.add_argument("--no-plots", action="store_true",
+    parser.add_argument("--no-plots", dest="write_plots", action="store_false",
                         help="skip index/confidence plot CSVs")
     parser.add_argument("--version", action="version", version=__version__)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = PipelineConfig(
-        inputs=[Path(p) for p in args.inputs],
-        out_dir=Path(args.out_dir),
-        cell_size=args.cell_size,
-        calibration_path=Path(args.calibration) if args.calibration else None,
-        pressure_floor=args.pressure_floor,
-        window_len=args.window_len,
-        delta_s=args.delta,
-        k=args.k,
-        max_len=args.max_len,
-        win_a_s=args.win_a,
-        win_c_s=args.win_c,
-        lag_s=args.lag,
-        min_support=args.min_support,
-        theta=args.theta,
-        write_plots=not args.no_plots,
-    )
+    # Every flag's dest is the PipelineConfig field it sets.
+    config = PipelineConfig(**vars(build_parser().parse_args(argv)))
     try:
         result = run(config)
     except ConfigError as e:
@@ -130,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     if result.rejected_blocks:
         print(f"oceanmine: {result.rejected_blocks} blocks rejected", file=sys.stderr)
-    print(f"oceanmine: report at {Path(config.out_dir) / 'report.txt'}")
+    print(f"oceanmine: report at {config.out_dir / 'report.txt'}")
     return EXIT_OK
 
 

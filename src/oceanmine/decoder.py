@@ -22,7 +22,7 @@ for pressure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from pathlib import Path
@@ -101,7 +101,10 @@ def decode_block(
     """
     words = block.words
     if len(words) % 3:
-        raise NonTripleWordCount(len(words), span=block.source_line_span)
+        raise NonTripleWordCount(
+            f"block has {len(words)} words, not a multiple of 3",
+            span=block.source_line_span,
+        )
     observed_at = block.block_time or block.header.observed_at
 
     def value(word: int, channel: str) -> float:
@@ -119,16 +122,6 @@ def decode_block(
     ]
 
 
-_CAL_KEYS = (
-    "temp_offset",
-    "temp_resolution",
-    "sal_offset",
-    "sal_resolution",
-    "pres_offset",
-    "pres_resolution",
-)
-
-
 def load_calibration(path: str | Path) -> CalibrationTable:
     """Load a calibration table from a key = value file.
 
@@ -138,6 +131,7 @@ def load_calibration(path: str | Path) -> CalibrationTable:
     resolutions, and a channel whose decoded range cannot be rounded
     to its precision raise ConfigError.
     """
+    known = {f.name for f in fields(CalibrationTable)}
     values: dict[str, float] = {}
     try:
         text = Path(path).read_text(encoding="ascii")
@@ -151,7 +145,7 @@ def load_calibration(path: str | Path) -> CalibrationTable:
             raise ConfigError(f"{path}:{line_no}: expected key = value, got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in _CAL_KEYS:
+        if key not in known:
             raise ConfigError(f"{path}:{line_no}: unknown calibration key {key!r}")
         try:
             values[key] = float(val.strip())

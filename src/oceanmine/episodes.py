@@ -122,12 +122,7 @@ def discretize(series: Sequence[IndexSample], k: int = DEFAULT_K) -> list[tuple[
     """
     if not 1 <= k <= sys.maxsize:  # bisect needs len(range(1, k))
         raise ConfigError(f"class count must be in [1, {sys.maxsize}], got {k}")
-    if not series:
-        return []
-    values = [s.n_value for s in series]
-    if min(values) == max(values) or k == 1:
-        return [(s.observed_at, 0) for s in series]
-    ordered = sorted(values)
+    ordered = sorted([s.n_value for s in series])
     return [
         (
             s.observed_at,

@@ -2,8 +2,8 @@
 
 Every stage failure derives from OceanMineError so the CLI can map a
 failure class to an exit code without string matching.  Parsing and
-decoding errors carry enough position context (line numbers, block
-spans) to locate the offending input.
+decoding errors name the offending input line or block span; the
+position prefix is formatted once, in DataError.
 """
 
 from __future__ import annotations
@@ -20,42 +20,38 @@ class ConfigError(OceanMineError):
 class DataError(OceanMineError):
     """Input data violates the format or leaves a stage with nothing to do.
 
-    ``stage`` names the pipeline stage that failed, for the CLI message.
+    ``line`` prefixes the message with "line N: " and ``span`` with
+    "lines a..b: "; ``span`` is kept for callers.  ``stage`` names the
+    pipeline stage that failed, for the CLI message.
     """
 
-    def __init__(self, *args: object, stage: str = "data"):
-        super().__init__(*args)
+    def __init__(
+        self,
+        message: str,
+        *,
+        line: int | None = None,
+        span: tuple[int, int] | None = None,
+        stage: str = "data",
+    ):
+        if line is not None:
+            message = f"line {line}: {message}"
+        if span is not None:
+            message = f"lines {span[0]}..{span[1]}: {message}"
+        super().__init__(message)
+        self.span = span
         self.stage = stage
 
 
 class MalformedHeader(DataError):
     """A header line does not match the positional token grammar."""
 
-    def __init__(self, message: str, line_no: int | None = None):
-        self.line_no = line_no
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-
 
 class BadHexToken(DataError):
     """A data line token is not a two-hex-digit byte."""
 
-    def __init__(self, token: str, line_no: int | None = None):
-        self.token = token
-        self.line_no = line_no
-        where = f"line {line_no}: " if line_no is not None else ""
-        super().__init__(f"{where}bad hex byte token {token!r}")
-
 
 class OddByteCount(DataError):
     """A message block ends with an unpaired byte."""
-
-    def __init__(self, message: str, span: tuple[int, int] | None = None):
-        self.span = span
-        if span is not None:
-            message = f"lines {span[0]}..{span[1]}: {message}"
-        super().__init__(message)
 
 
 class EmptyInput(DataError):
@@ -64,14 +60,6 @@ class EmptyInput(DataError):
 
 class NonTripleWordCount(DataError):
     """A block's word count is not a multiple of three."""
-
-    def __init__(self, count: int, span: tuple[int, int] | None = None):
-        self.count = count
-        self.span = span
-        where = f"lines {span[0]}..{span[1]}: " if span is not None else ""
-        super().__init__(
-            f"{where}block has {count} words, not a multiple of 3"
-        )
 
 
 class DivergentIndex(DataError):

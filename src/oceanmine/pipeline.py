@@ -19,20 +19,18 @@ Output layout under the configured directory:
 
 from __future__ import annotations
 
+import errno
 import math
+import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
 
 from . import advisories as adv
+from . import decoder
 from . import episodes as ep
-from .decoder import (
-    DEFAULT_CALIBRATION,
-    CalibrationTable,
-    ProfileRecord,
-    load_calibration,
-)
+from .decoder import DEFAULT_CALIBRATION, ProfileRecord, load_calibration
 from .errors import (
     AllSamplesRejected,
     ConfigError,
@@ -197,11 +195,9 @@ def run(config: PipelineConfig) -> RunResult:
 
     tagged: list[tuple[ProfileRecord, HeaderFields]] = []
     rejected_blocks = 0
-    from .decoder import decode_block
-
     for block in blocks:
         try:
-            block_records = decode_block(block, cal)
+            block_records = decoder.decode_block(block, cal)
         except NonTripleWordCount:
             rejected_blocks += 1
             continue
@@ -283,6 +279,12 @@ def run(config: PipelineConfig) -> RunResult:
     files["report.txt"] = adv.report_text(report)
 
     out_dir = Path(config.out_dir)
+    # A target that cannot be written as a file fails the run before any write.
+    for name in files:
+        target = out_dir / name
+        if target.exists() and not target.is_file():
+            code = errno.EISDIR if target.is_dir() else errno.EEXIST
+            raise OSError(code, os.strerror(code), str(target))
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
         (out_dir / name).write_text(text, encoding="ascii", newline="")

@@ -100,14 +100,14 @@ class MessageBlock:
 def _parse_timestamp(date_tok: str, time_tok: str, line_no: int | None) -> datetime:
     if not _DATE_RE.match(date_tok) or not _TIME_RE.match(time_tok):
         raise MalformedHeader(
-            f"bad timestamp tokens {date_tok!r} {time_tok!r}", line_no
+            f"bad timestamp tokens {date_tok!r} {time_tok!r}", line=line_no
         )
     text = f"{date_tok} {time_tok}"
     fmt = "%Y-%m-%d %H:%M:%S.%f" if "." in time_tok else "%Y-%m-%d %H:%M:%S"
     try:
         return datetime.strptime(text, fmt)
     except ValueError:
-        raise MalformedHeader(f"unparseable timestamp {text!r}", line_no) from None
+        raise MalformedHeader(f"unparseable timestamp {text!r}", line=line_no) from None
 
 
 def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
@@ -121,12 +121,12 @@ def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
     tokens = line.split()
     if len(tokens) < _MIN_TOKENS:
         raise MalformedHeader(
-            f"expected at least {_MIN_TOKENS} tokens, got {len(tokens)}", line_no
+            f"expected at least {_MIN_TOKENS} tokens, got {len(tokens)}", line=line_no
         )
 
     platform_id = tokens[0]
     if not _PLATFORM_RE.match(platform_id):
-        raise MalformedHeader(f"bad platform id {platform_id!r}", line_no)
+        raise MalformedHeader(f"bad platform id {platform_id!r}", line=line_no)
 
     # Fixed tail: class_code pass_count date time lat lon alt transmitter.
     (class_code, pass_tok, date_tok, time_tok,
@@ -135,20 +135,20 @@ def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
 
     message_id = "".join(mid[:-2])
     if not message_id.isdigit():
-        raise MalformedHeader(f"bad message id {' '.join(mid[:-2])!r}", line_no)
+        raise MalformedHeader(f"bad message id {' '.join(mid[:-2])!r}", line=line_no)
 
     try:
         field_a = int(mid[-2])
         field_b = int(mid[-1])
     except ValueError:
         raise MalformedHeader(
-            f"bad integer fields {mid[-2]!r} {mid[-1]!r}", line_no
+            f"bad integer fields {mid[-2]!r} {mid[-1]!r}", line=line_no
         ) from None
 
     if len(class_code) != 1 or not class_code.isupper():
-        raise MalformedHeader(f"bad class code {class_code!r}", line_no)
+        raise MalformedHeader(f"bad class code {class_code!r}", line=line_no)
     if not pass_tok.isdigit():
-        raise MalformedHeader(f"bad pass count {pass_tok!r}", line_no)
+        raise MalformedHeader(f"bad pass count {pass_tok!r}", line=line_no)
 
     observed_at = _parse_timestamp(date_tok, time_tok, line_no)
 
@@ -158,12 +158,12 @@ def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
         altitude = float(alt_tok)
     except ValueError:
         raise MalformedHeader(
-            f"bad coordinate tokens {lat_tok!r} {lon_tok!r} {alt_tok!r}", line_no
+            f"bad coordinate tokens {lat_tok!r} {lon_tok!r} {alt_tok!r}", line=line_no
         ) from None
     if not -90.0 <= latitude <= 90.0:
-        raise MalformedHeader(f"latitude {latitude} out of [-90, 90]", line_no)
+        raise MalformedHeader(f"latitude {latitude} out of [-90, 90]", line=line_no)
     if not -180.0 <= longitude <= 180.0:
-        raise MalformedHeader(f"longitude {longitude} out of [-180, 180]", line_no)
+        raise MalformedHeader(f"longitude {longitude} out of [-180, 180]", line=line_no)
 
     return HeaderFields(
         platform_id=platform_id,
@@ -201,7 +201,7 @@ class _BlockBuilder:
     def add_bytes(self, tokens: list[str], line_no: int) -> None:
         for tok in tokens:
             if not _HEX_RE.match(tok):
-                raise BadHexToken(tok, line_no)
+                raise BadHexToken(f"bad hex byte token {tok!r}", line=line_no)
         self.payload += bytes.fromhex(" ".join(tokens))
         self.last_line = line_no
 
@@ -237,7 +237,7 @@ def parse_stream(text: str) -> list[MessageBlock]:
         raw = line[0]
         if not raw.isascii():
             bad = next(ch for ch in raw if not ch.isascii())
-            raise DataError(f"line {line_no}: non-ASCII byte 0x{ord(bad):02x}")
+            raise DataError(f"non-ASCII byte 0x{ord(bad):02x}", line=line_no)
         tokens = raw.split()
         if not tokens:
             continue
@@ -250,12 +250,12 @@ def parse_stream(text: str) -> list[MessageBlock]:
             continue
 
         if current is None:
-            raise MalformedHeader("data line before any header", line_no)
+            raise MalformedHeader("data line before any header", line=line_no)
 
         if _looks_like_block_time(tokens):
             if len(tokens) < 2 or not _TIME_RE.match(tokens[1]):
                 raise MalformedHeader(
-                    f"block time line missing time token: {raw.strip()!r}", line_no
+                    f"block time line missing time token: {raw.strip()!r}", line=line_no
                 )
             stamp = _parse_timestamp(tokens[0], tokens[1], line_no)
             if current.block_time is None:
@@ -265,7 +265,7 @@ def parse_stream(text: str) -> list[MessageBlock]:
                 if not rest[0].isdigit():
                     raise MalformedHeader(
                         f"block time line has bad sequence token {rest[0]!r}",
-                        line_no,
+                        line=line_no,
                     )
                 current.add_bytes(rest[1:], line_no)
             else:

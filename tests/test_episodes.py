@@ -98,6 +98,9 @@ class TestDiscretize:
         out = discretize(series_of([4.2] * 5), k=3)
         assert [c for _, c in out] == [0] * 5
 
+    def test_empty_series_has_no_classes(self):
+        assert discretize([], k=3) == []
+
     def test_k_one_all_class_zero(self):
         out = discretize(series_of([1, 5, 9]), k=1)
         assert [c for _, c in out] == [0, 0, 0]

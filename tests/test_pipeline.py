@@ -5,6 +5,7 @@ a morning deep profile and an afternoon shallow profile per day, plus
 one zero-pressure record that the index stage must skip.
 """
 
+import hashlib
 import subprocess
 import sys
 from datetime import datetime
@@ -236,6 +237,14 @@ class TestFailureModes:
                 run(config_for(sample_path, out, **{field: value}))
         assert not out.exists()
 
+    def test_unwritable_target_writes_nothing(self, sample_path, tmp_path):
+        out = tmp_path / "out"
+        (out / "report.txt").mkdir(parents=True)
+        with pytest.raises(IsADirectoryError):
+            run(config_for(sample_path, out))
+        assert [p.name for p in out.iterdir()] == ["report.txt"]
+        assert not any((out / "report.txt").iterdir())
+
     def test_data_error_stage_defaults_to_data(self):
         assert DataError("x").stage == "data"
         assert AllSamplesRejected("x", stage="index").stage == "index"
@@ -288,10 +297,17 @@ class TestCli:
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
-    def test_exit_io(self, tmp_path, capsys):
-        code = main([str(tmp_path / "absent.txt"), "--out-dir", str(tmp_path / "out")])
-        assert code == EXIT_IO
-        assert "io error" in capsys.readouterr().err
+    def test_exit_io(self, sample_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        for argv in (
+            [str(tmp_path / "absent.txt")],
+            # an empty path names no file, not the built-in table
+            [str(sample_path), "--calibration", ""],
+        ):
+            code = main([*argv, "--out-dir", str(out)])
+            assert code == EXIT_IO, argv
+            assert "io error" in capsys.readouterr().err, argv
+            assert not out.exists(), argv
 
     def test_exit_data_with_stage(self, tmp_path, capsys):
         src = tmp_path / "empty.txt"
@@ -422,3 +438,50 @@ class TestCli:
         assert code == EXIT_OK
         assert not (out / f"index_{SAMPLE_REGION}.csv").exists()
         assert (out / f"records_{SAMPLE_REGION}.csv").exists()
+
+
+def tree_digest(out_dir):
+    """SHA-256 over sorted "<relpath>\\0<sha256 of file>\\n" lines of a tree."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
+        rel = path.relative_to(out_dir).as_posix()
+        h.update(f"{rel}\0{hashlib.sha256(path.read_bytes()).hexdigest()}\n".encode())
+    return h.hexdigest()
+
+
+SAMPLE_STDOUT = (
+    "oceanmine: 31 records, 1 regions, 3 strong-wave alerts, "
+    "13 fishing-zone advisories\n"
+    "oceanmine: report at out/report.txt\n"
+)
+
+
+class TestGoldenOutput:
+    """The sample's output tree and stdout, pinned byte for byte.
+
+    Rerun equality cannot catch a change that alters the bytes the same
+    way on every run; these digests can.  Changing one is a change to
+    the program's output and needs a reason.
+    """
+
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            ([], "1103e97faf436de1c5f97ec815035428e247eba3a77e2bb9e50f3bd01fd03119"),
+            (
+                ["--k", "5", "--max-len", "3", "--win-a", "7200", "--win-c", "3600"],
+                "52d02b26e8e9deec65addd4bab71e38c0edd9f90c98b104ee3e01cb1b50c7a2c",
+            ),
+            (
+                ["--no-plots", "--cell-size", "0.5"],
+                "17c8b28f359b0c025bd432c7a415be89af07fa201b45b2be68a6f1a1c031ecf9",
+            ),
+        ],
+    )
+    def test_sample_tree_and_stdout(
+        self, sample_path, tmp_path, monkeypatch, capsys, flags, digest
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main([str(sample_path), "--out-dir", "out", *flags]) == EXIT_OK
+        assert capsys.readouterr().out == SAMPLE_STDOUT
+        assert tree_digest(tmp_path / "out") == digest
