@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Sequence
 
-from .errors import ConfigError
 from .oscillation import IndexBand, IndexSample
 
 KIND_STRONG_WAVE = "strong_wave"
@@ -89,8 +88,6 @@ def detect_fishing_zone(
     A flat curve at or above theta flags every point; a peak below
     theta flags nothing.
     """
-    if not 0.0 < theta <= 1.0:
-        raise ConfigError(f"theta must be in (0, 1], got {theta}")
     if not curve:
         return []
     peak = max(conf for _, conf in curve)
@@ -123,8 +120,8 @@ class RegionSummary:
     status: str
     sample_count: int
     skipped: int
-    first_seen: datetime | None = None
-    last_seen: datetime | None = None
+    first_seen: datetime
+    last_seen: datetime
     band: IndexBand | None = None
     top_rule: str | None = None
     top_confidence: float | None = None
@@ -155,8 +152,8 @@ def _row_dict(row: RegionSummary) -> dict:
         "status": row.status,
         "sample_count": row.sample_count,
         "skipped": row.skipped,
-        "first_seen": row.first_seen.isoformat() if row.first_seen else None,
-        "last_seen": row.last_seen.isoformat() if row.last_seen else None,
+        "first_seen": row.first_seen.isoformat(),
+        "last_seen": row.last_seen.isoformat(),
         "avg_min": row.band.avg_min if row.band else None,
         "avg_max": row.band.avg_max if row.band else None,
         "window_len": row.band.window_len if row.band else None,
@@ -196,10 +193,7 @@ def report_text(table: ReportTable) -> str:
     )
     body = []
     for row in table.rows:
-        if row.first_seen and row.last_seen:
-            span = f"{row.first_seen.isoformat()}..{row.last_seen.isoformat()}"
-        else:
-            span = "-"
+        span = f"{row.first_seen.isoformat()}..{row.last_seen.isoformat()}"
         waves = sum(1 for a in row.advisories if a.kind == KIND_STRONG_WAVE)
         zones = sum(1 for a in row.advisories if a.kind == KIND_FISHING_ZONE)
         body.append(

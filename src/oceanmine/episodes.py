@@ -27,14 +27,13 @@ grid with running antecedent and rule counts.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable, Sequence
 
-from .errors import ConfigError, SeriesTooShort
+from .errors import ConfigError
 from .oscillation import IndexSample
 
 Episode = tuple[int, ...]
@@ -118,10 +117,9 @@ def discretize(series: Sequence[IndexSample], k: int = DEFAULT_K) -> list[tuple[
     so intervals are half-open with the top class closed above.  A
     constant series maps everything to class 0.  Boundaries rise with
     their rank, so each class is a binary search over them and any k
-    costs O(log k) quantiles per sample.
+    costs O(log k) quantiles per sample.  The search takes
+    len(range(1, k)), so k lies in [1, sys.maxsize].
     """
-    if not 1 <= k <= sys.maxsize:  # bisect needs len(range(1, k))
-        raise ConfigError(f"class count must be in [1, {sys.maxsize}], got {k}")
     ordered = sorted([s.n_value for s in series])
     return [
         (
@@ -136,8 +134,6 @@ def segment_events(
     samples: Iterable[tuple[datetime, int]], delta: timedelta
 ) -> list[Event]:
     """Split time-ordered (timestamp, class) pairs on gaps above delta."""
-    if delta < timedelta(0):
-        raise ConfigError(f"delta must be non-negative, got {delta}")
     events: list[Event] = []
     run: list[tuple[datetime, int]] = []
     prev: datetime | None = None
@@ -228,12 +224,6 @@ def frequent_episodes(
     and, with the same occurrence, its prefix, so nothing frequent is
     missed.  The search stops at the first empty level.
     """
-    if min_support < 1:
-        raise ConfigError(f"min support must be >= 1, got {min_support}")
-    if max_len < 1:
-        raise ConfigError(f"max episode length must be >= 1, got {max_len}")
-    if window < timedelta(0):
-        raise ConfigError(f"window must be non-negative, got {window}")
     singles = Counter(s for ev in events for s in {sym for _, sym in ev.items})
     alphabet = sorted(sym for sym, count in singles.items() if count >= min_support)
     freq: dict[Episode, int] = {(sym,): singles[sym] for sym in alphabet}
@@ -267,8 +257,6 @@ def mine_rules(
     once per event; every pair is scored from those lists.  Output is
     sorted by confidence desc, support desc, then lexicographically.
     """
-    if lag < timedelta(0):
-        raise ConfigError(f"lag must be non-negative, got {lag}")
     freq_a = frequent_episodes(events, min_support, max_len, win_a)
     if win_c == win_a:
         freq_c = freq_a
@@ -329,11 +317,13 @@ def confidence_series(
     by start and the grid is walked with running counts, so each point
     is the same integer ratio a recomputation over the prefix would
     give.  Points before the first event carry 0.
+
+    A mined rule has support >= 1, so events is never empty.  The step
+    (delta, in the pipeline) is positive: at delta 0 an event holds one
+    timestamp, no antecedent end precedes a consequent start, and so no
+    rule is mined.  A valid but huge step that puts grid points outside
+    the calendar raises ConfigError.
     """
-    if step <= timedelta(0):
-        raise ConfigError(f"step must be positive, got {step}")
-    if not events:
-        raise SeriesTooShort("no events to trace confidence over")
     ends = _occurrences(events, rule.antecedent, rule.win_a, ends=True)
     starts = _occurrences(events, rule.consequent, rule.win_c)
     table = sorted(

@@ -62,13 +62,5 @@ class NonTripleWordCount(DataError):
     """A block's word count is not a multiple of three."""
 
 
-class DivergentIndex(DataError):
-    """Pressure at or below the floor; the index would blow up."""
-
-
 class AllSamplesRejected(DataError):
     """Every record in a segment failed the pressure precondition."""
-
-
-class SeriesTooShort(DataError):
-    """An index series is too short for the requested operation."""

@@ -10,9 +10,9 @@ a single dimensionless value:
         - 3.2e7 / P^4
 
 with T in degC, S in PSU, P in dbar, evaluated in double precision.
-The pressure terms diverge as P approaches zero, so evaluation is
-guarded by a configurable pressure floor; records at or below the
-floor are not representable on the index scale.
+The pressure terms diverge as P approaches zero, so records at or
+below a positive pressure floor are not representable on the index
+scale; compute_series skips and counts them before indexing.
 
 The banding helpers summarise a series into an expected envelope:
 split the series into consecutive windows, average the per-window
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import NamedTuple, Sequence
 
-from .errors import AllSamplesRejected, ConfigError, DivergentIndex, SeriesTooShort
+from .errors import AllSamplesRejected
 from .regions import RegionSegment
 
 BASE = 1.3247
@@ -59,22 +59,8 @@ class SeriesResult(NamedTuple):
     skipped: int
 
 
-def compute_index(
-    temperature: float,
-    salinity: float,
-    pressure: float,
-    pressure_floor: float = DEFAULT_PRESSURE_FLOOR,
-) -> float:
-    """Evaluate the index for one record.
-
-    Raises DivergentIndex when pressure is at or below the floor.
-    """
-    if pressure_floor <= 0:
-        raise ConfigError(f"pressure floor must be positive, got {pressure_floor}")
-    if pressure <= pressure_floor:
-        raise DivergentIndex(
-            f"pressure {pressure} dbar at or below floor {pressure_floor}"
-        )
+def compute_index(temperature: float, salinity: float, pressure: float) -> float:
+    """Evaluate the index for one record above the pressure floor."""
     p2 = pressure * pressure
     return (
         BASE
@@ -103,9 +89,7 @@ def compute_series(
         samples.append(
             IndexSample(
                 observed_at=rec.observed_at,
-                n_value=compute_index(
-                    rec.temperature, rec.salinity, rec.pressure, pressure_floor
-                ),
+                n_value=compute_index(rec.temperature, rec.salinity, rec.pressure),
             )
         )
     if not samples:
@@ -119,14 +103,10 @@ def compute_series(
 def band_of(values: Sequence[float], window_len: int = DEFAULT_WINDOW_LEN) -> IndexBand:
     """Average the per-window extrema of a series.
 
-    Windows are consecutive runs of window_len values; a final partial
-    window counts like any other.  Raises SeriesTooShort on an empty
-    series and ConfigError on a non-positive window length.
+    Windows are consecutive runs of window_len (>= 1) values; a final
+    partial window counts like any other.  The series is non-empty:
+    compute_series never returns an empty one.
     """
-    if window_len < 1:
-        raise ConfigError(f"window length must be >= 1, got {window_len}")
-    if len(values) < 1:
-        raise SeriesTooShort("cannot band an empty series")
     minima = []
     maxima = []
     for i in range(0, len(values), window_len):

@@ -78,8 +78,9 @@ class PipelineConfig:
             raise ConfigError(
                 f"cell size must be positive and finite, got {self.cell_size}"
             )
-        # coordinates reach +-180 and are floored after dividing by the cell size
-        if not math.isfinite(180.0 / self.cell_size):
+        # Coordinates reach +-180 and are floored after dividing by the cell
+        # size; indexes below 1e100 keep region file names under 255 bytes.
+        if not 180.0 / self.cell_size < 1e100:
             raise ConfigError(f"cell size {self.cell_size} is too small to grid")
         if not (math.isfinite(self.pressure_floor) and self.pressure_floor > 0):
             raise ConfigError(
@@ -279,10 +280,11 @@ def run(config: PipelineConfig) -> RunResult:
     files["report.txt"] = adv.report_text(report)
 
     out_dir = Path(config.out_dir)
-    # A target that cannot be written as a file fails the run before any write.
+    # A target that cannot be written as a file fails the run before any
+    # write; so does a symlink, which could point outside out_dir.
     for name in files:
         target = out_dir / name
-        if target.exists() and not target.is_file():
+        if target.is_symlink() or (target.exists() and not target.is_file()):
             code = errno.EISDIR if target.is_dir() else errno.EEXIST
             raise OSError(code, os.strerror(code), str(target))
     out_dir.mkdir(parents=True, exist_ok=True)

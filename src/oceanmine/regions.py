@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .decoder import ProfileRecord
-from .errors import ConfigError
 from .telemetry import HeaderFields
 
 
@@ -39,8 +38,6 @@ class RegionSegment:
 
 def region_key_of(header: HeaderFields, cell_size: float = 1.0) -> RegionKey:
     """Grid the header position into a region key."""
-    if cell_size <= 0:
-        raise ConfigError(f"cell size must be positive, got {cell_size}")
     return RegionKey(
         platform_id=header.platform_id,
         lat_cell=math.floor(header.latitude / cell_size),

@@ -1,14 +1,16 @@
 """Helpers that only the tests use.
 
 They build inputs from physical values and blocks (raw counts, dump
-text), restate the index derivative for the gradient checks, and name
-one block predicate.  The package never calls them.
+text) and configs for validation checks, restate the index derivative
+for the gradient checks, and name one block predicate.  The package
+never calls them.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from datetime import datetime
+from pathlib import Path
 from typing import Iterable
 
 from oceanmine.decoder import (
@@ -19,6 +21,7 @@ from oceanmine.decoder import (
     round_half_away,
 )
 from oceanmine.oscillation import ST_COEFF, T2_COEFF
+from oceanmine.pipeline import PipelineConfig
 from oceanmine.telemetry import HeaderFields, MessageBlock
 
 WORDS_PER_RENDER_LINE = 3
@@ -41,6 +44,11 @@ def apply_precision(record: ProfileRecord) -> ProfileRecord:
         salinity=round_half_away(record.salinity, PRECISION["salinity"]),
         pressure=round_half_away(record.pressure, PRECISION["pressure"]),
     )
+
+
+def config_with(**fields) -> PipelineConfig:
+    """A config over a placeholder input; validate() opens no file."""
+    return PipelineConfig(inputs=[Path("in.txt")], out_dir=Path("out"), **fields)
 
 
 def d_index_d_temperature(temperature: float, salinity: float) -> float:

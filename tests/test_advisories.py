@@ -19,6 +19,7 @@ from oceanmine.advisories import (
 from oceanmine.errors import ConfigError
 from oceanmine.oscillation import IndexBand, IndexSample, band_of
 
+from helpers import config_with
 from oracles import at
 
 
@@ -107,8 +108,9 @@ class TestFishingZone:
 
     @pytest.mark.parametrize("theta", [0.0, -0.1, 1.0001, 2.0])
     def test_theta_out_of_range(self, theta):
+        # detect_fishing_zone trusts theta; validation keeps it in (0, 1]
         with pytest.raises(ConfigError):
-            detect_fishing_zone(self.CURVE, theta=theta)
+            config_with(theta=theta).validate()
 
     def test_time_shift_equivariance(self):
         rng = random.Random(14)
@@ -202,8 +204,6 @@ class TestReport:
                     status="all-samples-rejected",
                     sample_count=0,
                     skipped=3,
-                    first_seen=None,
-                    last_seen=None,
                     band=None,
                     top_rule=None,
                     top_confidence=None,

@@ -27,6 +27,7 @@ from oceanmine.errors import ConfigError
 from oceanmine.oscillation import IndexSample
 
 import oracles
+from helpers import config_with
 from oracles import at
 
 A, B, C = 0, 1, 2
@@ -82,7 +83,7 @@ class TestSegmentEvents:
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ConfigError):
-            segment_events([], timedelta(seconds=-1))
+            config_with(delta_s=-1.0).validate()
 
 
 class TestDiscretize:
@@ -118,10 +119,10 @@ class TestDiscretize:
             assert all(0 <= c < k for _, c in out)
 
     def test_bad_k(self):
-        with pytest.raises(ConfigError):
-            discretize(series_of([1, 2]), 0)
-        with pytest.raises(ConfigError):
-            discretize(series_of([1, 2]), sys.maxsize + 1)
+        # discretize's bisect needs len(range(1, k))
+        for k in (0, sys.maxsize + 1):
+            with pytest.raises(ConfigError):
+                config_with(k=k).validate()
 
     @settings(max_examples=300, deadline=None)
     @given(values=_values, k=st.integers(2, 20))
@@ -277,14 +278,13 @@ class TestMineRules:
 
     def test_negative_lag_rejected(self):
         with pytest.raises(ConfigError):
-            mine_rules([], min_support=1, lag=timedelta(seconds=-1))
+            config_with(lag_s=-1.0).validate()
 
     def test_negative_window_rejected(self):
         # a single symbol spans 0, which only a non-negative window admits
-        with pytest.raises(ConfigError):
-            mine_rules(EVENTS_ABC, min_support=1, win_a=timedelta(seconds=-1))
-        with pytest.raises(ConfigError):
-            frequent_episodes(EVENTS_ABC, 1, 2, timedelta(seconds=-1))
+        for field in ("win_a_s", "win_c_s"):
+            with pytest.raises(ConfigError):
+                config_with(**{field: -1.0}).validate()
 
     def test_scans_independent_of_alphabet_size(self, monkeypatch):
         calls = [0]
@@ -401,9 +401,14 @@ class TestConfidenceSeries:
             confidence_series(EVENTS_ABC, rule, timedelta(days=10 ** 8))
 
     def test_bad_step(self):
-        rule = EpisodeRule((A,), (B,), Z, Z, LAG2, 1, 0.5)
-        with pytest.raises(ConfigError):
-            confidence_series(EVENTS_ABC, rule, Z)
+        # The step is delta, and a zero step never reaches the curve: at
+        # delta 0 an event holds one timestamp, so no consequent starts
+        # after an antecedent ends and no rule is mined.
+        samples = [(at(t), s) for t in range(4) for s in (A, B, C)]
+        events = segment_events(samples, Z)
+        assert len(events) == 4
+        day = timedelta(days=1)
+        assert mine_rules(events, 1, 3, win_a=day, win_c=day, lag=day) == []
 
 
 class TestLabels:

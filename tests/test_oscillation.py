@@ -8,12 +8,7 @@ from datetime import datetime, timedelta
 import pytest
 
 from oceanmine.decoder import ProfileRecord
-from oceanmine.errors import (
-    AllSamplesRejected,
-    ConfigError,
-    DivergentIndex,
-    SeriesTooShort,
-)
+from oceanmine.errors import AllSamplesRejected, ConfigError
 from oceanmine.oscillation import (
     IndexSample,
     band_of,
@@ -23,7 +18,7 @@ from oceanmine.oscillation import (
 from oceanmine.regions import RegionKey, RegionSegment
 
 import oracles
-from helpers import d_index_d_temperature
+from helpers import config_with, d_index_d_temperature
 
 # Frozen from the 50-digit reference evaluation of the first decoded
 # profile row: N(13.725, 35.134, 199.5).
@@ -55,19 +50,19 @@ class TestComputeIndex:
         assert compute_index(0.0, 0.0, p_star) == pytest.approx(1.3247, abs=1e-9)
 
     def test_divergent_at_floor(self):
-        with pytest.raises(DivergentIndex):
-            compute_index(10.0, 35.0, 0.5)
-        with pytest.raises(DivergentIndex):
-            compute_index(10.0, 35.0, 0.2)
-        with pytest.raises(DivergentIndex):
-            compute_index(10.0, 35.0, 2.0, pressure_floor=2.0)
+        # compute_index takes no floor; compute_series skips records at it
+        series = compute_series(seg_of([199.5, 0.5, 0.2]))
+        assert (len(series.samples), series.skipped) == (1, 2)
+        series = compute_series(seg_of([199.5, 2.0]), pressure_floor=2.0)
+        assert (len(series.samples), series.skipped) == (1, 1)
 
     def test_floor_is_strict_above(self):
         assert compute_index(10.0, 35.0, 0.5001) < 0  # huge negative, but defined
 
     def test_bad_floor(self):
-        with pytest.raises(ConfigError):
-            compute_index(10.0, 35.0, 100.0, pressure_floor=0.0)
+        for floor in (0.0, -1.0):
+            with pytest.raises(ConfigError):
+                config_with(pressure_floor=floor).validate()
 
     def test_matches_reference_evaluator(self):
         rng = random.Random(13247)
@@ -129,10 +124,9 @@ class TestBandOf:
         assert band.avg_min == band.avg_max == 2.5
 
     def test_errors(self):
-        with pytest.raises(SeriesTooShort):
-            band_of([], 2)
+        # band_of trusts its window; an empty series never reaches it
         with pytest.raises(ConfigError):
-            band_of([1.0], 0)
+            config_with(window_len=0).validate()
 
     def test_band_inside_series_range(self):
         rng = random.Random(8)

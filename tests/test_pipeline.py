@@ -8,10 +8,13 @@ one zero-pressure record that the index stage must skip.
 import hashlib
 import subprocess
 import sys
+import tempfile
 from datetime import datetime
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from oceanmine.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, main
 from oceanmine.decoder import ProfileRecord
@@ -29,6 +32,11 @@ from helpers import quantize, render_stream
 from oracles import at
 
 SAMPLE_REGION = "02602_0_76"
+
+NUMERIC_FLAGS = (
+    "--cell-size", "--pressure-floor", "--window-len", "--delta", "--k",
+    "--max-len", "--win-a", "--win-c", "--lag", "--min-support", "--theta",
+)
 
 
 def load_records(path):
@@ -232,6 +240,16 @@ class TestFailureModes:
             ("lag_s", 1e300),
             ("lag_s", 86400e9),
             ("k", sys.maxsize + 1),
+            ("theta", -0.1),
+            ("theta", 1.0001),
+            ("theta", 2.0),
+            ("max_len", 0),
+            ("win_a_s", -1.0),
+            ("win_c_s", -1.0),
+            ("lag_s", -1.0),
+            ("cell_size", 0.0),
+            ("cell_size", 1e-300),  # cell indexes too long for file names
+            ("pressure_floor", -1.0),
         ]:
             with pytest.raises(ConfigError):
                 run(config_for(sample_path, out, **{field: value}))
@@ -244,6 +262,22 @@ class TestFailureModes:
             run(config_for(sample_path, out))
         assert [p.name for p in out.iterdir()] == ["report.txt"]
         assert not any((out / "report.txt").iterdir())
+
+    def test_symlinked_target_writes_nothing(self, sample_path, tmp_path, capsys):
+        # a link at an output name would write wherever it points
+        victim = tmp_path / "victim.txt"
+        victim.write_text("keep\n", encoding="ascii")
+        for link_to in ("../nowhere", "../victim.txt"):
+            out = tmp_path / f"out_{link_to[3:]}"
+            out.mkdir()
+            (out / "report.txt").symlink_to(link_to)
+            code = main([str(sample_path), "--out-dir", str(out)])
+            assert code == EXIT_IO, link_to
+            assert "io error" in capsys.readouterr().err, link_to
+            assert [p.name for p in out.iterdir()] == ["report.txt"], link_to
+            assert (out / "report.txt").is_symlink(), link_to
+        assert not (tmp_path / "nowhere").exists()
+        assert victim.read_text(encoding="ascii") == "keep\n"
 
     def test_data_error_stage_defaults_to_data(self):
         assert DataError("x").stage == "data"
@@ -403,6 +437,51 @@ class TestCli:
             assert info.value.code == EXIT_CONFIG, argv
             assert "usage: oceanmine" in capsys.readouterr().err, argv
             assert not out.exists(), argv
+
+    def test_zero_delta_mines_no_rules(self, sample_path, tmp_path):
+        # delta is also the confidence step; at 0 no rule reaches the curve
+        out = tmp_path / "out"
+        code = main(
+            [str(sample_path), "--out-dir", str(out), "--delta", "0",
+             "--lag", "86400", "--min-support", "1", "--max-len", "3",
+             "--win-a", "86400", "--win-c", "86400"]
+        )
+        assert code == EXIT_OK
+        rules = (out / f"rules_{SAMPLE_REGION}.csv").read_text(encoding="ascii")
+        assert rules.splitlines() == [
+            "antecedent,consequent,win_a_s,win_c_s,lag_s,support,confidence"
+        ]
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        flag=st.sampled_from(NUMERIC_FLAGS),
+        value=st.one_of(
+            st.integers(-10 ** 20, 10 ** 20).map(str),
+            st.floats().map(str),
+            st.text(max_size=6),
+        ),
+    )
+    @example(flag="--delta", value="0")
+    @example(flag="--theta", value="nan")
+    @example(flag="--pressure-floor", value="-0.0")
+    @example(flag="--cell-size", value="1e-300")
+    @example(flag="--k", value="100000000000000000000")
+    def test_any_numeric_flag_value_exits_cleanly(self, sample_path, flag, value):
+        # One flag per example: several wide windows at once with
+        # --min-support 1 make the miner's output, and its time, explode.
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            try:
+                # "--flag=value" keeps a value such as "-h" from reading as a flag
+                code = main([str(sample_path), "--out-dir", str(out), f"{flag}={value}"])
+            except SystemExit as e:
+                code = e.code
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_DATA)
+            assert code == EXIT_OK or not out.exists()
 
     def test_import_loads_no_numpy(self):
         proc = subprocess.run(

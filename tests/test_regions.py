@@ -12,6 +12,7 @@ from oceanmine.regions import RegionKey, key_string, region_key_of, segment
 from oceanmine.telemetry import parse_header
 
 from conftest import SPLIT_ID_HEADER
+from helpers import config_with
 
 HEADER = parse_header(SPLIT_ID_HEADER)
 
@@ -45,10 +46,9 @@ class TestRegionKey:
         assert (key.lat_cell, key.lon_cell) == (0, 38)
 
     def test_non_positive_cell_size(self):
-        with pytest.raises(ConfigError):
-            region_key_of(HEADER, 0.0)
-        with pytest.raises(ConfigError):
-            region_key_of(HEADER, -1.0)
+        for cell_size in (0.0, -1.0):
+            with pytest.raises(ConfigError):
+                config_with(cell_size=cell_size).validate()
 
     def test_key_string(self):
         assert key_string(RegionKey("02602", 0, 76)) == "02602_0_76"
