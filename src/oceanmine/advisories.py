@@ -26,8 +26,6 @@ from .oscillation import IndexBand, IndexSample
 KIND_STRONG_WAVE = "strong_wave"
 KIND_FISHING_ZONE = "fishing_zone"
 
-DEFAULT_THETA = 0.8
-
 
 @dataclass(frozen=True)
 class Advisory:
@@ -80,7 +78,7 @@ def detect_strong_waves(
 
 def detect_fishing_zone(
     curve: Sequence[tuple[datetime, float]],
-    theta: float = DEFAULT_THETA,
+    theta: float,
     rule: str | None = None,
 ) -> list[Advisory]:
     """Flag every curve point attaining the global peak, if it clears theta.

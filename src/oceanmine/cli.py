@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import NoReturn
 
 from . import __version__
-from .advisories import DEFAULT_THETA
-from .episodes import DEFAULT_K, DEFAULT_MAX_LEN, DEFAULT_MIN_SUPPORT
+from .advisories import KIND_FISHING_ZONE, KIND_STRONG_WAVE
 from .errors import ConfigError, DataError
-from .oscillation import DEFAULT_PRESSURE_FLOOR, DEFAULT_WINDOW_LEN
-from .pipeline import DEFAULT_CELL_SIZE, DEFAULT_DELTA_S, PipelineConfig, run
+from .pipeline import PipelineConfig, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -46,50 +46,44 @@ def build_parser() -> argparse.ArgumentParser:
                         help="telemetry dump file(s)")
     parser.add_argument("--out-dir", type=Path, default="out", metavar="DIR",
                         help="output directory (default: %(default)s)")
-    parser.add_argument("--cell-size", type=float, default=DEFAULT_CELL_SIZE,
-                        metavar="DEG", help="region grid cell size in degrees "
-                        "(default: %(default)s)")
+    parser.add_argument("--cell-size", type=float, metavar="DEG",
+                        help="region grid cell size in degrees (default: %(default)s)")
     parser.add_argument("--calibration", dest="calibration_path", type=Path,
-                        default=None, metavar="FILE",
+                        metavar="FILE",
                         help="calibration table file (key = value lines)")
-    parser.add_argument("--pressure-floor", type=float,
-                        default=DEFAULT_PRESSURE_FLOOR, metavar="DBAR",
+    parser.add_argument("--pressure-floor", type=float, metavar="DBAR",
                         help="reject records at or below this pressure "
                         "(default: %(default)s)")
-    parser.add_argument("--window-len", type=int, default=DEFAULT_WINDOW_LEN,
-                        metavar="N", help="band window length in samples "
-                        "(default: %(default)s)")
-    parser.add_argument("--delta", dest="delta_s", type=float, default=DEFAULT_DELTA_S,
-                        metavar="SECONDS", help="max in-event sample gap "
-                        "(default: %(default)s)")
-    parser.add_argument("--k", type=int, default=DEFAULT_K, metavar="N",
+    parser.add_argument("--window-len", type=int, metavar="N",
+                        help="band window length in samples (default: %(default)s)")
+    parser.add_argument("--delta", dest="delta_s", type=float, metavar="SECONDS",
+                        help="max in-event sample gap (default: %(default)s)")
+    parser.add_argument("--k", type=int, metavar="N",
                         help="quantile class count (default: %(default)s)")
-    parser.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN,
-                        metavar="N", help="max episode length "
-                        "(default: %(default)s)")
-    parser.add_argument("--win-a", dest="win_a_s", type=float, default=0.0,
-                        metavar="SECONDS",
+    parser.add_argument("--max-len", type=int, metavar="N",
+                        help="max episode length (default: %(default)s)")
+    parser.add_argument("--win-a", dest="win_a_s", type=float, metavar="SECONDS",
                         help="antecedent occurrence window (default: %(default)s)")
-    parser.add_argument("--win-c", dest="win_c_s", type=float, default=0.0,
-                        metavar="SECONDS",
+    parser.add_argument("--win-c", dest="win_c_s", type=float, metavar="SECONDS",
                         help="consequent occurrence window (default: %(default)s)")
-    parser.add_argument("--lag", dest="lag_s", type=float, default=None,
-                        metavar="SECONDS",
+    parser.add_argument("--lag", dest="lag_s", type=float, metavar="SECONDS",
                         help="max antecedent-to-consequent lag (default: --delta)")
-    parser.add_argument("--min-support", type=int, default=DEFAULT_MIN_SUPPORT,
-                        metavar="N", help="min rule support in events "
-                        "(default: %(default)s)")
-    parser.add_argument("--theta", type=float, default=DEFAULT_THETA,
-                        metavar="X", help="fishing-zone confidence threshold "
-                        "(default: %(default)s)")
+    parser.add_argument("--min-support", type=int, metavar="N",
+                        help="min rule support in events (default: %(default)s)")
+    parser.add_argument("--theta", type=float, metavar="X",
+                        help="fishing-zone confidence threshold (default: %(default)s)")
     parser.add_argument("--no-plots", dest="write_plots", action="store_false",
                         help="skip index/confidence plot CSVs")
     parser.add_argument("--version", action="version", version=__version__)
+    # Every flag's dest is the PipelineConfig field it sets, and its default
+    # is that field's default; %(default)s in the help reads it from there.
+    parser.set_defaults(**{
+        f.name: f.default for f in fields(PipelineConfig) if f.default is not MISSING
+    })
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Every flag's dest is the PipelineConfig field it sets.
     config = PipelineConfig(**vars(build_parser().parse_args(argv)))
     try:
         result = run(config)
@@ -103,18 +97,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"oceanmine: data error [{e.stage}]: {e}", file=sys.stderr)
         return EXIT_DATA
 
-    waves = sum(
-        1 for row in result.report.rows for a in row.advisories
-        if a.kind == "strong_wave"
-    )
-    zones = sum(
-        1 for row in result.report.rows for a in row.advisories
-        if a.kind == "fishing_zone"
-    )
+    kinds = Counter(a.kind for row in result.report.rows for a in row.advisories)
     print(
         f"oceanmine: {result.record_count} records, "
-        f"{result.region_count} regions, {waves} strong-wave alerts, "
-        f"{zones} fishing-zone advisories"
+        f"{result.region_count} regions, {kinds[KIND_STRONG_WAVE]} strong-wave alerts, "
+        f"{kinds[KIND_FISHING_ZONE]} fishing-zone advisories"
     )
     if result.rejected_blocks:
         print(f"oceanmine: {result.rejected_blocks} blocks rejected", file=sys.stderr)

@@ -28,7 +28,7 @@ from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from pathlib import Path
 
 from .errors import ConfigError, NonTripleWordCount
-from .telemetry import MessageBlock
+from .telemetry import LINE_RE, MessageBlock
 
 CHANNELS = ("temperature", "salinity", "pressure")
 
@@ -125,7 +125,8 @@ def decode_block(
 def load_calibration(path: str | Path) -> CalibrationTable:
     """Load a calibration table from a key = value file.
 
-    Lines are "key = value"; blank lines and '#' comments are ignored.
+    Lines are "key = value" and end at LF, CR or CRLF, as in dumps;
+    blank lines and '#' comments are ignored.
     Missing keys keep their defaults.  A file that is not ASCII,
     unknown keys, unparseable or non-finite values, non-positive
     resolutions, and a channel whose decoded range cannot be rounded
@@ -137,7 +138,8 @@ def load_calibration(path: str | Path) -> CalibrationTable:
         text = Path(path).read_text(encoding="ascii")
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path}: non-ASCII byte at offset {e.start}") from None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, match in enumerate(LINE_RE.finditer(text), start=1):
+        raw = match[0].rstrip("\r\n")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

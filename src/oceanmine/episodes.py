@@ -40,10 +40,6 @@ Episode = tuple[int, ...]
 
 _EPOCH = datetime(1970, 1, 1)
 
-DEFAULT_K = 3
-DEFAULT_MAX_LEN = 2
-DEFAULT_MIN_SUPPORT = 2
-
 # Class labels for the default three-way split; other alphabets fall
 # back to numbered classes.
 _K3_LABELS = ("LOW", "MID", "HIGH")
@@ -75,17 +71,17 @@ class EpisodeRule:
     confidence: float
 
 
-def symbol_label(class_id: int, k: int = DEFAULT_K) -> str:
+def symbol_label(class_id: int, k: int) -> str:
     if k == 3 and 0 <= class_id < 3:
         return _K3_LABELS[class_id]
     return f"C{class_id}"
 
 
-def episode_label(episode: Episode, k: int = DEFAULT_K) -> str:
+def episode_label(episode: Episode, k: int) -> str:
     return "+".join(symbol_label(s, k) for s in episode)
 
 
-def rule_id(rule: EpisodeRule, k: int = DEFAULT_K) -> str:
+def rule_id(rule: EpisodeRule, k: int) -> str:
     return f"{episode_label(rule.antecedent, k)}=>{episode_label(rule.consequent, k)}"
 
 
@@ -109,7 +105,7 @@ def _quantile(ordered: Sequence[float], q: float) -> float:
     return b - d * (1 - t) if t >= 0.5 else a + d * t
 
 
-def discretize(series: Sequence[IndexSample], k: int = DEFAULT_K) -> list[tuple[datetime, int]]:
+def discretize(series: Sequence[IndexSample], k: int) -> list[tuple[datetime, int]]:
     """Map each sample to a quantile class in [0, k).
 
     Class boundaries are the k-quantiles of this series' values; a
@@ -148,9 +144,7 @@ def segment_events(
     return events
 
 
-def build_events(
-    series: Sequence[IndexSample], delta: timedelta, k: int = DEFAULT_K
-) -> list[Event]:
+def build_events(series: Sequence[IndexSample], delta: timedelta, k: int) -> list[Event]:
     """Discretize a series and segment it into events."""
     return segment_events(discretize(series, k), delta)
 
@@ -243,11 +237,11 @@ def frequent_episodes(
 
 def mine_rules(
     events: Sequence[Event],
-    min_support: int = DEFAULT_MIN_SUPPORT,
-    max_len: int = DEFAULT_MAX_LEN,
-    win_a: timedelta = timedelta(0),
-    win_c: timedelta = timedelta(0),
-    lag: timedelta = timedelta(0),
+    min_support: int,
+    max_len: int,
+    win_a: timedelta,
+    win_c: timedelta,
+    lag: timedelta,
 ) -> list[EpisodeRule]:
     """Mine every rule with support >= min_support, deterministically.
 

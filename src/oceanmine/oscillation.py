@@ -36,9 +36,6 @@ ST_COEFF = -8.0e-7
 P2_COEFF = 3300.0
 P4_COEFF = 3.2e7
 
-DEFAULT_PRESSURE_FLOOR = 0.5
-DEFAULT_WINDOW_LEN = 10
-
 
 class IndexSample(NamedTuple):
     observed_at: datetime
@@ -71,10 +68,7 @@ def compute_index(temperature: float, salinity: float, pressure: float) -> float
     )
 
 
-def compute_series(
-    seg: RegionSegment,
-    pressure_floor: float = DEFAULT_PRESSURE_FLOOR,
-) -> SeriesResult:
+def compute_series(seg: RegionSegment, pressure_floor: float) -> SeriesResult:
     """Index every record of a segment that clears the pressure floor.
 
     Records at or below the floor are skipped and tallied, not errors.
@@ -100,7 +94,7 @@ def compute_series(
     return SeriesResult(samples=samples, skipped=skipped)
 
 
-def band_of(values: Sequence[float], window_len: int = DEFAULT_WINDOW_LEN) -> IndexBand:
+def band_of(values: Sequence[float], window_len: int) -> IndexBand:
     """Average the per-window extrema of a series.
 
     Windows are consecutive runs of window_len (>= 1) values; a final

@@ -37,18 +37,10 @@ from .errors import (
     DataError,
     NonTripleWordCount,
 )
-from .oscillation import (
-    DEFAULT_PRESSURE_FLOOR,
-    DEFAULT_WINDOW_LEN,
-    IndexSample,
-    band_of,
-    compute_series,
-)
+from .oscillation import IndexSample, band_of, compute_series
 from .regions import key_string, segment
 from .telemetry import HeaderFields, parse_file
 
-DEFAULT_CELL_SIZE = 1.0
-DEFAULT_DELTA_S = 14400.0  # bridges same-day profile pairs, splits days
 # Seconds values must stay below this to fit a timedelta.
 _MAX_SECONDS = timedelta.max.total_seconds()
 
@@ -57,18 +49,18 @@ _MAX_SECONDS = timedelta.max.total_seconds()
 class PipelineConfig:
     inputs: list[Path]
     out_dir: Path
-    cell_size: float = DEFAULT_CELL_SIZE
+    cell_size: float = 1.0
     calibration_path: Path | None = None
-    pressure_floor: float = DEFAULT_PRESSURE_FLOOR
-    window_len: int = DEFAULT_WINDOW_LEN
-    delta_s: float = DEFAULT_DELTA_S
-    k: int = ep.DEFAULT_K
-    max_len: int = ep.DEFAULT_MAX_LEN
+    pressure_floor: float = 0.5
+    window_len: int = 10
+    delta_s: float = 14400.0  # bridges same-day profile pairs, splits days
+    k: int = 3
+    max_len: int = 2
     win_a_s: float = 0.0
     win_c_s: float = 0.0
     lag_s: float | None = None  # defaults to delta_s
-    min_support: int = ep.DEFAULT_MIN_SUPPORT
-    theta: float = adv.DEFAULT_THETA
+    min_support: int = 2
+    theta: float = 0.8
     write_plots: bool = True
 
     def validate(self) -> None:

@@ -36,7 +36,7 @@ class RegionSegment:
     records: list[ProfileRecord]
 
 
-def region_key_of(header: HeaderFields, cell_size: float = 1.0) -> RegionKey:
+def region_key_of(header: HeaderFields, cell_size: float) -> RegionKey:
     """Grid the header position into a region key."""
     return RegionKey(
         platform_id=header.platform_id,
@@ -47,7 +47,7 @@ def region_key_of(header: HeaderFields, cell_size: float = 1.0) -> RegionKey:
 
 def segment(
     tagged_records: Iterable[tuple[ProfileRecord, HeaderFields]],
-    cell_size: float = 1.0,
+    cell_size: float,
 ) -> list[RegionSegment]:
     """Partition records into regions keyed by platform and grid cell.
 

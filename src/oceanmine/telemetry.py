@@ -63,7 +63,7 @@ _HEX_RE = re.compile(r"^[0-9a-fA-F]{2}$")
 _PLATFORM_RE = re.compile(r"^\d{5}$")
 # One line and its ending; only LF, CR and CRLF end a line.  Matching
 # lines in place keeps one copy of the dump in memory.
-_LINE_RE = re.compile(r"[^\r\n]*(?:\r\n?|\n)?")
+LINE_RE = re.compile(r"[^\r\n]*(?:\r\n?|\n)?")
 
 # Minimum token count for a header line; message_id may span extra
 # tokens beyond this, the rest of the layout is fixed.
@@ -233,7 +233,7 @@ def parse_stream(text: str) -> list[MessageBlock]:
     blocks: list[MessageBlock] = []
     current: _BlockBuilder | None = None
 
-    for line_no, line in enumerate(_LINE_RE.finditer(text), start=1):
+    for line_no, line in enumerate(LINE_RE.finditer(text), start=1):
         raw = line[0]
         if not raw.isascii():
             bad = next(ch for ch in raw if not ch.isascii())

@@ -51,7 +51,7 @@ class TestComputeIndex:
 
     def test_divergent_at_floor(self):
         # compute_index takes no floor; compute_series skips records at it
-        series = compute_series(seg_of([199.5, 0.5, 0.2]))
+        series = compute_series(seg_of([199.5, 0.5, 0.2]), 0.5)
         assert (len(series.samples), series.skipped) == (1, 2)
         series = compute_series(seg_of([199.5, 2.0]), pressure_floor=2.0)
         assert (len(series.samples), series.skipped) == (1, 1)
@@ -87,17 +87,17 @@ class TestComputeIndex:
 
 class TestComputeSeries:
     def test_skips_low_pressure_and_counts(self):
-        series = compute_series(seg_of([199.5, 0.0, 150.0]))
+        series = compute_series(seg_of([199.5, 0.0, 150.0]), 0.5)
         assert len(series.samples) == 2
         assert series.skipped == 1
         assert series.samples[0].n_value == pytest.approx(N_REFERENCE_ROW, rel=1e-12)
 
     def test_all_rejected(self):
         with pytest.raises(AllSamplesRejected):
-            compute_series(seg_of([0.0, 0.3, 0.5]))
+            compute_series(seg_of([0.0, 0.3, 0.5]), 0.5)
 
     def test_sample_order_follows_records(self):
-        series = compute_series(seg_of([199.5, 150.0, 120.0]))
+        series = compute_series(seg_of([199.5, 150.0, 120.0]), 0.5)
         stamps = [s.observed_at for s in series.samples]
         assert stamps == sorted(stamps)
 

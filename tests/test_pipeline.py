@@ -403,6 +403,16 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_calibration_lines_end_as_in_dumps(self, sample_path, tmp_path, capsys):
+        # A form feed does not end a line, so this is one bad temp_offset value.
+        cal = tmp_path / "cal.txt"
+        cal.write_bytes(b"temp_offset = -4.0\x0ctemp_resolution = 0.002\n")
+        out = tmp_path / "out"
+        code = main([str(sample_path), "--out-dir", str(out), "--calibration", str(cal)])
+        assert code == EXIT_CONFIG
+        assert "bad value for temp_offset" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_huge_k_finishes(self, sample_path, tmp_path):
         # enumerating k-1 class boundaries per sample would never finish
         proc = subprocess.run(
@@ -502,6 +512,17 @@ class TestCli:
             main(["--help"])
         assert info.value.code == 0
         assert "usage: oceanmine" in capsys.readouterr().out
+
+    def test_help_lists_config_defaults(self, capsys, monkeypatch):
+        # The flags take their defaults from PipelineConfig; an action left
+        # without one would print "(default: None)".
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        for value in ("out", "1.0", "0.5", "10", "14400.0", "3", "2", "--delta", "0.8"):
+            assert f"(default: {value})" in out, value
+        assert out.count("(default: 0.0)") == 2
 
     def test_flags_reach_pipeline(self, sample_path, tmp_path, capsys):
         out = tmp_path / "out"
