@@ -16,7 +16,7 @@ Default calibration (counts are unsigned 16-bit):
 
 Published values are rounded half away from zero to the channel's
 canonical precision: three decimals for temperature and salinity, one
-for pressure.
+for pressure.  CalibrationTable.lines() is the one channel table.
 """
 
 from __future__ import annotations
@@ -29,11 +29,6 @@ from pathlib import Path
 
 from .errors import ConfigError, NonTripleWordCount
 from .telemetry import LINE_RE, MessageBlock
-
-CHANNELS = ("temperature", "salinity", "pressure")
-
-# Decimal places kept per channel, ties away from zero.
-PRECISION = {"temperature": 3, "salinity": 3, "pressure": 1}
 
 _WORD_MAX = 0xFFFF
 
@@ -49,15 +44,13 @@ class CalibrationTable:
     pres_offset: float = 0.0
     pres_resolution: float = 0.1
 
-    def line_for(self, channel: str) -> tuple[float, float]:
-        """Return (offset, resolution) for a channel name."""
-        if channel == "temperature":
-            return self.temp_offset, self.temp_resolution
-        if channel == "salinity":
-            return self.sal_offset, self.sal_resolution
-        if channel == "pressure":
-            return self.pres_offset, self.pres_resolution
-        raise ConfigError(f"unknown channel {channel!r}")
+    def lines(self) -> tuple[tuple[str, float, float, int], ...]:
+        """(channel, offset, resolution, decimals kept) in payload order."""
+        return (
+            ("temperature", self.temp_offset, self.temp_resolution, 3),
+            ("salinity", self.sal_offset, self.sal_resolution, 3),
+            ("pressure", self.pres_offset, self.pres_resolution, 1),
+        )
 
 
 DEFAULT_CALIBRATION = CalibrationTable()
@@ -83,19 +76,15 @@ def round_half_away(value: float, ndigits: int) -> float:
     return out + 0.0  # normalise -0.0
 
 
-def decode_word(word: int, channel: str, cal: CalibrationTable = DEFAULT_CALIBRATION) -> float:
-    """Map one raw count to physical units (no precision rounding)."""
-    offset, resolution = cal.line_for(channel)
-    return offset + word * resolution
-
-
 def decode_block(
     block: MessageBlock, cal: CalibrationTable = DEFAULT_CALIBRATION
 ) -> list[ProfileRecord]:
     """Decode a block's words into per-level records.
 
-    Words are consumed in (temperature, salinity, pressure) triples;
-    level numbering starts at 1.  Every record carries the block time
+    Words come in (temperature, salinity, pressure) triples, so each
+    channel's words (every third, from its place in the triple) are
+    mapped and rounded through its line in cal.lines(); level
+    numbering starts at 1.  Every record carries the block time
     when the block has one, the header time otherwise.  Raises
     NonTripleWordCount when the word count is not a multiple of three.
     """
@@ -106,19 +95,13 @@ def decode_block(
             span=block.source_line_span,
         )
     observed_at = block.block_time or block.header.observed_at
-
-    def value(word: int, channel: str) -> float:
-        return round_half_away(decode_word(word, channel, cal), PRECISION[channel])
-
+    temperature, salinity, pressure = (
+        [round_half_away(offset + word * resolution, decimals) for word in words[i::3]]
+        for i, (_, offset, resolution, decimals) in enumerate(cal.lines())
+    )
     return [
-        ProfileRecord(
-            observed_at=observed_at,
-            level=i // 3 + 1,
-            temperature=value(words[i], "temperature"),
-            salinity=value(words[i + 1], "salinity"),
-            pressure=value(words[i + 2], "pressure"),
-        )
-        for i in range(0, len(words), 3)
+        ProfileRecord(observed_at, level, t, s, p)
+        for level, (t, s, p) in enumerate(zip(temperature, salinity, pressure), start=1)
     ]
 
 
@@ -158,17 +141,17 @@ def load_calibration(path: str | Path) -> CalibrationTable:
         if not math.isfinite(values[key]):
             raise ConfigError(f"{path}:{line_no}: {key} must be finite, got {values[key]}")
     cal = CalibrationTable(**values)
-    for channel in CHANNELS:
-        _, resolution = cal.line_for(channel)
+    for channel, offset, resolution, decimals in cal.lines():
         if resolution <= 0:
             raise ConfigError(f"{channel} resolution must be positive, got {resolution}")
         # The map is linear, so every word rounds if both extremes do.
         for word in (0, _WORD_MAX):
+            value = offset + word * resolution
             try:
-                round_half_away(decode_word(word, channel, cal), PRECISION[channel])
+                round_half_away(value, decimals)
             except InvalidOperation:
                 raise ConfigError(
                     f"{channel} calibration maps word {word} to "
-                    f"{decode_word(word, channel, cal)}, beyond the decodable range"
+                    f"{value}, beyond the decodable range"
                 ) from None
     return cal

@@ -18,8 +18,10 @@ Every count is read from one occurrence table: for an episode and a
 window, one greedy scan per event gives its feasible start times, and
 the same scan over the reversed event gives its feasible end times
 (the minimal-occurrence idea of Mannila, Toivonen & Verkamo, 1997).
-Episode counts are the events with a non-empty list; a rule holds in
-an event when some antecedent end and consequent start are lag-paired.
+Episode counts are the events with a non-empty list, and the search
+keeps each frequent episode's start lists (a vertical id-list, as in
+Zaki's SPADE, 2001).  A rule holds in an event when some antecedent
+end and consequent start are lag-paired.
 The cumulative confidence curve scans each event once and walks the
 grid with running antecedent and rule counts.
 """
@@ -208,28 +210,30 @@ def frequent_episodes(
     min_support: int,
     max_len: int,
     window: timedelta,
-) -> dict[Episode, int]:
+) -> dict[Episode, list[list[datetime]]]:
     """Level-wise enumeration of episodes with event count >= min_support.
 
-    A single symbol spans 0, so it fits any window and its count comes
-    from one pass over each event's symbol set.  Length-n candidates
-    extend frequent length-(n-1) episodes by one frequent symbol, in
-    sorted order: an event holding an episode holds each of its symbols
-    and, with the same occurrence, its prefix, so nothing frequent is
-    missed.  The search stops at the first empty level.
+    Maps each frequent episode to its feasible starts per event; its
+    count is the number of non-empty lists.  A single symbol spans 0, so
+    it fits any window and is counted in one pass over each event's
+    symbol set.  Length-n candidates extend frequent length-(n-1)
+    episodes by one frequent symbol, in sorted order: an event holding
+    an episode holds each of its symbols and, with the same occurrence,
+    its prefix, so nothing frequent is missed.  The search stops at the
+    first empty level.
     """
     singles = Counter(s for ev in events for s in {sym for _, sym in ev.items})
     alphabet = sorted(sym for sym, count in singles.items() if count >= min_support)
-    freq: dict[Episode, int] = {(sym,): singles[sym] for sym in alphabet}
+    freq = {(sym,): _occurrences(events, (sym,), window) for sym in alphabet}
     level = list(freq)
     while level and len(level[0]) < max_len:
         nxt: list[Episode] = []
         for ep in level:
             for s in alphabet:
                 cand = ep + (s,)
-                count = sum(1 for starts in _occurrences(events, cand, window) if starts)
-                if count >= min_support:
-                    freq[cand] = count
+                starts = _occurrences(events, cand, window)
+                if sum(1 for st in starts if st) >= min_support:
+                    freq[cand] = starts
                     nxt.append(cand)
         level = nxt
     return freq
@@ -246,26 +250,22 @@ def mine_rules(
     """Mine every rule with support >= min_support, deterministically.
 
     A rule's support never exceeds the event count of either side, so
-    candidate pairs come from the frequent episode sets.  Each frequent
-    antecedent's ends and each frequent consequent's starts are scanned
-    once per event; every pair is scored from those lists.  Output is
-    sorted by confidence desc, support desc, then lexicographically.
+    candidate pairs come from the frequent episode sets, which hold the
+    consequent starts; each antecedent's ends are scanned once, and
+    every pair is scored from those lists.  Output is sorted by
+    confidence desc, support desc, then lexicographically.
     """
     freq_a = frequent_episodes(events, min_support, max_len, win_a)
     if win_c == win_a:
         freq_c = freq_a
     else:
         freq_c = frequent_episodes(events, min_support, max_len, win_c)
-    ends = {a: _occurrences(events, a, win_a, ends=True) for a in freq_a}
-    starts = {c: _occurrences(events, c, win_c) for c in freq_c}
     rules: list[EpisodeRule] = []
-    for antecedent, n_ant in freq_a.items():
-        for consequent in freq_c:
-            sup = sum(
-                1
-                for e, s in zip(ends[antecedent], starts[consequent])
-                if _lag_paired(e, s, lag)
-            )
+    for antecedent, ant_starts in freq_a.items():
+        n_ant = sum(1 for st in ant_starts if st)
+        ends = _occurrences(events, antecedent, win_a, ends=True)
+        for consequent, starts in freq_c.items():
+            sup = sum(1 for e, s in zip(ends, starts) if _lag_paired(e, s, lag))
             if sup < min_support:
                 continue
             rules.append(

@@ -1,7 +1,7 @@
-"""Exception hierarchy shared across the pipeline stages.
+"""Exceptions shared across the pipeline stages.
 
-Every stage failure derives from OceanMineError so the CLI can map a
-failure class to an exit code without string matching.  Parsing and
+The CLI maps ConfigError, OSError and DataError (with its subclasses)
+each to its own exit code, without string matching.  Parsing and
 decoding errors name the offending input line or block span; the
 position prefix is formatted once, in DataError.
 """
@@ -9,15 +9,11 @@ position prefix is formatted once, in DataError.
 from __future__ import annotations
 
 
-class OceanMineError(Exception):
-    """Base class for all pipeline errors."""
-
-
-class ConfigError(OceanMineError):
+class ConfigError(Exception):
     """A configuration value is out of range or otherwise unusable."""
 
 
-class DataError(OceanMineError):
+class DataError(Exception):
     """Input data violates the format or leaves a stage with nothing to do.
 
     ``line`` prefixes the message with "line N: " and ``span`` with

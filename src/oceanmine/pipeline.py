@@ -186,25 +186,21 @@ def run(config: PipelineConfig) -> RunResult:
             e.stage = f"parse {path}"
             raise
 
-    tagged: list[tuple[ProfileRecord, HeaderFields]] = []
+    decoded: list[tuple[HeaderFields, list[ProfileRecord]]] = []
     rejected_blocks = 0
     for block in blocks:
         try:
-            block_records = decoder.decode_block(block, cal)
+            decoded.append((block.header, decoder.decode_block(block, cal)))
         except NonTripleWordCount:
             rejected_blocks += 1
-            continue
-        for rec in block_records:
-            tagged.append((rec, block.header))
-    if not tagged:
+    segments = segment(decoded, config.cell_size)
+    if not segments:
         raise DataError(
             f"no decodable records in {len(blocks)} blocks "
             f"({rejected_blocks} rejected)",
             stage="decode",
         )
-    del blocks  # decoded; free the words before the region outputs accumulate
-
-    segments = segment(tagged, config.cell_size)
+    del blocks, decoded  # segmented; free the words before the outputs accumulate
 
     delta = timedelta(seconds=config.delta_s)
     win_a = timedelta(seconds=config.win_a_s)
@@ -266,7 +262,7 @@ def run(config: PipelineConfig) -> RunResult:
     if all(row.status == adv.STATUS_REJECTED for row in summaries):
         raise AllSamplesRejected("every region failed the pressure floor", stage="index")
 
-    generated_at = max(rec.observed_at for rec, _ in tagged)
+    generated_at = max(seg.records[-1].observed_at for seg in segments)
     report = adv.compose_report(summaries, generated_at)
     files["report.jsonl"] = adv.report_jsonl(report)
     files["report.txt"] = adv.report_text(report)
@@ -285,7 +281,7 @@ def run(config: PipelineConfig) -> RunResult:
 
     return RunResult(
         report=report,
-        record_count=len(tagged),
+        record_count=sum(len(seg.records) for seg in segments),
         region_count=len(segments),
         rejected_blocks=rejected_blocks,
     )

@@ -46,19 +46,20 @@ def region_key_of(header: HeaderFields, cell_size: float) -> RegionKey:
 
 
 def segment(
-    tagged_records: Iterable[tuple[ProfileRecord, HeaderFields]],
+    blocks: Iterable[tuple[HeaderFields, list[ProfileRecord]]],
     cell_size: float,
 ) -> list[RegionSegment]:
-    """Partition records into regions keyed by platform and grid cell.
+    """Partition decoded (header, records) blocks by the header's region.
 
-    Every input record lands in exactly one segment.  Within a segment
-    records are sorted by (observed_at, level); ties keep input order.
-    Segments come out sorted by key.
+    The header is gridded once per block.  Every input record lands in
+    exactly one segment; a block without records adds no region.
+    Within a segment records are sorted by (observed_at, level); ties
+    keep input order.  Segments come out sorted by key.
     """
     by_key: dict[RegionKey, list[ProfileRecord]] = {}
-    for record, header in tagged_records:
-        key = region_key_of(header, cell_size)
-        by_key.setdefault(key, []).append(record)
+    for header, records in blocks:
+        if records:
+            by_key.setdefault(region_key_of(header, cell_size), []).extend(records)
     segments = []
     for key in sorted(by_key):
         records = sorted(by_key[key], key=lambda r: (r.observed_at, r.level))

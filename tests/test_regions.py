@@ -58,11 +58,11 @@ class TestRegionKey:
 class TestSegment:
     def test_same_cell_merges(self):
         t0 = datetime(2003, 1, 10, 11, 50)
-        pairs = [
-            (record_at(t0), header_at(0.691, 76.559)),
-            (record_at(t0 + timedelta(hours=3)), header_at(0.706, 76.542)),
+        blocks = [
+            (header_at(0.691, 76.559), [record_at(t0)]),
+            (header_at(0.706, 76.542), [record_at(t0 + timedelta(hours=3))]),
         ]
-        segs = segment(pairs, 1.0)
+        segs = segment(blocks, 1.0)
         assert len(segs) == 1
         assert segs[0].key == RegionKey("02602", 0, 76)
         assert len(segs[0].records) == 2
@@ -71,13 +71,11 @@ class TestSegment:
         t0 = datetime(2003, 1, 10)
         t1 = t0 + timedelta(hours=1)
         h = header_at(0.5, 76.5)
-        pairs = [
-            (record_at(t1, level=2), h),
-            (record_at(t0, level=2), h),
-            (record_at(t1, level=1), h),
-            (record_at(t0, level=1), h),
+        blocks = [
+            (h, [record_at(t1, level=2), record_at(t0, level=2)]),
+            (h, [record_at(t1, level=1), record_at(t0, level=1)]),
         ]
-        (seg,) = segment(pairs, 1.0)
+        (seg,) = segment(blocks, 1.0)
         assert [(r.observed_at, r.level) for r in seg.records] == [
             (t0, 1), (t0, 2), (t1, 1), (t1, 2),
         ]
@@ -87,36 +85,36 @@ class TestSegment:
         h = header_at(0.5, 76.5)
         a = replace(record_at(t0, level=1), salinity=35.001)
         b = replace(record_at(t0, level=1), salinity=35.002)
-        (seg,) = segment([(a, h), (b, h)], 1.0)
+        (seg,) = segment([(h, [a]), (h, [b])], 1.0)
         # equal (observed_at, level): stable sort keeps input order
         assert [r.salinity for r in seg.records] == [35.001, 35.002]
 
     def test_segments_sorted_by_key(self):
         t0 = datetime(2003, 1, 10)
-        pairs = [
-            (record_at(t0), header_at(0.5, 80.5, platform="99999")),
-            (record_at(t0), header_at(0.5, 76.5, platform="02602")),
-            (record_at(t0), header_at(5.5, 76.5, platform="02602")),
+        blocks = [
+            (header_at(0.5, 80.5, platform="99999"), [record_at(t0)]),
+            (header_at(0.5, 76.5, platform="02602"), [record_at(t0)]),
+            (header_at(5.5, 76.5, platform="02602"), [record_at(t0)]),
         ]
-        segs = segment(pairs, 1.0)
+        segs = segment(blocks, 1.0)
         assert [s.key for s in segs] == sorted(s.key for s in segs)
 
     def test_partition_fuzz(self):
         rng = random.Random(76559)
         t0 = datetime(2003, 1, 10)
         platforms = [f"{n:05d}" for n in (11111, 22222, 33333, 44444, 55555)]
-        pairs = []
+        blocks = []
         for i in range(1000):
             h = header_at(
                 rng.uniform(-10, 10),
                 rng.uniform(70, 80),
                 platform=rng.choice(platforms),
             )
-            pairs.append((record_at(t0 + timedelta(minutes=i), level=i), h))
-        segs = segment(pairs, 1.0)
+            blocks.append((h, [record_at(t0 + timedelta(minutes=i), level=i)]))
+        segs = segment(blocks, 1.0)
         assert sum(len(s.records) for s in segs) == 1000
         levels = [r.level for s in segs for r in s.records]
         assert len(set(levels)) == 1000  # no record in two segments
-        header_of = {rec.level: h for rec, h in pairs}
+        header_of = {recs[0].level: h for h, recs in blocks}
         for s in segs:
             assert all(region_key_of(header_of[r.level], 1.0) == s.key for r in s.records)
