@@ -17,6 +17,12 @@ Default calibration (counts are unsigned 16-bit):
 Published values are rounded half away from zero to the channel's
 canonical precision: three decimals for temperature and salinity, one
 for pressure.  CalibrationTable.lines() is the one channel table.
+
+A channel has at most 65,536 words, so decoding goes through an exact
+memo: one dict per channel line, filled on first use with the same
+rounded value the formula gives.  pipeline.run keeps one memo for the
+decode loop of a run and drops it afterwards, so each distinct word is
+rounded once per run and nothing is shared between runs.
 """
 
 from __future__ import annotations
@@ -76,8 +82,31 @@ def round_half_away(value: float, ndigits: int) -> float:
     return out + 0.0  # normalise -0.0
 
 
+class _RoundedLine(dict):
+    """word -> its rounded value on one channel line, filled on first use."""
+
+    def __init__(self, line: tuple[str, float, float, int]):
+        super().__init__()
+        self.line = line
+
+    def __missing__(self, word: int) -> float:
+        _, offset, resolution, decimals = self.line
+        value = self[word] = round_half_away(offset + word * resolution, decimals)
+        return value
+
+
+class DecodeMemo(dict):
+    """Channel line (as in CalibrationTable.lines()) -> its rounded words."""
+
+    def __missing__(self, line: tuple[str, float, float, int]) -> _RoundedLine:
+        rounded = self[line] = _RoundedLine(line)
+        return rounded
+
+
 def decode_block(
-    block: MessageBlock, cal: CalibrationTable = DEFAULT_CALIBRATION
+    block: MessageBlock,
+    cal: CalibrationTable = DEFAULT_CALIBRATION,
+    memo: DecodeMemo | None = None,
 ) -> list[ProfileRecord]:
     """Decode a block's words into per-level records.
 
@@ -87,6 +116,10 @@ def decode_block(
     numbering starts at 1.  Every record carries the block time
     when the block has one, the header time otherwise.  Raises
     NonTripleWordCount when the word count is not a multiple of three.
+
+    The rounded values come from memo, keyed by the whole channel line,
+    so one memo serves any calibration exactly; pass the same memo for
+    every block of a run.  Without one, the block fills a fresh memo.
     """
     words = block.words
     if len(words) % 3:
@@ -94,10 +127,12 @@ def decode_block(
             f"block has {len(words)} words, not a multiple of 3",
             span=block.source_line_span,
         )
+    if memo is None:
+        memo = DecodeMemo()
     observed_at = block.block_time or block.header.observed_at
     temperature, salinity, pressure = (
-        [round_half_away(offset + word * resolution, decimals) for word in words[i::3]]
-        for i, (_, offset, resolution, decimals) in enumerate(cal.lines())
+        list(map(memo[line].__getitem__, words[i::3]))
+        for i, line in enumerate(cal.lines())
     )
     return [
         ProfileRecord(observed_at, level, t, s, p)

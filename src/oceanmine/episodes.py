@@ -115,17 +115,19 @@ def discretize(series: Sequence[IndexSample], k: int) -> list[tuple[datetime, in
     so intervals are half-open with the top class closed above.  A
     constant series maps everything to class 0.  Boundaries rise with
     their rank, so each class is a binary search over them and any k
-    costs O(log k) quantiles per sample.  The search takes
-    len(range(1, k)), so k lies in [1, sys.maxsize].
+    costs O(log k) boundary lookups per sample; each boundary is
+    computed once per call.  The search takes len(range(1, k)), so k
+    lies in [1, sys.maxsize].
     """
     ordered = sorted([s.n_value for s in series])
-    return [
-        (
-            s.observed_at,
-            bisect_left(range(1, k), s.n_value, key=lambda i: _quantile(ordered, i / k)),
-        )
-        for s in series
-    ]
+    bounds: dict[int, float] = {}
+
+    def boundary(i: int) -> float:
+        if i not in bounds:
+            bounds[i] = _quantile(ordered, i / k)
+        return bounds[i]
+
+    return [(s.observed_at, bisect_left(range(1, k), s.n_value, key=boundary)) for s in series]
 
 
 def segment_events(
@@ -210,21 +212,28 @@ def frequent_episodes(
     min_support: int,
     max_len: int,
     window: timedelta,
+    singles: dict[Episode, list[list[datetime]]] | None = None,
 ) -> dict[Episode, list[list[datetime]]]:
     """Level-wise enumeration of episodes with event count >= min_support.
 
     Maps each frequent episode to its feasible starts per event; its
     count is the number of non-empty lists.  A single symbol spans 0, so
     it fits any window and is counted in one pass over each event's
-    symbol set.  Length-n candidates extend frequent length-(n-1)
-    episodes by one frequent symbol, in sorted order: an event holding
-    an episode holds each of its symbols and, with the same occurrence,
-    its prefix, so nothing frequent is missed.  The search stops at the
-    first empty level.
+    symbol set; for the same reason its starts do not depend on the
+    window, and singles, when given, are the length-1 entries of an
+    earlier call on the same events and min_support, reused as they are.
+    Length-n candidates extend frequent length-(n-1) episodes by one
+    frequent symbol, in sorted order: an event holding an episode holds
+    each of its symbols and, with the same occurrence, its prefix, so
+    nothing frequent is missed.  The search stops at the first empty
+    level.
     """
-    singles = Counter(s for ev in events for s in {sym for _, sym in ev.items})
-    alphabet = sorted(sym for sym, count in singles.items() if count >= min_support)
-    freq = {(sym,): _occurrences(events, (sym,), window) for sym in alphabet}
+    if singles is None:
+        counts = Counter(s for ev in events for s in {sym for _, sym in ev.items})
+        frequent = sorted(sym for sym, count in counts.items() if count >= min_support)
+        singles = {(sym,): _occurrences(events, (sym,), window) for sym in frequent}
+    alphabet = [sym for (sym,) in singles]
+    freq = dict(singles)
     level = list(freq)
     while level and len(level[0]) < max_len:
         nxt: list[Episode] = []
@@ -259,7 +268,8 @@ def mine_rules(
     if win_c == win_a:
         freq_c = freq_a
     else:
-        freq_c = frequent_episodes(events, min_support, max_len, win_c)
+        singles = {ep: starts for ep, starts in freq_a.items() if len(ep) == 1}
+        freq_c = frequent_episodes(events, min_support, max_len, win_c, singles)
     rules: list[EpisodeRule] = []
     for antecedent, ant_starts in freq_a.items():
         n_ant = sum(1 for st in ant_starts if st)

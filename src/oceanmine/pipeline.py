@@ -121,11 +121,19 @@ def _fmt17(value: float) -> str:
 # --- persistence -----------------------------------------------------------
 
 
+# The levels of a block share one datetime object, so the writers below
+# format a timestamp only when it differs from the previous row's.
+
+
 def records_csv(records: list[ProfileRecord], region: str) -> str:
     lines = ["region,observed_at,level,temperature,salinity,pressure"]
+    ts = stamp = None
     for r in records:
+        if r.observed_at is not ts:
+            ts = r.observed_at
+            stamp = ts.isoformat()
         lines.append(
-            f"{region},{r.observed_at.isoformat()},{r.level},"
+            f"{region},{stamp},{r.level},"
             f"{r.temperature:.3f},{r.salinity:.3f},{r.pressure:.1f}"
         )
     return "\n".join(lines) + "\n"
@@ -133,8 +141,12 @@ def records_csv(records: list[ProfileRecord], region: str) -> str:
 
 def index_csv(samples: list[IndexSample]) -> str:
     lines = ["observed_at,n_value"]
+    ts = stamp = None
     for s in samples:
-        lines.append(f"{s.observed_at.isoformat()},{_fmt17(s.n_value)}")
+        if s.observed_at is not ts:
+            ts = s.observed_at
+            stamp = ts.isoformat()
+        lines.append(f"{stamp},{_fmt17(s.n_value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -188,9 +200,10 @@ def run(config: PipelineConfig) -> RunResult:
 
     decoded: list[tuple[HeaderFields, list[ProfileRecord]]] = []
     rejected_blocks = 0
+    memo = decoder.DecodeMemo()  # this run's rounded words; records share its floats
     for block in blocks:
         try:
-            decoded.append((block.header, decoder.decode_block(block, cal)))
+            decoded.append((block.header, decoder.decode_block(block, cal, memo)))
         except NonTripleWordCount:
             rejected_blocks += 1
     segments = segment(decoded, config.cell_size)
@@ -200,7 +213,8 @@ def run(config: PipelineConfig) -> RunResult:
             f"({rejected_blocks} rejected)",
             stage="decode",
         )
-    del blocks, decoded  # segmented; free the words before the outputs accumulate
+    # Segmented: free the words and the memo before the outputs accumulate.
+    del blocks, decoded, memo
 
     delta = timedelta(seconds=config.delta_s)
     win_a = timedelta(seconds=config.win_a_s)

@@ -21,11 +21,15 @@ Header token layout (left to right):
   5    class_code       single uppercase      K
   6    pass_count       integer               2
   7    date             YYYY-MM-DD            2003-01-10
-  8    time             HH:MM:SS[.f]          11:50:18.0
+  8    time             HH:MM:SS[.ffffff]     11:50:18.0
   9    latitude         decimal degrees       0.691
   10   longitude        decimal degrees       76.559
   11   altitude_or_zero decimal               0.000
   12   transmitter_id   opaque token          401647210
+
+Dates and times are ASCII digits in exactly the layout shown; the
+time may carry 1 to 6 fractional-second digits.  A field out of the
+calendar's range, or a longer fraction, is an unparseable timestamp.
 
 Some feeds split message_id across several tokens ("29021 02" for
 "2902102").  The reader re-joins them: the tokens between platform_id
@@ -38,7 +42,9 @@ line of a block sets block_time; any bytes riding on the line join the
 payload in reading order.
 
 Data bytes pair big-endian into 16-bit words, across line boundaries,
-within a block.  A block ending on an unpaired byte is an error.
+within a block.  A block ending on an unpaired byte is an error.  A
+data line is checked whole, with one match over its joined tokens; the
+first token that is not two hex digits is named only when that fails.
 """
 
 from __future__ import annotations
@@ -57,9 +63,12 @@ from .errors import (
     OddByteCount,
 )
 
-_DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
-_TIME_RE = re.compile(r"^\d{2}:\d{2}:\d{2}(\.\d+)?$")
+# ASCII digits only, so every field slices to an int as written.
+_DATE_RE = re.compile(r"^[0-9]{4}-[0-9]{2}-[0-9]{2}$")
+_TIME_RE = re.compile(r"^[0-9]{2}:[0-9]{2}:[0-9]{2}(\.[0-9]+)?$")
 _HEX_RE = re.compile(r"^[0-9a-fA-F]{2}$")
+# A data line's tokens joined by single spaces, all of them byte tokens.
+_HEX_LINE_RE = re.compile(r"(?:[0-9a-fA-F]{2}(?: [0-9a-fA-F]{2})*)?")
 _PLATFORM_RE = re.compile(r"^\d{5}$")
 # One line and its ending; only LF, CR and CRLF end a line.  Matching
 # lines in place keeps one copy of the dump in memory.
@@ -102,12 +111,19 @@ def _parse_timestamp(date_tok: str, time_tok: str, line_no: int | None) -> datet
         raise MalformedHeader(
             f"bad timestamp tokens {date_tok!r} {time_tok!r}", line=line_no
         )
+    # The regexes fix every field's place; datetime checks the ranges.
+    frac = time_tok[9:]
+    if len(frac) <= 6:
+        try:
+            return datetime(
+                int(date_tok[:4]), int(date_tok[5:7]), int(date_tok[8:]),
+                int(time_tok[:2]), int(time_tok[3:5]), int(time_tok[6:8]),
+                int(frac.ljust(6, "0")),
+            )
+        except ValueError:
+            pass
     text = f"{date_tok} {time_tok}"
-    fmt = "%Y-%m-%d %H:%M:%S.%f" if "." in time_tok else "%Y-%m-%d %H:%M:%S"
-    try:
-        return datetime.strptime(text, fmt)
-    except ValueError:
-        raise MalformedHeader(f"unparseable timestamp {text!r}", line=line_no) from None
+    raise MalformedHeader(f"unparseable timestamp {text!r}", line=line_no)
 
 
 def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
@@ -199,10 +215,11 @@ class _BlockBuilder:
         self.last_line = first_line
 
     def add_bytes(self, tokens: list[str], line_no: int) -> None:
-        for tok in tokens:
-            if not _HEX_RE.match(tok):
-                raise BadHexToken(f"bad hex byte token {tok!r}", line=line_no)
-        self.payload += bytes.fromhex(" ".join(tokens))
+        line = " ".join(tokens)
+        if not _HEX_LINE_RE.fullmatch(line):
+            bad = next(tok for tok in tokens if not _HEX_RE.match(tok))
+            raise BadHexToken(f"bad hex byte token {bad!r}", line=line_no)
+        self.payload += bytes.fromhex(line)
         self.last_line = line_no
 
     def finish(self) -> MessageBlock:

@@ -5,9 +5,11 @@ from datetime import datetime
 
 import pytest
 
+from oceanmine import decoder
 from oceanmine.decoder import (
     DEFAULT_CALIBRATION,
     CalibrationTable,
+    DecodeMemo,
     ProfileRecord,
     decode_block,
     load_calibration,
@@ -141,6 +143,49 @@ class TestDecodeBlock:
         cal = CalibrationTable(pres_offset=100.0)
         (rec,) = decode_block(block_of([18725, 40134, 1995]), cal)
         assert rec.pressure == 299.5
+
+
+# Every payload value on every channel, each word once per channel.
+ALL_WORDS = [word for word in range(0x10000) for _ in range(3)]
+OTHER_CALIBRATION = CalibrationTable(
+    temp_offset=-2.5, temp_resolution=0.0015,
+    sal_offset=1.25, sal_resolution=0.0007,
+    pres_offset=-3.0, pres_resolution=0.25,
+)
+
+
+class TestDecodeMemo:
+    @pytest.mark.parametrize("cal", [DEFAULT_CALIBRATION, OTHER_CALIBRATION])
+    def test_every_word_equals_the_formula(self, cal):
+        memo = DecodeMemo()
+        filled = decode_block(block_of(ALL_WORDS), cal, memo)
+        # the second pass reads every value back from the filled memo
+        reread = decode_block(block_of(ALL_WORDS[::-1]), cal, memo)[::-1]
+        for channel, offset, resolution, decimals in cal.lines():
+            want = [round_half_away(offset + w * resolution, decimals) for w in range(0x10000)]
+            assert [getattr(r, channel) for r in filled] == want, channel
+            assert [getattr(r, channel) for r in reread] == want, channel
+
+    def test_each_word_rounds_once_per_memo(self, monkeypatch):
+        calls = []
+        real = decoder.round_half_away
+        monkeypatch.setattr(
+            decoder, "round_half_away", lambda v, d: calls.append(d) or real(v, d)
+        )
+        block = block_of([7, 8, 9, 7, 8, 9, 7, 8, 10])
+        memo = DecodeMemo()
+        first = decode_block(block, DEFAULT_CALIBRATION, memo)
+        assert len(calls) == 4
+        assert decode_block(block, DEFAULT_CALIBRATION, memo) == first
+        assert len(calls) == 4
+
+    def test_one_memo_keeps_calibrations_apart(self):
+        memo = DecodeMemo()
+        words = [500, 500, 500]
+        (plain,) = decode_block(block_of(words), DEFAULT_CALIBRATION, memo)
+        (other,) = decode_block(block_of(words), OTHER_CALIBRATION, memo)
+        assert values(plain) == (-4.5, 0.5, 50.0)
+        assert values(other) == (-1.75, 1.6, 122.0)
 
 
 class TestLoadCalibration:

@@ -151,6 +151,20 @@ class TestDiscretize:
         assert [c for _, c in out] == [499999999999, 0, 749999999999, 0, 999999999999]
         assert len(calls) <= 5 * 41
 
+    def test_each_boundary_computed_once(self, monkeypatch):
+        rng = random.Random(5)
+        values = [rng.uniform(-10, 10) for _ in range(200)]
+        ordered = sorted(values)
+        bounds = [episodes._quantile(ordered, i / 3) for i in (1, 2)]
+        calls = []
+        real = episodes._quantile
+        monkeypatch.setattr(
+            episodes, "_quantile", lambda o, q: calls.append(q) or real(o, q)
+        )
+        out = discretize(series_of(values), k=3)
+        assert [c for _, c in out] == [sum(1 for b in bounds if v > b) for v in values]
+        assert sorted(calls) == [1 / 3, 2 / 3]
+
 
 def mined_support(antecedent, consequent, events, win_a, win_c, lag):
     """A rule's support as the miner reports it; an absent rule has 0."""
@@ -326,6 +340,9 @@ class TestMineRules:
                    win_c=timedelta(seconds=win_c_s), lag=LAG2)
         assert any(len(epi) == 2 and not ends for epi, _, ends in scanned)
         assert len(scanned) == len(set(scanned))
+        # a single symbol spans 0, so its starts are scanned for one window only
+        singles = [epi for epi, _, ends in scanned if len(epi) == 1 and not ends]
+        assert sorted(singles) == [(A,), (B,), (C,)]
 
     def test_lag_near_longest_duration(self):
         rules = mine_rules(EVENTS_ABC, min_support=1, max_len=1,

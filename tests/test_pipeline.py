@@ -216,6 +216,30 @@ class TestRunOnSample:
             assert got.pressure == pytest.approx(plain.pressure * 2.0)
 
 
+    def test_runs_in_one_process_match_fresh_processes(self, sample_path, tmp_path):
+        # decoding memoises per run, so a second calibration in the same
+        # process must not see the first one's values
+        cals = []
+        for name, text in (("a", "temp_offset = -4.0\n"), ("b", "pres_resolution = 0.2\n")):
+            cal = tmp_path / f"cal_{name}.txt"
+            cal.write_text(text, encoding="ascii")
+            cals.append(cal)
+        for cal in cals:
+            run(config_for(sample_path, tmp_path / f"in_{cal.stem}", calibration_path=cal))
+        for cal in cals:
+            fresh = tmp_path / f"fresh_{cal.stem}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "oceanmine", str(sample_path),
+                 "--out-dir", str(fresh), "--calibration", str(cal)],
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr
+            assert tree_digest(tmp_path / f"in_{cal.stem}") == tree_digest(fresh)
+        assert tree_digest(tmp_path / "in_cal_a") != tree_digest(tmp_path / "in_cal_b")
+
+
 class TestFailureModes:
     def test_missing_input_writes_nothing(self, tmp_path):
         out = tmp_path / "out"

@@ -3,7 +3,7 @@ from __future__ import annotations
 from datetime import datetime
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from oceanmine.errors import (
@@ -88,6 +88,71 @@ class TestParseHeader:
         assert h.observed_at.microsecond == 500_000
 
 
+# (date token, time token, the header's timestamp or the error text)
+TIMESTAMP_TABLE = [
+    ("2003-00-10", "11:50:18", "unparseable timestamp '2003-00-10 11:50:18'"),
+    ("2003-13-10", "11:50:18", "unparseable timestamp '2003-13-10 11:50:18'"),
+    ("2003-02-29", "11:50:18", "unparseable timestamp '2003-02-29 11:50:18'"),
+    ("2003-02-30", "11:50:18", "unparseable timestamp '2003-02-30 11:50:18'"),
+    ("2003-01-00", "11:50:18", "unparseable timestamp '2003-01-00 11:50:18'"),
+    ("2003-01-32", "11:50:18", "unparseable timestamp '2003-01-32 11:50:18'"),
+    ("2003-01-10", "24:00:00", "unparseable timestamp '2003-01-10 24:00:00'"),
+    ("2003-01-10", "11:60:18", "unparseable timestamp '2003-01-10 11:60:18'"),
+    ("2003-01-10", "11:50:60", "unparseable timestamp '2003-01-10 11:50:60'"),
+    ("2003-01-10", "11:50:61", "unparseable timestamp '2003-01-10 11:50:61'"),
+    ("0000-01-10", "11:50:18", "unparseable timestamp '0000-01-10 11:50:18'"),
+    ("2003-01-10", "11:50:18.1234567",
+     "unparseable timestamp '2003-01-10 11:50:18.1234567'"),
+    ("2003-01-10", "11:50:18.5", datetime(2003, 1, 10, 11, 50, 18, 500000)),
+    ("2003-01-10", "11:50:18.123456", datetime(2003, 1, 10, 11, 50, 18, 123456)),
+    ("2004-02-29", "23:59:59", datetime(2004, 2, 29, 23, 59, 59)),
+    ("0001-01-01", "00:00:00", datetime(1, 1, 1)),
+    ("9999-12-31", "23:59:59.999999", datetime(9999, 12, 31, 23, 59, 59, 999999)),
+]
+
+
+class TestTimestamps:
+    @pytest.mark.parametrize("date_tok, time_tok, want", TIMESTAMP_TABLE)
+    def test_header_timestamp(self, date_tok, time_tok, want):
+        line = SECOND_HEADER.replace("2003-01-10 14:34:18", f"{date_tok} {time_tok}")
+        if isinstance(want, datetime):
+            assert parse_header(line, line_no=4).observed_at == want
+        else:
+            with pytest.raises(MalformedHeader) as err:
+                parse_header(line, line_no=4)
+            assert str(err.value) == f"line 4: {want}"
+
+    @pytest.mark.parametrize("date_tok, time_tok, want", TIMESTAMP_TABLE)
+    def test_block_time_line_timestamp(self, date_tok, time_tok, want):
+        text = f"{SECOND_HEADER}\n{date_tok} {time_tok} 1 4D 0B\n"
+        if isinstance(want, datetime):
+            (block,) = parse_stream(text)
+            assert block.block_time == want
+        else:
+            with pytest.raises(MalformedHeader) as err:
+                parse_stream(text)
+            assert str(err.value) == f"line 2: {want}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        date_tok=st.from_regex(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", fullmatch=True),
+        time_tok=st.from_regex(r"[0-9]{2}:[0-9]{2}:[0-9]{2}(\.[0-9]{1,8})?", fullmatch=True),
+    )
+    @example(date_tok="2003-01-10", time_tok="11:50:18.0")
+    @example(date_tok="2000-02-29", time_tok="00:00:00.000001")
+    def test_agrees_with_strptime(self, date_tok, time_tok):
+        text = f"{date_tok} {time_tok}"
+        fmt = "%Y-%m-%d %H:%M:%S.%f" if "." in time_tok else "%Y-%m-%d %H:%M:%S"
+        line = SECOND_HEADER.replace("2003-01-10 14:34:18", text)
+        try:
+            want = datetime.strptime(text, fmt)
+        except ValueError:
+            with pytest.raises(MalformedHeader, match="unparseable timestamp"):
+                parse_header(line)
+        else:
+            assert parse_header(line).observed_at == want
+
+
 def block_words(lines):
     """Words of a one-block dump whose data lines are lines."""
     (block,) = parse_stream("\n".join([SPLIT_ID_HEADER, *lines]))
@@ -116,6 +181,23 @@ class TestWordsOf:
             block_words(["35 9"])
         with pytest.raises(BadHexToken):
             block_words(["GG 00"])
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("35 9 89 3E", "line 2: bad hex byte token '9'"),
+            ("35 9D 89 3G", "line 2: bad hex byte token '3G'"),
+            ("35 9D0 8 3E", "line 2: bad hex byte token '9D0'"),
+            ("35 9D zz 3", "line 2: bad hex byte token 'zz'"),
+            ("35 0x9D", "line 2: bad hex byte token '0x9D'"),
+            ("2003-01-10 12:49:18 1 EE 0G 35 9", "line 2: bad hex byte token '0G'"),
+            ("2003-01-10 12:49:18 1 EE 05 35 9DD", "line 2: bad hex byte token '9DD'"),
+        ],
+    )
+    def test_bad_token_named(self, line, message):
+        with pytest.raises(BadHexToken) as err:
+            block_words([line, "00 00"])
+        assert str(err.value) == message
 
     def test_odd_byte_count(self):
         with pytest.raises(OddByteCount):
