@@ -12,6 +12,10 @@ Two advisory kinds come out of the analysis:
 Each advisory carries the value and the threshold it was judged
 against, so a report reader can re-check the trigger without access
 to the original telemetry.
+
+The dataclasses are the report schema: each report.jsonl row holds
+exactly the fields of a RegionSummary, and each of its advisories
+the fields of an Advisory.
 """
 
 from __future__ import annotations
@@ -35,15 +39,6 @@ class Advisory:
     threshold: float
     rule: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "at": self.at.isoformat(),
-            "value": self.value,
-            "threshold": self.threshold,
-            "rule": self.rule,
-        }
-
 
 def detect_strong_waves(
     samples: Sequence[IndexSample], band: IndexBand
@@ -56,23 +51,19 @@ def detect_strong_waves(
     alerts = []
     for s in samples:
         if s.n_value < band.avg_min:
-            alerts.append(
-                Advisory(
-                    kind=KIND_STRONG_WAVE,
-                    at=s.observed_at,
-                    value=s.n_value,
-                    threshold=band.avg_min,
-                )
-            )
+            bound = band.avg_min
         elif s.n_value > band.avg_max:
-            alerts.append(
-                Advisory(
-                    kind=KIND_STRONG_WAVE,
-                    at=s.observed_at,
-                    value=s.n_value,
-                    threshold=band.avg_max,
-                )
+            bound = band.avg_max
+        else:
+            continue
+        alerts.append(
+            Advisory(
+                kind=KIND_STRONG_WAVE,
+                at=s.observed_at,
+                value=s.n_value,
+                threshold=bound,
             )
+        )
     return alerts
 
 
@@ -112,7 +103,11 @@ STATUS_REJECTED = "all-samples-rejected"
 
 @dataclass
 class RegionSummary:
-    """Everything the report needs to say about one region."""
+    """Everything the report needs to say about one region.
+
+    The band fields stay None for a region whose samples were all
+    rejected.
+    """
 
     region: str
     status: str
@@ -120,7 +115,9 @@ class RegionSummary:
     skipped: int
     first_seen: datetime
     last_seen: datetime
-    band: IndexBand | None = None
+    avg_min: float | None = None
+    avg_max: float | None = None
+    window_len: int | None = None
     top_rule: str | None = None
     top_confidence: float | None = None
     advisories: list[Advisory] = field(default_factory=list)
@@ -144,34 +141,25 @@ def compose_report(
     return ReportTable(generated_at=generated_at, rows=rows)
 
 
-def _row_dict(row: RegionSummary) -> dict:
-    return {
-        "region": row.region,
-        "status": row.status,
-        "sample_count": row.sample_count,
-        "skipped": row.skipped,
-        "first_seen": row.first_seen.isoformat(),
-        "last_seen": row.last_seen.isoformat(),
-        "avg_min": row.band.avg_min if row.band else None,
-        "avg_max": row.band.avg_max if row.band else None,
-        "window_len": row.band.window_len if row.band else None,
-        "top_rule": row.top_rule,
-        "top_confidence": row.top_confidence,
-        "advisories": [a.to_dict() for a in row.advisories],
-    }
+def _json_field(obj: object) -> object:
+    # json.dumps calls this for what it cannot encode itself: datetimes
+    # become ISO text, RegionSummary and Advisory their fields.
+    if isinstance(obj, datetime):
+        return obj.isoformat()
+    return vars(obj)
 
 
 def report_jsonl(table: ReportTable) -> str:
-    """Machine rendering: one JSON record per region row."""
-    lines = [
-        json.dumps(
-            {"generated_at": table.generated_at.isoformat(), "regions": len(table.rows)},
-            sort_keys=True,
-        )
-    ]
-    for row in table.rows:
-        lines.append(json.dumps(_row_dict(row), sort_keys=True))
-    return "\n".join(lines) + "\n"
+    """Machine rendering: a head record, then one record per region row."""
+    head = {"generated_at": table.generated_at, "regions": len(table.rows)}
+    return "".join(
+        json.dumps(record, sort_keys=True, default=_json_field) + "\n"
+        for record in [head, *table.rows]
+    )
+
+
+def _num(value: float | None) -> str:
+    return "-" if value is None else f"{value:.6g}"
 
 
 def report_text(table: ReportTable) -> str:
@@ -201,18 +189,15 @@ def report_text(table: ReportTable) -> str:
                 str(row.sample_count),
                 str(row.skipped),
                 span,
-                f"{row.band.avg_min:.6g}" if row.band else "-",
-                f"{row.band.avg_max:.6g}" if row.band else "-",
+                _num(row.avg_min),
+                _num(row.avg_max),
                 row.top_rule or "-",
-                f"{row.top_confidence:.6g}" if row.top_confidence is not None else "-",
+                _num(row.top_confidence),
                 str(waves),
                 str(zones),
             )
         )
-    widths = [
-        max(len(headers[i]), *(len(r[i]) for r in body)) if body else len(headers[i])
-        for i in range(len(headers))
-    ]
+    widths = [max(map(len, col)) for col in zip(headers, *body)]
     def fmt(cells: tuple[str, ...]) -> str:
         return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
     out = [
@@ -222,4 +207,3 @@ def report_text(table: ReportTable) -> str:
     ]
     out.extend(fmt(r) for r in body)
     return "\n".join(out) + "\n"
-

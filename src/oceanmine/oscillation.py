@@ -101,14 +101,16 @@ def band_of(values: Sequence[float], window_len: int) -> IndexBand:
     partial window counts like any other.  The series is non-empty:
     compute_series never returns an empty one.
     """
-    minima = []
-    maxima = []
-    for i in range(0, len(values), window_len):
+    starts = range(0, len(values), window_len)
+    # Plain left-to-right addition, as sum() did before Python 3.12
+    # made it compensated: the band must not depend on the interpreter.
+    total_min = total_max = 0.0
+    for i in starts:
         window = values[i : i + window_len]
-        minima.append(min(window))
-        maxima.append(max(window))
+        total_min += min(window)
+        total_max += max(window)
     return IndexBand(
-        avg_min=sum(minima) / len(minima),
-        avg_max=sum(maxima) / len(maxima),
+        avg_min=total_min / len(starts),
+        avg_max=total_max / len(starts),
         window_len=window_len,
     )

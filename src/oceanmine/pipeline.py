@@ -246,8 +246,10 @@ def run(config: PipelineConfig) -> RunResult:
             row.status = adv.STATUS_OK
             row.sample_count = len(samples)
             row.skipped = series.skipped
-            row.band = band_of([s.n_value for s in samples], config.window_len)
-            row.advisories = adv.detect_strong_waves(samples, row.band)
+            band = band_of([s.n_value for s in samples], config.window_len)
+            row.avg_min, row.avg_max = band.avg_min, band.avg_max
+            row.window_len = band.window_len
+            row.advisories = adv.detect_strong_waves(samples, band)
 
             events = ep.build_events(samples, delta, config.k)
             rules = ep.mine_rules(

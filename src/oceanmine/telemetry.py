@@ -196,14 +196,6 @@ def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
     )
 
 
-def _looks_like_header(tokens: list[str]) -> bool:
-    return bool(tokens) and _PLATFORM_RE.match(tokens[0]) is not None
-
-
-def _looks_like_block_time(tokens: list[str]) -> bool:
-    return bool(tokens) and _DATE_RE.match(tokens[0]) is not None
-
-
 class _BlockBuilder:
     """Accumulates one block's bytes until the next header closes it."""
 
@@ -259,7 +251,7 @@ def parse_stream(text: str) -> list[MessageBlock]:
         if not tokens:
             continue
 
-        if _looks_like_header(tokens):
+        if _PLATFORM_RE.match(tokens[0]):
             if current is not None:
                 blocks.append(current.finish())
             header = parse_header(raw, line_no)
@@ -269,7 +261,7 @@ def parse_stream(text: str) -> list[MessageBlock]:
         if current is None:
             raise MalformedHeader("data line before any header", line=line_no)
 
-        if _looks_like_block_time(tokens):
+        if _DATE_RE.match(tokens[0]):
             if len(tokens) < 2 or not _TIME_RE.match(tokens[1]):
                 raise MalformedHeader(
                     f"block time line missing time token: {raw.strip()!r}", line=line_no

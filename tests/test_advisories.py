@@ -135,7 +135,9 @@ def summary(region, **kw):
         skipped=0,
         first_seen=at(0),
         last_seen=at(180),
-        band=IndexBand(1.5, 5.5, 2),
+        avg_min=1.5,
+        avg_max=5.5,
+        window_len=2,
         top_rule="LOW=>HIGH",
         top_confidence=1.0,
         advisories=[],
@@ -204,7 +206,9 @@ class TestReport:
                     status="all-samples-rejected",
                     sample_count=0,
                     skipped=3,
-                    band=None,
+                    avg_min=None,
+                    avg_max=None,
+                    window_len=None,
                     top_rule=None,
                     top_confidence=None,
                 ),

@@ -119,6 +119,12 @@ class TestBandOf:
         assert band.avg_min == 5.0
         assert band.avg_max == 7.0
 
+    def test_means_add_left_to_right(self):
+        # 1e16 + 1.0 rounds back to 1e16, so the plain sum is 0.0; the
+        # compensated sum() of Python 3.12 gives 1.0, a mean of 1/3.
+        band = band_of([1e16, 1.0, -1e16], 1)
+        assert band.avg_min == band.avg_max == 0.0
+
     def test_constant_series_collapses(self):
         band = band_of([2.5] * 7, 3)
         assert band.avg_min == band.avg_max == 2.5

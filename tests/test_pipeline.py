@@ -6,6 +6,7 @@ one zero-pressure record that the index stage must skip.
 """
 
 import hashlib
+import json
 import subprocess
 import sys
 import tempfile
@@ -353,6 +354,40 @@ class TestFailureModes:
         assert rules.splitlines() == [
             "antecedent,consequent,win_a_s,win_c_s,lag_s,support,confidence"
         ]
+
+    def test_rejected_region_json_row(self, sample_path, tmp_path):
+        # the sample plus a second float whose pressure words are all 0
+        dead = MessageBlock(
+            header=header("09999", 10.5, -40.2, datetime(2003, 1, 10, 13, 0, 0)),
+            words=words_for([(20.0, 35.0, 0.0), (21.0, 35.2, 0.0)]),
+        )
+        assert dead.words[2::3] == [0, 0]
+        src = tmp_path / "sample_and_dead.txt"
+        src.write_text(
+            Path(sample_path).read_text(encoding="ascii") + render_stream([dead]),
+            encoding="ascii",
+        )
+        out = tmp_path / "out"
+        run(config_for(src, out))
+        lines = (out / "report.jsonl").read_text(encoding="ascii").splitlines()
+        head, *rows = map(json.loads, lines)
+        assert set(head) == {"generated_at", "regions"}
+        assert head["regions"] == len(rows) == 2
+        by_region = {row["region"]: row for row in rows}
+        dead_row = by_region["09999_10_-41"]
+        assert dead_row["status"] == "all-samples-rejected"
+        for key in ("avg_min", "avg_max", "window_len", "top_rule", "top_confidence"):
+            assert dead_row[key] is None
+        assert dead_row["advisories"] == []
+        assert by_region[SAMPLE_REGION]["advisories"]
+        for row in rows:
+            assert set(row) == {
+                "region", "status", "sample_count", "skipped", "first_seen",
+                "last_seen", "avg_min", "avg_max", "window_len", "top_rule",
+                "top_confidence", "advisories",
+            }
+            for a in row["advisories"]:
+                assert set(a) == {"kind", "at", "value", "threshold", "rule"}
 
 
 class TestCli:
