@@ -31,7 +31,7 @@ KIND_STRONG_WAVE = "strong_wave"
 KIND_FISHING_ZONE = "fishing_zone"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Advisory:
     kind: str
     at: datetime
@@ -101,7 +101,7 @@ STATUS_OK = "ok"
 STATUS_REJECTED = "all-samples-rejected"
 
 
-@dataclass
+@dataclass(slots=True)
 class RegionSummary:
     """Everything the report needs to say about one region.
 
@@ -143,10 +143,10 @@ def compose_report(
 
 def _json_field(obj: object) -> object:
     # json.dumps calls this for what it cannot encode itself: datetimes
-    # become ISO text, RegionSummary and Advisory their fields.
+    # become ISO text, RegionSummary and Advisory (slotted) their fields.
     if isinstance(obj, datetime):
         return obj.isoformat()
-    return vars(obj)
+    return {name: getattr(obj, name) for name in obj.__dataclass_fields__}
 
 
 def report_jsonl(table: ReportTable) -> str:

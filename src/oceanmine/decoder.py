@@ -62,7 +62,7 @@ class CalibrationTable:
 DEFAULT_CALIBRATION = CalibrationTable()
 
 
-@dataclass
+@dataclass(slots=True)
 class ProfileRecord:
     """One decoded depth level of one message block."""
 
@@ -75,23 +75,29 @@ class ProfileRecord:
 
 def round_half_away(value: float, ndigits: int) -> float:
     """Round to ndigits decimals with ties going away from zero."""
-    q = Decimal(1).scaleb(-ndigits)
+    return _round_to(value, Decimal(1).scaleb(-ndigits))
+
+
+def _round_to(value: float, quantum: Decimal) -> float:
     # repr() keeps the shortest decimal that round-trips, so a value
     # already on the grid stays put and the op is idempotent.
-    out = float(Decimal(repr(value)).quantize(q, rounding=ROUND_HALF_UP))
+    out = float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
     return out + 0.0  # normalise -0.0
 
 
 class _RoundedLine(dict):
     """word -> its rounded value on one channel line, filled on first use."""
 
+    __slots__ = ("offset", "resolution", "quantum")
+
     def __init__(self, line: tuple[str, float, float, int]):
         super().__init__()
-        self.line = line
+        _, self.offset, self.resolution, decimals = line
+        self.quantum = Decimal(1).scaleb(-decimals)  # round_half_away's, built once
 
     def __missing__(self, word: int) -> float:
-        _, offset, resolution, decimals = self.line
-        value = self[word] = round_half_away(offset + word * resolution, decimals)
+        value = _round_to(self.offset + word * self.resolution, self.quantum)
+        self[word] = value
         return value
 
 

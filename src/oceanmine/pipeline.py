@@ -1,11 +1,9 @@
 """End-to-end run: telemetry text in, per-region CSVs and a report out.
 
-Stages run strictly in order: parse, decode, segment, index, mine,
-compose.  Every artifact is computed in memory first and written only
-after the whole run has succeeded, so a failing run leaves no partial
-output tree behind.  All writes are plain ASCII with LF newlines and
-fully determined by the inputs; rerunning a config produces a
-byte-identical tree.
+Stages run strictly in order: parse and decode (one input file at a
+time), segment, then index, mine and compose region by region.  All
+writes are plain ASCII with LF newlines and fully determined by the
+inputs; rerunning a config produces a byte-identical tree.
 
 Output layout under the configured directory:
 
@@ -15,13 +13,26 @@ Output layout under the configured directory:
     confidence_<region>.csv  cumulative confidence of the top rule
     report.jsonl             one JSON record per region row
     report.txt               the same table, aligned for reading
+
+The output directory holds exactly one run's files, or is left as it
+was.  Each region's files are written as soon as the region is
+analysed, into a sibling staging directory `.<name>.oceanmine-staging`;
+the report files go last.  The staging directory then replaces the
+output directory: the old tree is renamed aside to `.<name>.oceanmine-old`
+and removed.  Before any work, the output directory and any leftover
+staging or aside directory must hold nothing but regular files with
+output names, so no path that oceanmine did not name is ever replaced
+or removed.  A failing run removes its staging directory.
 """
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import math
 import os
+import re
+import stat
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -38,7 +49,7 @@ from .errors import (
     NonTripleWordCount,
 )
 from .oscillation import IndexSample, band_of, compute_series
-from .regions import key_string, segment
+from .regions import RegionSegment, key_string, segment
 from .telemetry import HeaderFields, parse_file
 
 # Seconds values must stay below this to fit a timedelta.
@@ -152,11 +163,21 @@ def index_csv(samples: list[IndexSample]) -> str:
 
 def rules_csv(rules: list[ep.EpisodeRule], k: int) -> str:
     lines = ["antecedent,consequent,win_a_s,win_c_s,lag_s,support,confidence"]
+    # Episodes recur across rules, and rules come sorted by confidence
+    # (support over a count, never -0.0) with one mine_rules call's windows
+    # and lag: each value is formatted once per run of rules sharing it.
+    episodes = dict.fromkeys(e for r in rules for e in (r.antecedent, r.consequent))
+    label = {e: ep.episode_label(e, k) for e in episodes}
+    windows = spans = confidence = conf = None
     for r in rules:
+        if (r.win_a, r.win_c, r.lag) != windows:
+            windows = (r.win_a, r.win_c, r.lag)
+            spans = ",".join(_fmt17(w.total_seconds()) for w in windows)
+        if r.confidence != confidence:
+            confidence = r.confidence
+            conf = _fmt17(confidence)
         lines.append(
-            f"{ep.episode_label(r.antecedent, k)},{ep.episode_label(r.consequent, k)},"
-            f"{_fmt17(r.win_a.total_seconds())},{_fmt17(r.win_c.total_seconds())},"
-            f"{_fmt17(r.lag.total_seconds())},{r.support},{_fmt17(r.confidence)}"
+            f"{label[r.antecedent]},{label[r.consequent]},{spans},{r.support},{conf}"
         )
     return "\n".join(lines) + "\n"
 
@@ -168,16 +189,130 @@ def confidence_csv(curve: list[tuple[datetime, float]], rule_label: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+# --- the output tree -------------------------------------------------------
+
+# The names run() writes, and so the only names it replaces or removes.
+_OUTPUT_NAME = re.compile(
+    r"(?:records|rules|index|confidence)_.*\.csv|report\.(?:jsonl|txt)"
+)
+
+
+def _outputs_in(directory: Path) -> list[str] | None:
+    """The names in an output tree, or None when nothing is at directory.
+
+    Raises OSError unless directory is a directory, not a symlink, that
+    holds only regular files with output names: anything else is not
+    oceanmine's to replace or remove.
+    """
+    try:
+        mode = os.lstat(directory).st_mode
+    except FileNotFoundError:
+        return None
+    if stat.S_ISLNK(mode):
+        raise OSError(errno.ELOOP, "output directory is a symlink", str(directory))
+    if not stat.S_ISDIR(mode):
+        raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(directory))
+    names = []
+    with os.scandir(directory) as entries:
+        for entry in entries:
+            # A symlink could point outside the directory.
+            if not entry.is_file(follow_symlinks=False):
+                code = errno.EISDIR if entry.is_dir(follow_symlinks=False) else errno.EEXIST
+                raise OSError(code, os.strerror(code), entry.path)
+            if not _OUTPUT_NAME.fullmatch(entry.name):
+                raise OSError(errno.EEXIST, "not an oceanmine output", entry.path)
+            names.append(entry.name)
+    return names
+
+
+def _remove_tree(directory: Path) -> None:
+    """Remove an output tree, if there is one: its checked names, then itself."""
+    names = _outputs_in(directory)
+    if names is None:
+        return
+    for name in names:
+        os.unlink(directory / name)
+    os.rmdir(directory)
+
+
+def _swap(staging: Path, out_dir: Path, aside: Path) -> None:
+    """Put the staged tree in out_dir's place and remove the old tree."""
+    _remove_tree(aside)  # left by a killed run
+    had_old = _outputs_in(out_dir) is not None
+    if had_old:
+        os.rename(out_dir, aside)
+    try:
+        os.rename(staging, out_dir)
+    except OSError:
+        if had_old:
+            os.rename(aside, out_dir)
+        raise
+    _remove_tree(aside)
+
+
 # --- the run ---------------------------------------------------------------
+
+
+def _analyse(
+    seg: RegionSegment, config: PipelineConfig
+) -> tuple[
+    adv.RegionSummary,
+    list[IndexSample],
+    list[ep.EpisodeRule],
+    list[tuple[datetime, float]],
+]:
+    """One region's report row, index samples, rules and top-rule curve."""
+    row = adv.RegionSummary(
+        region=key_string(seg.key),
+        status=adv.STATUS_REJECTED,
+        sample_count=0,
+        skipped=len(seg.records),
+        first_seen=seg.records[0].observed_at,
+        last_seen=seg.records[-1].observed_at,
+    )
+    try:
+        series = compute_series(seg, config.pressure_floor)
+    except AllSamplesRejected:
+        return row, [], [], []
+    samples = series.samples
+    row.status = adv.STATUS_OK
+    row.sample_count = len(samples)
+    row.skipped = series.skipped
+    band = band_of([s.n_value for s in samples], config.window_len)
+    row.avg_min, row.avg_max = band.avg_min, band.avg_max
+    row.window_len = band.window_len
+    row.advisories = adv.detect_strong_waves(samples, band)
+
+    delta = timedelta(seconds=config.delta_s)
+    events = ep.build_events(samples, delta, config.k)
+    rules = ep.mine_rules(
+        events,
+        min_support=config.min_support,
+        max_len=config.max_len,
+        win_a=timedelta(seconds=config.win_a_s),
+        win_c=timedelta(seconds=config.win_c_s),
+        lag=config.lag,
+    )
+    curve: list[tuple[datetime, float]] = []
+    if rules:
+        top = rules[0]
+        row.top_rule = ep.rule_id(top, config.k)
+        row.top_confidence = top.confidence
+        curve = ep.confidence_series(events, top, delta)
+        row.advisories.extend(
+            adv.detect_fishing_zone(curve, config.theta, rule=row.top_rule)
+        )
+    return row, samples, rules, curve
 
 
 def run(config: PipelineConfig) -> RunResult:
     """Execute the full pipeline for one configuration.
 
     Raises ConfigError for bad parameters, OSError for unreadable
-    inputs, DataError subclasses (naming the failed stage in .stage) for
-    format and content failures.  Nothing is written unless the whole
-    run succeeds.
+    inputs or an output directory oceanmine may not replace, DataError
+    subclasses (naming the failed stage in .stage) for format and
+    content failures.  A failing run leaves the output directory as it
+    was.
     """
     config.validate()
 
@@ -190,110 +325,86 @@ def run(config: PipelineConfig) -> RunResult:
         if not Path(path).is_file():
             raise FileNotFoundError(f"input file not found: {path}")
 
-    blocks = []
+    # So must the output tree be replaceable, and any leftover of a killed run.
+    out_dir = Path(os.path.abspath(config.out_dir))  # "." has no name or sibling
+    if _outputs_in(out_dir) is not None and os.path.samefile(out_dir, os.curdir):
+        # renamed aside, it would leave the caller in a removed directory
+        raise OSError(errno.EBUSY, "cannot replace the working directory", str(out_dir))
+    staging = out_dir.with_name(f".{out_dir.name}.oceanmine-staging")
+    aside = out_dir.with_name(f".{out_dir.name}.oceanmine-old")
+    _outputs_in(staging)
+    _outputs_in(aside)
+
+    # Decode each file as soon as it is parsed: one file's words at a time.
+    decoded: list[tuple[HeaderFields, list[ProfileRecord]]] = []
+    block_count = rejected_blocks = 0
+    memo = decoder.DecodeMemo()  # this run's rounded words; records share its floats
     for path in config.inputs:
         try:
-            blocks.extend(parse_file(path))
+            blocks = parse_file(path)
         except DataError as e:
             e.stage = f"parse {path}"
             raise
-
-    decoded: list[tuple[HeaderFields, list[ProfileRecord]]] = []
-    rejected_blocks = 0
-    memo = decoder.DecodeMemo()  # this run's rounded words; records share its floats
-    for block in blocks:
-        try:
-            decoded.append((block.header, decoder.decode_block(block, cal, memo)))
-        except NonTripleWordCount:
-            rejected_blocks += 1
+        block_count += len(blocks)
+        for block in blocks:
+            try:
+                decoded.append((block.header, decoder.decode_block(block, cal, memo)))
+            except NonTripleWordCount:
+                rejected_blocks += 1
+        del blocks
+    del memo
     segments = segment(decoded, config.cell_size)
+    del decoded
     if not segments:
         raise DataError(
-            f"no decodable records in {len(blocks)} blocks "
+            f"no decodable records in {block_count} blocks "
             f"({rejected_blocks} rejected)",
             stage="decode",
         )
-    # Segmented: free the words and the memo before the outputs accumulate.
-    del blocks, decoded, memo
 
-    delta = timedelta(seconds=config.delta_s)
-    win_a = timedelta(seconds=config.win_a_s)
-    win_c = timedelta(seconds=config.win_c_s)
-    lag = config.lag
+    def write(name: str, text: str) -> None:
+        (staging / name).write_text(text, encoding="ascii", newline="")
 
-    # Serialize each region once analysed; write only after all succeed.
-    files: dict[str, str] = {}
-    summaries: list[adv.RegionSummary] = []
-    for seg in segments:
-        key_str = key_string(seg.key)
-        row = adv.RegionSummary(
-            region=key_str,
-            status=adv.STATUS_REJECTED,
-            sample_count=0,
-            skipped=len(seg.records),
-            first_seen=seg.records[0].observed_at,
-            last_seen=seg.records[-1].observed_at,
-        )
-        samples: list[IndexSample] = []
-        rules: list[ep.EpisodeRule] = []
-        curve: list[tuple[datetime, float]] = []
-        try:
-            series = compute_series(seg, config.pressure_floor)
-        except AllSamplesRejected:
-            pass
-        else:
-            samples = series.samples
-            row.status = adv.STATUS_OK
-            row.sample_count = len(samples)
-            row.skipped = series.skipped
-            band = band_of([s.n_value for s in samples], config.window_len)
-            row.avg_min, row.avg_max = band.avg_min, band.avg_max
-            row.window_len = band.window_len
-            row.advisories = adv.detect_strong_waves(samples, band)
+    # Parents of out_dir that this run creates, deepest first.
+    created = []
+    parent = out_dir.parent
+    while not os.path.lexists(parent):
+        created.append(parent)
+        parent = parent.parent
+    try:
+        _remove_tree(staging)  # left by a killed run
+        staging.mkdir(parents=True)
+        # Each region's files go to disk once it is analysed, the report last.
+        summaries: list[adv.RegionSummary] = []
+        for seg in segments:
+            row, samples, rules, curve = _analyse(seg, config)
+            summaries.append(row)
+            region = row.region
+            write(f"records_{region}.csv", records_csv(seg.records, region))
+            write(f"rules_{region}.csv", rules_csv(rules, config.k))
+            if config.write_plots:
+                write(f"index_{region}.csv", index_csv(samples))
+                write(f"confidence_{region}.csv", confidence_csv(curve, row.top_rule or ""))
 
-            events = ep.build_events(samples, delta, config.k)
-            rules = ep.mine_rules(
-                events,
-                min_support=config.min_support,
-                max_len=config.max_len,
-                win_a=win_a,
-                win_c=win_c,
-                lag=lag,
+        if all(row.status == adv.STATUS_REJECTED for row in summaries):
+            raise AllSamplesRejected(
+                "every region failed the pressure floor", stage="index"
             )
-            if rules:
-                top = rules[0]
-                row.top_rule = ep.rule_id(top, config.k)
-                row.top_confidence = top.confidence
-                curve = ep.confidence_series(events, top, delta)
-                row.advisories.extend(
-                    adv.detect_fishing_zone(curve, config.theta, rule=row.top_rule)
-                )
-        summaries.append(row)
-        files[f"records_{key_str}.csv"] = records_csv(seg.records, key_str)
-        files[f"rules_{key_str}.csv"] = rules_csv(rules, config.k)
-        if config.write_plots:
-            files[f"index_{key_str}.csv"] = index_csv(samples)
-            files[f"confidence_{key_str}.csv"] = confidence_csv(curve, row.top_rule or "")
 
-    if all(row.status == adv.STATUS_REJECTED for row in summaries):
-        raise AllSamplesRejected("every region failed the pressure floor", stage="index")
-
-    generated_at = max(seg.records[-1].observed_at for seg in segments)
-    report = adv.compose_report(summaries, generated_at)
-    files["report.jsonl"] = adv.report_jsonl(report)
-    files["report.txt"] = adv.report_text(report)
-
-    out_dir = Path(config.out_dir)
-    # A target that cannot be written as a file fails the run before any
-    # write; so does a symlink, which could point outside out_dir.
-    for name in files:
-        target = out_dir / name
-        if target.is_symlink() or (target.exists() and not target.is_file()):
-            code = errno.EISDIR if target.is_dir() else errno.EEXIST
-            raise OSError(code, os.strerror(code), str(target))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        (out_dir / name).write_text(text, encoding="ascii", newline="")
+        generated_at = max(seg.records[-1].observed_at for seg in segments)
+        report = adv.compose_report(summaries, generated_at)
+        write("report.jsonl", adv.report_jsonl(report))
+        write("report.txt", adv.report_text(report))
+        _swap(staging, out_dir, aside)
+    except BaseException:
+        # Everything here was named by this run; rmdir keeps a parent that
+        # someone else filled meanwhile.
+        with contextlib.suppress(OSError):
+            _remove_tree(staging)
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
 
     return RunResult(
         report=report,

@@ -168,9 +168,9 @@ class TestDecodeMemo:
 
     def test_each_word_rounds_once_per_memo(self, monkeypatch):
         calls = []
-        real = decoder.round_half_away
+        real = decoder._round_to
         monkeypatch.setattr(
-            decoder, "round_half_away", lambda v, d: calls.append(d) or real(v, d)
+            decoder, "_round_to", lambda v, q: calls.append(q) or real(v, q)
         )
         block = block_of([7, 8, 9, 7, 8, 9, 7, 8, 10])
         memo = DecodeMemo()
@@ -178,6 +178,17 @@ class TestDecodeMemo:
         assert len(calls) == 4
         assert decode_block(block, DEFAULT_CALIBRATION, memo) == first
         assert len(calls) == 4
+
+    @pytest.mark.parametrize("cal", [DEFAULT_CALIBRATION, OTHER_CALIBRATION])
+    def test_line_quantum_rounds_as_round_half_away(self, cal):
+        # each channel line builds its quantum once; the extremes of the
+        # word range must still round as round_half_away rounds them
+        memo = DecodeMemo()
+        for line in cal.lines():
+            _, offset, resolution, decimals = line
+            for word in (0, 0xFFFF):
+                want = round_half_away(offset + word * resolution, decimals)
+                assert memo[line][word] == want, (line, word)
 
     def test_one_memo_keeps_calibrations_apart(self):
         memo = DecodeMemo()

@@ -5,6 +5,7 @@ a morning deep profile and an afternoon shallow profile per day, plus
 one zero-pressure record that the index stage must skip.
 """
 
+import errno
 import hashlib
 import json
 import subprocess
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oceanmine import regions
+from oceanmine import pipeline, regions
 from oceanmine.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, main
 from oceanmine.decoder import ProfileRecord
 from oceanmine.errors import AllSamplesRejected, ConfigError, DataError
@@ -165,6 +166,18 @@ class TestRunOnSample:
         rules = (out / f"rules_{SAMPLE_REGION}.csv").read_text(encoding="ascii")
         assert len(rules.splitlines()) == 1 + 35
         assert rules.splitlines()[1] == "MID,LOW,0,0,14400,3,1"
+
+    def test_slotted_report_rows_render_unchanged(self, sample_path, tmp_path):
+        # the report types keep no per-instance __dict__; report.jsonl reads
+        # their dataclass fields and its bytes stay as before
+        out = tmp_path / "out"
+        result = run(config_for(sample_path, out))
+        (row,) = result.report.rows
+        for obj in (row, *row.advisories):
+            assert not hasattr(obj, "__dict__")
+        assert hashlib.sha256((out / "report.jsonl").read_bytes()).hexdigest() == (
+            "30c3677896c2f27dda0e09c8848ea4a74e1902918ed03ab41ff2873953457d2a"
+        )
 
     def test_rerun_is_byte_identical(self, sample_path, tmp_path):
         out_a = tmp_path / "a"
@@ -388,6 +401,189 @@ class TestFailureModes:
             }
             for a in row["advisories"]:
                 assert set(a) == {"kind", "at", "value", "threshold", "rule"}
+
+
+def two_region_stream():
+    """A live float and a float whose every record is at zero pressure."""
+    live = MessageBlock(
+        header=header("11111", 0.7, 76.5, datetime(2003, 1, 10, 12, 0, 0)),
+        words=words_for([(20.0, 35.0, 100.0), (19.0, 35.1, 150.0)]),
+    )
+    dead = MessageBlock(
+        header=header("09999", 10.5, -40.2, datetime(2003, 1, 10, 13, 0, 0)),
+        words=words_for([(20.0, 35.0, 0.0), (21.0, 35.2, 0.0)]),
+    )
+    return render_stream([live, dead])
+
+
+def snapshot(directory):
+    return {p.name: p.read_bytes() for p in Path(directory).iterdir()}
+
+
+def record_writes(monkeypatch, fail_at=None):
+    """Log every Path.write_text target; the fail_at-th call finds the disk full."""
+    written = []
+    write_text = Path.write_text
+
+    def recorded(path, *args, **kwargs):
+        written.append(path)
+        if len(written) == fail_at:
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", recorded)
+    return written
+
+
+def leftovers(out):
+    """The staging and aside directories oceanmine names next to out."""
+    return [
+        p
+        for p in (
+            out.with_name(f".{out.name}.oceanmine-staging"),
+            out.with_name(f".{out.name}.oceanmine-old"),
+        )
+        if p.exists()
+    ]
+
+
+class TestOutputTree:
+    """The output directory ends as exactly one run's files, or as it was."""
+
+    def test_stale_rerun_leaves_exactly_this_runs_files(self, sample_path, tmp_path):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        run(config_for(sample_path, out, cell_size=0.01))
+        assert len(snapshot(out)) == 26  # six regions, none of them the default's
+        run(config_for(sample_path, out))
+        run(config_for(sample_path, fresh))
+        assert snapshot(out) == snapshot(fresh)
+        assert len(snapshot(out)) == 6
+        assert leftovers(out) == []
+
+    def test_failed_write_leaves_earlier_tree(self, sample_path, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        run(config_for(sample_path, out))
+        before = snapshot(out)
+        written = record_writes(monkeypatch, fail_at=3)
+        with pytest.raises(OSError) as info:
+            run(config_for(sample_path, out, cell_size=0.5, k=5))
+        assert info.value.errno == errno.ENOSPC
+        assert len(written) == 3
+        assert snapshot(out) == before
+        assert leftovers(out) == []
+
+    def test_foreign_file_is_refused(self, sample_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("mine\n", encoding="ascii")
+        (out / "report.txt").write_text("old\n", encoding="ascii")
+        before = snapshot(out)
+        assert main([str(sample_path), "--out-dir", str(out)]) == EXIT_IO
+        assert "notes.txt" in capsys.readouterr().err
+        assert snapshot(out) == before
+        assert leftovers(out) == []
+
+    @pytest.mark.parametrize("holding", [[], ["report.txt"]])
+    def test_symlinked_out_dir_is_refused(self, sample_path, tmp_path, capsys, holding):
+        target = tmp_path / "target"
+        target.mkdir()
+        for name in holding:
+            (target / name).write_text("old\n", encoding="ascii")
+        out = tmp_path / "out"
+        out.symlink_to(target)
+        assert main([str(sample_path), "--out-dir", str(out)]) == EXIT_IO
+        assert "symlink" in capsys.readouterr().err
+        assert out.is_symlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "target"]
+        assert snapshot(target) == {name: b"old\n" for name in holding}
+
+    def test_out_dir_that_is_a_file_is_refused(self, sample_path, tmp_path):
+        out = tmp_path / "out"
+        out.write_text("keep\n", encoding="ascii")
+        with pytest.raises(NotADirectoryError):
+            run(config_for(sample_path, out))
+        assert out.read_text(encoding="ascii") == "keep\n"
+        assert leftovers(out) == []
+
+    def test_working_directory_is_not_replaced(self, sample_path, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        monkeypatch.chdir(out)
+        for spelling in (".", str(out)):
+            with pytest.raises(OSError, match="working directory"):
+                run(config_for(sample_path, spelling))
+        assert list(out.iterdir()) == []
+        assert leftovers(out) == []
+
+    @pytest.mark.parametrize("suffix", ["staging", "old"])
+    def test_leftover_of_a_killed_run_is_removed(self, sample_path, tmp_path, suffix):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        leftover = tmp_path / f".out.oceanmine-{suffix}"
+        leftover.mkdir()
+        for name in ("records_x.csv", "report.jsonl"):
+            (leftover / name).write_text("partial\n", encoding="ascii")
+        run(config_for(sample_path, out))
+        run(config_for(sample_path, fresh))
+        assert leftovers(out) == []
+        assert snapshot(out) == snapshot(fresh)
+
+    @pytest.mark.parametrize("suffix", ["staging", "old"])
+    def test_leftover_with_foreign_name_is_refused(self, sample_path, tmp_path, suffix):
+        out = tmp_path / "out"
+        leftover = tmp_path / f".out.oceanmine-{suffix}"
+        leftover.mkdir()
+        (leftover / "notes.txt").write_text("mine\n", encoding="ascii")
+        with pytest.raises(OSError):
+            run(config_for(sample_path, out))
+        assert not out.exists()
+        assert snapshot(leftover) == {"notes.txt": b"mine\n"}
+
+    def test_every_region_rejected_removes_staging(
+        self, sample_path, tmp_path, monkeypatch
+    ):
+        # The run fails after its region files were staged, in place of a
+        # leftover staging directory; neither the output nor the staging
+        # directory is left.
+        out = tmp_path / "out"
+        staging = tmp_path / ".out.oceanmine-staging"
+        staging.mkdir()
+        written = record_writes(monkeypatch)
+        with pytest.raises(AllSamplesRejected):
+            run(config_for(sample_path, out, pressure_floor=1e6))
+        assert [p.parent for p in written] == [staging] * 4
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_parents_removed_after_failure(self, sample_path, tmp_path):
+        out = tmp_path / "a" / "b" / "out"
+        with pytest.raises(AllSamplesRejected):
+            run(config_for(sample_path, out, pressure_floor=1e6))
+        assert list(tmp_path.iterdir()) == []
+        run(config_for(sample_path, out))
+        assert len(snapshot(out)) == 6
+        assert leftovers(out) == []
+
+    def test_each_region_is_written_once_analysed(self, tmp_path, monkeypatch):
+        src = tmp_path / "two_floats.txt"
+        src.write_text(two_region_stream(), encoding="ascii")
+        written = record_writes(monkeypatch)
+        calls = []
+        compute_series = pipeline.compute_series
+
+        def recorded_series(seg, floor):
+            calls.append((len(written), regions.key_string(seg.key)))
+            return compute_series(seg, floor)
+
+        monkeypatch.setattr(pipeline, "compute_series", recorded_series)
+        run(config_for(src, tmp_path / "out"))
+        names = [p.name for p in written]
+        # region 1's records are on disk before region 2 is indexed
+        (_, first), (writes_before_second, second) = calls
+        assert (first, second) == ("09999_10_-41", "11111_0_76")
+        assert f"records_{first}.csv" in names[:writes_before_second]
+        assert f"records_{second}.csv" not in names[:writes_before_second]
+        # the report follows every region file
+        assert len(names) == 10
+        assert names[-2:] == ["report.jsonl", "report.txt"]
 
 
 class TestCli:
