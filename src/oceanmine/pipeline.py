@@ -23,6 +23,15 @@ and removed.  Before any work, the output directory and any leftover
 staging or aside directory must hold nothing but regular files with
 output names, so no path that oceanmine did not name is ever replaced
 or removed.  A failing run removes its staging directory.
+
+Creating a file costs the kernel far more than filling one, and two
+processes creating files in one directory take as long as one.  So
+while the regions are analysed, a forked helper creates the run's
+files in the staging directory, empty and in writing order; a write
+fills the file in place, or creates it when the helper is behind.
+The helper never writes, and it is killed and reaped before the
+staging directory is renamed or removed, so the tree depends on the
+writes alone.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ import errno
 import math
 import os
 import re
+import signal
 import stat
 import sys
 from dataclasses import dataclass
@@ -191,6 +201,15 @@ def confidence_csv(curve: list[tuple[datetime, float]], rule_label: str) -> str:
 
 # --- the output tree -------------------------------------------------------
 
+_REPORT_FILES = ("report.jsonl", "report.txt")
+
+
+def _region_files(region: str, write_plots: bool) -> list[str]:
+    """The names run() writes for one region, in writing order."""
+    kinds = ["records", "rules"] + (["index", "confidence"] if write_plots else [])
+    return [f"{kind}_{region}.csv" for kind in kinds]
+
+
 # The names run() writes, and so the only names it replaces or removes.
 _OUTPUT_NAME = re.compile(
     r"(?:records|rules|index|confidence)_.*\.csv|report\.(?:jsonl|txt)"
@@ -248,6 +267,69 @@ def _swap(staging: Path, out_dir: Path, aside: Path) -> None:
             os.rename(aside, out_dir)
         raise
     _remove_tree(aside)
+
+
+# --- creating the files ahead of the writes -------------------------------
+
+
+def _single_threaded() -> bool:
+    """Whether this process has one thread, counted as os.fork counts them."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        import threading
+
+        return threading.active_count() == 1
+
+
+def _create_empty(directory: Path, names: list[str], parent: int) -> None:
+    """Create each name in directory as an empty file, unless it exists.
+
+    Never truncates or writes, so a file the parent has written keeps
+    its text.  Stops once the parent, whose pid is parent, has exited.
+    """
+    dir_fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        for name in names:
+            if os.getppid() != parent:
+                return
+            flags = os.O_WRONLY | os.O_CREAT | os.O_NOFOLLOW
+            os.close(os.open(name, flags, 0o666, dir_fd=dir_fd))
+    finally:
+        os.close(dir_fd)
+
+
+def _start_creating(directory: Path, names: list[str]) -> int | None:
+    """Fork a helper that creates names in directory; its pid, or None.
+
+    No helper is started where os.fork is missing or fails, while other
+    threads run, which a fork could deadlock, or while SIGCHLD is
+    ignored, which reaps children before they can be killed and waited for.
+    """
+    if (
+        not hasattr(os, "fork")
+        or signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN
+        or not _single_threaded()
+    ):
+        return None
+    parent = os.getpid()
+    try:
+        pid = os.fork()
+    except OSError:
+        return None
+    if pid == 0:
+        try:
+            _create_empty(directory, names, parent)
+        finally:
+            os._exit(0)
+    return pid
+
+
+def _stop(helper: int | None) -> None:
+    """Kill and reap the helper, so that it creates nothing more."""
+    if helper is not None:
+        os.kill(helper, signal.SIGKILL)
+        os.waitpid(helper, 0)
 
 
 # --- the run ---------------------------------------------------------------
@@ -361,6 +443,12 @@ def run(config: PipelineConfig) -> RunResult:
             f"({rejected_blocks} rejected)",
             stage="decode",
         )
+    names = [
+        name
+        for seg in segments
+        for name in _region_files(key_string(seg.key), config.write_plots)
+    ]
+    names += _REPORT_FILES
 
     def write(name: str, text: str) -> None:
         (staging / name).write_text(text, encoding="ascii", newline="")
@@ -374,27 +462,31 @@ def run(config: PipelineConfig) -> RunResult:
     try:
         _remove_tree(staging)  # left by a killed run
         staging.mkdir(parents=True)
-        # Each region's files go to disk once it is analysed, the report last.
-        summaries: list[adv.RegionSummary] = []
-        for seg in segments:
-            row, samples, rules, curve = _analyse(seg, config)
-            summaries.append(row)
-            region = row.region
-            write(f"records_{region}.csv", records_csv(seg.records, region))
-            write(f"rules_{region}.csv", rules_csv(rules, config.k))
-            if config.write_plots:
-                write(f"index_{region}.csv", index_csv(samples))
-                write(f"confidence_{region}.csv", confidence_csv(curve, row.top_rule or ""))
+        helper = _start_creating(staging, names)
+        try:
+            # Each region's files go to disk once it is analysed, the report last.
+            summaries: list[adv.RegionSummary] = []
+            for seg in segments:
+                row, samples, rules, curve = _analyse(seg, config)
+                summaries.append(row)
+                files = _region_files(row.region, config.write_plots)
+                write(files[0], records_csv(seg.records, row.region))
+                write(files[1], rules_csv(rules, config.k))
+                if config.write_plots:
+                    write(files[2], index_csv(samples))
+                    write(files[3], confidence_csv(curve, row.top_rule or ""))
 
-        if all(row.status == adv.STATUS_REJECTED for row in summaries):
-            raise AllSamplesRejected(
-                "every region failed the pressure floor", stage="index"
-            )
+            if all(row.status == adv.STATUS_REJECTED for row in summaries):
+                raise AllSamplesRejected(
+                    "every region failed the pressure floor", stage="index"
+                )
 
-        generated_at = max(seg.records[-1].observed_at for seg in segments)
-        report = adv.compose_report(summaries, generated_at)
-        write("report.jsonl", adv.report_jsonl(report))
-        write("report.txt", adv.report_text(report))
+            generated_at = max(seg.records[-1].observed_at for seg in segments)
+            report = adv.compose_report(summaries, generated_at)
+            for name, render in zip(_REPORT_FILES, (adv.report_jsonl, adv.report_text)):
+                write(name, render(report))
+        finally:
+            _stop(helper)
         _swap(staging, out_dir, aside)
     except BaseException:
         # Everything here was named by this run; rmdir keeps a parent that

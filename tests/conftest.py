@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import os
 from pathlib import Path
+
+# numpy (a test oracle only) would otherwise start a BLAS thread pool when
+# first imported, and run() starts no output-file helper in a process with
+# other threads; one BLAS thread keeps the in-process runs forking it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import pytest
 

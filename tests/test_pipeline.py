@@ -8,9 +8,13 @@ one zero-pressure record that the index stage must skip.
 import errno
 import hashlib
 import json
+import os
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from datetime import datetime
 from pathlib import Path
 
@@ -435,6 +439,29 @@ def record_writes(monkeypatch, fail_at=None):
     return written
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the helpers run() forks; os.fork itself still runs."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def assert_nothing_left(out):
+    """No helper outlives the run, and no staging directory is left."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not out.with_name(f".{out.name}.oceanmine-staging").exists()
+
+
 def leftovers(out):
     """The staging and aside directories oceanmine names next to out."""
     return [
@@ -460,7 +487,9 @@ class TestOutputTree:
         assert len(snapshot(out)) == 6
         assert leftovers(out) == []
 
-    def test_failed_write_leaves_earlier_tree(self, sample_path, tmp_path, monkeypatch):
+    def test_failed_write_leaves_earlier_tree(
+        self, sample_path, tmp_path, monkeypatch, forks
+    ):
         out = tmp_path / "out"
         run(config_for(sample_path, out))
         before = snapshot(out)
@@ -471,6 +500,8 @@ class TestOutputTree:
         assert len(written) == 3
         assert snapshot(out) == before
         assert leftovers(out) == []
+        assert len(forks) == 2
+        assert_nothing_left(out)
 
     def test_foreign_file_is_refused(self, sample_path, tmp_path, capsys):
         out = tmp_path / "out"
@@ -539,7 +570,7 @@ class TestOutputTree:
         assert snapshot(leftover) == {"notes.txt": b"mine\n"}
 
     def test_every_region_rejected_removes_staging(
-        self, sample_path, tmp_path, monkeypatch
+        self, sample_path, tmp_path, monkeypatch, forks
     ):
         # The run fails after its region files were staged, in place of a
         # leftover staging directory; neither the output nor the staging
@@ -552,6 +583,8 @@ class TestOutputTree:
             run(config_for(sample_path, out, pressure_floor=1e6))
         assert [p.parent for p in written] == [staging] * 4
         assert list(tmp_path.iterdir()) == []
+        assert len(forks) == 1
+        assert_nothing_left(out)
 
     def test_missing_parents_removed_after_failure(self, sample_path, tmp_path):
         out = tmp_path / "a" / "b" / "out"
@@ -584,6 +617,150 @@ class TestOutputTree:
         # the report follows every region file
         assert len(names) == 10
         assert names[-2:] == ["report.jsonl", "report.txt"]
+
+
+SAMPLE_DIGEST = "1103e97faf436de1c5f97ec815035428e247eba3a77e2bb9e50f3bd01fd03119"
+
+
+class TestCreateAhead:
+    """A forked helper creates the run's files early; only the writes fill them."""
+
+    @pytest.mark.parametrize(
+        "kw",
+        [{}, {"write_plots": False}, {"cell_size": 0.01}],
+        ids=["default", "no-plots", "cell-0.01"],
+    )
+    def test_helper_creates_the_written_names_in_order(
+        self, sample_path, tmp_path, monkeypatch, kw
+    ):
+        started = []
+        start = pipeline._start_creating
+
+        def recorded(directory, names):
+            started.append(list(names))
+            return start(directory, names)
+
+        monkeypatch.setattr(pipeline, "_start_creating", recorded)
+        written = record_writes(monkeypatch)
+        out = tmp_path / "out"
+        run(config_for(sample_path, out, **kw))
+        [names] = started
+        assert names == [p.name for p in written]
+        assert sorted(names) == sorted(snapshot(out))
+
+    def test_successful_run_reaps_its_helper(self, sample_path, tmp_path, forks):
+        out = tmp_path / "out"
+        run(config_for(sample_path, out))
+        assert len(forks) == 1
+        assert_nothing_left(out)
+        assert tree_digest(out) == SAMPLE_DIGEST
+
+    def test_helper_only_creates(self, tmp_path):
+        (tmp_path / "report.txt").write_text("written\n", encoding="ascii")
+        pipeline._create_empty(tmp_path, ["records_x.csv", "report.txt"], os.getppid())
+        assert snapshot(tmp_path) == {"records_x.csv": b"", "report.txt": b"written\n"}
+
+    def test_helper_stops_once_its_parent_is_gone(self, tmp_path):
+        # this process is not its own parent, as an orphaned helper's is not
+        pipeline._create_empty(tmp_path, ["records_x.csv"], os.getpid())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_stuck_helper_is_killed(self, sample_path, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(pipeline, "_create_empty", lambda *args: time.sleep(60))
+        out = tmp_path / "out"
+        started = time.monotonic()
+        run(config_for(sample_path, out))
+        assert time.monotonic() - started < 30
+        assert len(forks) == 1
+        assert_nothing_left(out)
+        assert tree_digest(out) == SAMPLE_DIGEST
+
+    @pytest.mark.parametrize("fork", ["failing", "missing"])
+    def test_without_a_helper_the_tree_is_the_same(
+        self, sample_path, tmp_path, monkeypatch, fork
+    ):
+        if fork == "missing":
+            monkeypatch.delattr(os, "fork")
+        else:
+
+            def failing():
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+            monkeypatch.setattr(os, "fork", failing)
+        out = tmp_path / "out"
+        run(config_for(sample_path, out))
+        assert tree_digest(out) == SAMPLE_DIGEST
+        assert_nothing_left(out)
+
+    def test_no_helper_while_another_thread_runs(self, sample_path, tmp_path, forks):
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            run(config_for(sample_path, tmp_path / "out"))
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        assert tree_digest(tmp_path / "out") == SAMPLE_DIGEST
+
+    def test_no_helper_while_sigchld_is_ignored(self, sample_path, tmp_path, forks):
+        # the kernel would reap a helper before the run could kill it
+        handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            run(config_for(sample_path, tmp_path / "out"))
+        finally:
+            signal.signal(signal.SIGCHLD, handler)
+        assert forks == []
+        assert tree_digest(tmp_path / "out") == SAMPLE_DIGEST
+
+    def test_thread_running_under_warnings_as_errors(self, sample_path, tmp_path):
+        # Python 3.12 and later warn when a process with threads forks.
+        script = (
+            "import sys, threading\n"
+            "from oceanmine.cli import main\n"
+            "stop = threading.Event()\n"
+            "thread = threading.Thread(target=stop.wait)\n"
+            "thread.start()\n"
+            "try:\n"
+            "    code = main(sys.argv[1:])\n"
+            "finally:\n"
+            "    stop.set()\n"
+            "    thread.join(timeout=10)\n"
+            "sys.exit(code)\n"
+        )
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script, str(sample_path),
+             "--out-dir", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stderr == ""
+        assert tree_digest(out) == SAMPLE_DIGEST
+
+    def test_interrupt_mid_loop_leaves_nothing(self, tmp_path, monkeypatch, forks):
+        src = tmp_path / "two_floats.txt"
+        src.write_text(two_region_stream(), encoding="ascii")
+        calls = []
+        compute_series = pipeline.compute_series
+
+        def interrupted(seg, floor):
+            calls.append(seg)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return compute_series(seg, floor)
+
+        monkeypatch.setattr(pipeline, "compute_series", interrupted)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            run(config_for(src, out))
+        assert len(forks) == 1
+        assert_nothing_left(out)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["two_floats.txt"]
 
 
 class TestCli:
@@ -859,7 +1036,7 @@ class TestGoldenOutput:
     @pytest.mark.parametrize(
         "flags, digest",
         [
-            ([], "1103e97faf436de1c5f97ec815035428e247eba3a77e2bb9e50f3bd01fd03119"),
+            ([], SAMPLE_DIGEST),
             (
                 ["--k", "5", "--max-len", "3", "--win-a", "7200", "--win-c", "3600"],
                 "52d02b26e8e9deec65addd4bab71e38c0edd9f90c98b104ee3e01cb1b50c7a2c",
