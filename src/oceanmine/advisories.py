@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Sequence
+from typing import Sequence, TextIO
 
 from .oscillation import IndexBand, IndexSample
 
@@ -149,13 +149,11 @@ def _json_field(obj: object) -> object:
     return {name: getattr(obj, name) for name in obj.__dataclass_fields__}
 
 
-def report_jsonl(table: ReportTable) -> str:
-    """Machine rendering: a head record, then one record per region row."""
+def report_jsonl(table: ReportTable, out: TextIO) -> None:
+    """Machine rendering, written to out a record at a time: a head, then each row."""
     head = {"generated_at": table.generated_at, "regions": len(table.rows)}
-    return "".join(
-        json.dumps(record, sort_keys=True, default=_json_field) + "\n"
-        for record in [head, *table.rows]
-    )
+    for record in [head, *table.rows]:
+        out.write(json.dumps(record, sort_keys=True, default=_json_field) + "\n")
 
 
 def _num(value: float | None) -> str:

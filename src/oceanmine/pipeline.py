@@ -1,7 +1,7 @@
 """End-to-end run: telemetry text in, per-region CSVs and a report out.
 
 Stages run strictly in order: parse and decode (one input file at a
-time), segment, then index, mine and compose region by region.  All
+time) into segment, then index, mine and compose region by region.  All
 writes are plain ASCII with LF newlines and fully determined by the
 inputs; rerunning a config produces a byte-identical tree.
 
@@ -47,6 +47,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
+from typing import Iterator
 
 from . import advisories as adv
 from . import decoder
@@ -417,26 +418,28 @@ def run(config: PipelineConfig) -> RunResult:
     _outputs_in(staging)
     _outputs_in(aside)
 
-    # Decode each file as soon as it is parsed: one file's words at a time.
-    decoded: list[tuple[HeaderFields, list[ProfileRecord]]] = []
+    # Decode each file as it is parsed, into segment: one file's blocks at a time.
     block_count = rejected_blocks = 0
     memo = decoder.DecodeMemo()  # this run's rounded words; records share its floats
-    for path in config.inputs:
-        try:
-            blocks = parse_file(path)
-        except DataError as e:
-            e.stage = f"parse {path}"
-            raise
-        block_count += len(blocks)
-        for block in blocks:
+
+    def decoded() -> Iterator[tuple[HeaderFields, list[ProfileRecord]]]:
+        nonlocal block_count, rejected_blocks
+        for path in config.inputs:
             try:
-                decoded.append((block.header, decoder.decode_block(block, cal, memo)))
-            except NonTripleWordCount:
-                rejected_blocks += 1
-        del blocks
+                blocks = parse_file(path)
+            except DataError as e:
+                e.stage = f"parse {path}"
+                raise
+            block_count += len(blocks)
+            for block in blocks:
+                try:
+                    yield block.header, decoder.decode_block(block, cal, memo)
+                except NonTripleWordCount:
+                    rejected_blocks += 1
+            del blocks, block
+
+    segments = segment(decoded(), config.cell_size)
     del memo
-    segments = segment(decoded, config.cell_size)
-    del decoded
     if not segments:
         raise DataError(
             f"no decodable records in {block_count} blocks "
@@ -483,8 +486,10 @@ def run(config: PipelineConfig) -> RunResult:
 
             generated_at = max(seg.records[-1].observed_at for seg in segments)
             report = adv.compose_report(summaries, generated_at)
-            for name, render in zip(_REPORT_FILES, (adv.report_jsonl, adv.report_text)):
-                write(name, render(report))
+            jsonl = staging / _REPORT_FILES[0]
+            with jsonl.open("w", encoding="ascii", newline="") as f:
+                adv.report_jsonl(report, f)
+            write(_REPORT_FILES[1], adv.report_text(report))
         finally:
             _stop(helper)
         _swap(staging, out_dir, aside)

@@ -51,17 +51,21 @@ def segment(
 ) -> list[RegionSegment]:
     """Partition decoded (header, records) blocks by the header's region.
 
-    The header is gridded once per block.  Every input record lands in
-    exactly one segment; a block without records adds no region.
-    Within a segment records are sorted by (observed_at, level); ties
-    keep input order.  Segments come out sorted by key.
+    blocks may be a one-shot iterator: it is read once, and no header
+    is held after its block.  The header is gridded once per block.
+    Every input record lands in exactly one segment; a block without
+    records adds no region.  Within a segment records are sorted in
+    place by (observed_at, level); ties keep input order.  Segments
+    come out sorted by key.
     """
     by_key: dict[RegionKey, list[ProfileRecord]] = {}
     for header, records in blocks:
         if records:
             by_key.setdefault(region_key_of(header, cell_size), []).extend(records)
+        del header  # not held while blocks reads its next input
     segments = []
     for key in sorted(by_key):
-        records = sorted(by_key[key], key=lambda r: (r.observed_at, r.level))
+        records = by_key[key]
+        records.sort(key=lambda r: (r.observed_at, r.level))
         segments.append(RegionSegment(key=key, records=records))
     return segments

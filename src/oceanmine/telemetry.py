@@ -12,20 +12,20 @@ a data error naming that line.  Three kinds of line occur:
 
 Header token layout (left to right):
 
-  pos  field            form                  example
-  ---  ---------------  --------------------  -------------
-  1    platform_id      5 decimal digits      02602
-  2    message_id       decimal digits        2902102
-  3    field_a          integer               65
-  4    field_b          integer               32
-  5    class_code       single uppercase      K
-  6    pass_count       integer               2
-  7    date             YYYY-MM-DD            2003-01-10
-  8    time             HH:MM:SS[.ffffff]     11:50:18.0
-  9    latitude         decimal degrees       0.691
-  10   longitude        decimal degrees       76.559
-  11   altitude_or_zero decimal               0.000
-  12   transmitter_id   opaque token          401647210
+  pos  field            form                       example
+  ---  ---------------  -------------------------  -------------
+  1    platform_id      5 decimal digits           02602
+  2    message_id       decimal digits             2902102
+  3    field_a          integer, no "_"            65
+  4    field_b          integer, no "_"            32
+  5    class_code       single uppercase           K
+  6    pass_count       integer                    2
+  7    date             YYYY-MM-DD                 2003-01-10
+  8    time             HH:MM:SS[.ffffff]          11:50:18.0
+  9    latitude         decimal degrees, no "_"    0.691
+  10   longitude        decimal degrees, no "_"    76.559
+  11   altitude_or_zero finite decimal, no "_"     0.000
+  12   transmitter_id   opaque token               401647210
 
 Dates and times are ASCII digits in exactly the layout shown; the
 time may carry 1 to 6 fractional-second digits.  A field out of the
@@ -49,6 +49,7 @@ first token that is not two hex digits is named only when that fails.
 
 from __future__ import annotations
 
+import math
 import re
 import struct
 from dataclasses import dataclass, field
@@ -153,7 +154,9 @@ def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
     if not message_id.isdigit():
         raise MalformedHeader(f"bad message id {' '.join(mid[:-2])!r}", line=line_no)
 
-    try:
+    try:  # int() and float() would also read "6_5" as 65
+        if "_" in mid[-2] + mid[-1]:
+            raise ValueError
         field_a = int(mid[-2])
         field_b = int(mid[-1])
     except ValueError:
@@ -169,6 +172,8 @@ def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
     observed_at = _parse_timestamp(date_tok, time_tok, line_no)
 
     try:
+        if "_" in lat_tok + lon_tok + alt_tok:
+            raise ValueError
         latitude = float(lat_tok)
         longitude = float(lon_tok)
         altitude = float(alt_tok)
@@ -180,6 +185,8 @@ def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
         raise MalformedHeader(f"latitude {latitude} out of [-90, 90]", line=line_no)
     if not -180.0 <= longitude <= 180.0:
         raise MalformedHeader(f"longitude {longitude} out of [-180, 180]", line=line_no)
+    if not math.isfinite(altitude):
+        raise MalformedHeader(f"altitude {altitude} is not finite", line=line_no)
 
     return HeaderFields(
         platform_id=platform_id,

@@ -1,3 +1,4 @@
+import io
 import json
 import random
 from datetime import timedelta
@@ -21,6 +22,13 @@ from oceanmine.oscillation import IndexBand, IndexSample, band_of
 
 from helpers import config_with
 from oracles import at
+
+
+def jsonl_lines(table):
+    """report_jsonl's records, as written to a text stream."""
+    out = io.StringIO()
+    report_jsonl(table, out)
+    return out.getvalue().splitlines()
 
 
 def series_of(values, spacing_s=60.0):
@@ -173,7 +181,7 @@ class TestReport:
             [summary("a_0_0", advisories=adv), summary("b_0_0")],
             generated_at=at(300),
         )
-        lines = report_jsonl(table).splitlines()
+        lines = jsonl_lines(table)
         head = json.loads(lines[0])
         assert head == {"generated_at": at(300).isoformat(), "regions": 2}
         rows = [json.loads(line) for line in lines[1:]]
@@ -189,7 +197,7 @@ class TestReport:
             Advisory(KIND_FISHING_ZONE, at(20), 0.9, 0.8, rule="LOW=>HIGH"),
         ]
         table = compose_report([summary("r_0_0", advisories=adv)], generated_at=at(99))
-        for line in report_jsonl(table).splitlines()[1:]:
+        for line in jsonl_lines(table)[1:]:
             for a in json.loads(line)["advisories"]:
                 if a["kind"] == "strong_wave":
                     assert a["value"] != a["threshold"]
@@ -240,6 +248,6 @@ class TestReport:
 
     def test_empty_report_renders(self):
         table = compose_report([], generated_at=at(0))
-        assert report_jsonl(table).splitlines()[0]
+        assert jsonl_lines(table)[0]
         assert report_text(table).splitlines()[1].startswith("region")
 

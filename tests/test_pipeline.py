@@ -9,12 +9,15 @@ import errno
 import hashlib
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
 import tempfile
 import threading
 import time
+import tracemalloc
+import weakref
 from datetime import datetime
 from pathlib import Path
 
@@ -22,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oceanmine import pipeline, regions
+from oceanmine import advisories, pipeline, regions
 from oceanmine.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, main
 from oceanmine.decoder import ProfileRecord
 from oceanmine.errors import AllSamplesRejected, ConfigError, DataError
@@ -271,11 +274,18 @@ class TestFailureModes:
             Path(sample_path).read_text(encoding="ascii") + "aa bb zz\n",
             encoding="ascii",
         )
-        out = tmp_path / "out"
-        with pytest.raises(DataError) as info:
-            run(config_for(bad, out))
-        assert "parse" in getattr(info.value, "stage", "")
-        assert not out.exists()
+        old = tmp_path / "old"
+        run(config_for(sample_path, old))
+        before = snapshot(old)
+        # After a good input, the bad one fails while segment reads the blocks.
+        for inputs in ([bad], [Path(sample_path), bad]):
+            for out in (tmp_path / "fresh", old):
+                with pytest.raises(DataError) as info:
+                    run(PipelineConfig(inputs=inputs, out_dir=out))
+                assert info.value.stage == f"parse {bad}"
+                assert leftovers(out) == []
+            assert not (tmp_path / "fresh").exists()
+            assert snapshot(old) == before
 
     def test_invalid_config_rejected_early(self, sample_path, tmp_path):
         out = tmp_path / "out"
@@ -425,17 +435,28 @@ def snapshot(directory):
 
 
 def record_writes(monkeypatch, fail_at=None):
-    """Log every Path.write_text target; the fail_at-th call finds the disk full."""
+    """Log every written file: each Path.write_text target, and the stream
+    report.jsonl is written to.  The fail_at-th write finds the disk full.
+    """
     written = []
     write_text = Path.write_text
+    report_jsonl = advisories.report_jsonl
 
-    def recorded(path, *args, **kwargs):
+    def logged(path):
         written.append(path)
         if len(written) == fail_at:
             raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+    def recorded(path, *args, **kwargs):
+        logged(path)
         return write_text(path, *args, **kwargs)
 
+    def streamed(table, out):
+        logged(Path(out.name))
+        return report_jsonl(table, out)
+
     monkeypatch.setattr(Path, "write_text", recorded)
+    monkeypatch.setattr(advisories, "report_jsonl", streamed)
     return written
 
 
@@ -761,6 +782,76 @@ class TestCreateAhead:
         assert len(forks) == 1
         assert_nothing_left(out)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["two_floats.txt"]
+
+
+def many_region_stream(floats=120):
+    """Two days of profiles, one every six hours, from each of many floats."""
+    rng = random.Random(floats)
+    blocks = []
+    for i in range(floats):
+        for hour in range(0, 48, 6):
+            triples = [
+                (rng.uniform(10, 25), rng.uniform(34, 36), 50.0 * level)
+                for level in range(1, 4)
+            ]
+            blocks.append(
+                MessageBlock(
+                    header=header(f"{10000 + i}", 0.5, 76.5, at(hour * 3600)),
+                    words=words_for(triples),
+                )
+            )
+    return render_stream(blocks)
+
+
+class TestHeldMemory:
+    """A run holds one input file's blocks, and one report row, at a time."""
+
+    def test_report_jsonl_is_not_held_whole(self, tmp_path, monkeypatch):
+        src = tmp_path / "fleet.txt"
+        src.write_text(many_region_stream(), encoding="ascii")
+        report_jsonl = advisories.report_jsonl
+        heap = {}
+
+        def measured(*args):
+            tracemalloc.reset_peak()
+            heap["before"] = tracemalloc.get_traced_memory()[0]
+            result = report_jsonl(*args)
+            heap["peak"] = tracemalloc.get_traced_memory()[1]
+            return result
+
+        monkeypatch.setattr(advisories, "report_jsonl", measured)
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            result = run(config_for(src, out))
+        finally:
+            tracemalloc.stop()
+        assert result.region_count >= 100
+        size = (out / "report.jsonl").stat().st_size
+        assert heap["peak"] - heap["before"] < size / 2
+
+    def test_first_input_is_dropped_before_the_second_is_parsed(
+        self, sample_path, tmp_path, monkeypatch
+    ):
+        second = tmp_path / "two_floats.txt"
+        second.write_text(two_region_stream(), encoding="ascii")
+        refs = []
+        alive_on_entry = []
+
+        def probed(path):
+            alive_on_entry.append(
+                sorted({type(ref()).__name__ for ref in refs if ref() is not None})
+            )
+            blocks = parse_file(path)
+            refs.extend(weakref.ref(obj) for b in blocks for obj in (b, b.header))
+            return blocks
+
+        monkeypatch.setattr(pipeline, "parse_file", probed)
+        result = run(
+            PipelineConfig(inputs=[Path(sample_path), second], out_dir=tmp_path / "out")
+        )
+        assert result.region_count == 3
+        assert alive_on_entry == [[], []]
 
 
 class TestCli:

@@ -87,6 +87,31 @@ class TestParseHeader:
         h = parse_header(SECOND_HEADER.replace("14:34:18", "14:34:18.5"))
         assert h.observed_at.microsecond == 500_000
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (" 73 ", " 7_3 "),  # field_a
+            (" 32 ", " 3_2 "),  # field_b
+            ("0.706", "0_0.706"),  # latitude
+            ("76.542", "7_6.542"),  # longitude
+            ("0.000", "0.0_00"),  # altitude
+            ("0.000", "nan"),
+            ("0.000", "inf"),
+            ("0.000", "-Infinity"),
+        ],
+    )
+    def test_numbers_int_and_float_would_misread(self, old, new):
+        # int("7_3") == 73 and float("nan") parse, but neither is a header number
+        bad = SECOND_HEADER.replace(old, new, 1)
+        assert bad != SECOND_HEADER
+        with pytest.raises(MalformedHeader, match="line 7"):
+            parse_header(bad, line_no=7)
+
+    def test_numbers_rejected_in_a_stream_at_their_line(self):
+        text = f"{SPLIT_ID_HEADER}\n{SECOND_HEADER.replace(' 73 ', ' 7_3 ')}\n"
+        with pytest.raises(MalformedHeader, match="line 2"):
+            parse_stream(text)
+
 
 # (date token, time token, the header's timestamp or the error text)
 TIMESTAMP_TABLE = [
