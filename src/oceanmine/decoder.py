@@ -152,9 +152,9 @@ def load_calibration(path: str | Path) -> CalibrationTable:
     Lines are "key = value" and end at LF, CR or CRLF, as in dumps;
     blank lines and '#' comments are ignored.
     Missing keys keep their defaults.  A file that is not ASCII,
-    unknown keys, unparseable or non-finite values, non-positive
-    resolutions, and a channel whose decoded range cannot be rounded
-    to its precision raise ConfigError.
+    unknown keys, unparseable values (a "_" in a number included),
+    non-finite values, non-positive resolutions, and a channel whose
+    decoded range cannot be rounded to its precision raise ConfigError.
     """
     known = {f.name for f in fields(CalibrationTable)}
     values: dict[str, float] = {}
@@ -173,7 +173,9 @@ def load_calibration(path: str | Path) -> CalibrationTable:
         key = key.strip()
         if key not in known:
             raise ConfigError(f"{path}:{line_no}: unknown calibration key {key!r}")
-        try:
+        try:  # float() would also read "-5_0" as -50.0
+            if "_" in val:
+                raise ValueError
             values[key] = float(val.strip())
         except ValueError:
             raise ConfigError(

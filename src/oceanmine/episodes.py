@@ -14,32 +14,33 @@ after the antecedent's last sample but no later than lag after it.
 Support counts events (binary per event), confidence divides support
 by the number of events containing the antecedent at all.
 
-Every count is read from one occurrence table: for an episode and a
-window, one greedy scan per event gives its feasible start times, and
-the same scan over the reversed event gives its feasible end times
-(the minimal-occurrence idea of Mannila, Toivonen & Verkamo, 1997).
-Episode counts are the events with a non-empty list, and the search
-keeps each frequent episode's start lists (a vertical id-list, as in
-Zaki's SPADE, 2001).  A rule holds in an event when some antecedent
-end and consequent start are lag-paired.
-The cumulative confidence curve scans each event once and walks the
-grid with running antecedent and rule counts.
+Every count is read from one occurrence table per event, built once
+and kept on the event: each symbol's item positions (Zaki's SPADE
+id-lists, 2001) and each item's distinct-timestamp slot.  Episodes grow
+by bisecting the next symbol's positions.  A rule holds in an event iff
+the slots within lag after an antecedent end meet the consequent's
+start slots, tested on bitmasks (as in SPAM, Ayres et al., 2002).  The
+cumulative confidence curve reads the same tables.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ConfigError
 from .oscillation import IndexSample
 
 Episode = tuple[int, ...]
+Match = tuple[int, int]  # a greedy match's start and end item positions
+Table = tuple[list[int], list[int], dict[int, list[int]]]  # see Event.table
 
+_US = timedelta(microseconds=1)
 _EPOCH = datetime(1970, 1, 1)
 
 # Class labels for the default three-way split; other alphabets fall
@@ -60,6 +61,20 @@ class Event:
     @property
     def end(self) -> datetime:
         return self.items[-1][0]
+
+    @cached_property
+    def table(self) -> Table:
+        """Each item's slot (its time's rank among the distinct times),
+        each slot's time in microseconds after the start, and each
+        symbol's item positions, from one walk of the items."""
+        slots, ticks, where, prev = [], [], {}, None
+        for i, (ts, sym) in enumerate(self.items):
+            if ts != prev:
+                ticks.append((ts - self.start) // _US)
+                prev = ts
+            slots.append(len(ticks) - 1)
+            where.setdefault(sym, []).append(i)
+        return slots, ticks, where
 
 
 @dataclass(frozen=True)
@@ -156,52 +171,66 @@ def build_events(series: Sequence[IndexSample], delta: timedelta, k: int) -> lis
 # --- occurrence table ------------------------------------------------------
 
 
-def _feasible_starts(
-    items: Sequence[tuple[datetime, int]], episode: Episode, window: timedelta
-) -> list[datetime]:
-    """Times at which an occurrence of episode can begin, span <= window.
+def _extend(table: Table, matches: list[Match], sym: int, window: int) -> list[Match]:
+    """Greedy matches of an episode plus sym, from the episode's own.
 
-    For a fixed start, matching each later symbol as early as possible
-    minimises the span, so a start is feasible iff the greedy match
-    fits the window.  Once a greedy match runs out of items, no later
-    start can complete either.  Run over reversed items and a reversed
-    episode, the same scan yields feasible ends, latest first; the span
-    is an absolute difference so the test holds in both directions.
+    Taking each symbol as early as possible minimises the span.  Ends
+    rise with starts, so once no sym follows a match, none follows later.
     """
-    n = len(items)
-    out = []
-    for i in range(n - len(episode) + 1):
-        if items[i][1] != episode[0]:
-            continue
-        j = i
-        for sym in episode[1:]:
-            j += 1
-            while j < n and items[j][1] != sym:
-                j += 1
-            if j >= n:
-                return out
-        if abs(items[j][0] - items[i][0]) <= window:
-            out.append(items[i][0])
+    slots, ticks, where = table
+    nxt, out, j = where.get(sym, []), [], 0
+    for p, q in matches:
+        j = bisect_right(nxt, q, j)
+        if j == len(nxt):
+            break
+        if ticks[slots[nxt[j]]] - ticks[slots[p]] <= window:
+            out.append((p, nxt[j]))
     return out
 
 
-def _occurrences(
-    events: Sequence[Event], episode: Episode, window: timedelta, ends: bool = False
-) -> list[list[datetime]]:
-    """One scan per event: the episode's feasible start (or end) times, ascending."""
-    if not ends:
-        return [_feasible_starts(ev.items, episode, window) for ev in events]
-    back = episode[::-1]
-    return [_feasible_starts(ev.items[::-1], back, window)[::-1] for ev in events]
+def _matches(table: Table, episode: Episode, window: int) -> list[Match]:
+    """Greedy matches of episode within window, one per feasible start
+    slot: a later start in a slot spans no less than the slot's first."""
+    slots, _, where = table
+    matches: list[Match] = []
+    for p in where.get(episode[0], []):
+        if not matches or slots[matches[-1][0]] != slots[p]:
+            matches.append((p, p))
+    for sym in episode[1:]:
+        matches = _extend(table, matches, sym, window)
+    return matches
 
 
-def _lag_paired(ends: list[datetime], starts: list[datetime], lag: timedelta) -> bool:
-    """Whether some end e and start s satisfy e < s <= e + lag (ends ascending)."""
-    for s in starts:
-        i = bisect_left(ends, s)
-        if i and s - ends[i - 1] <= lag:
-            return True
-    return False
+def _end_slots(table: Table, prefix: list[Match] | None, sym: int, window: int) -> list[int]:
+    """Slots, ascending, of the feasible ends of prefix + (sym,).
+
+    prefix holds the prefix's matches, or is None if it is empty.  An
+    end is feasible iff the latest prefix match ending before it starts
+    within window of it.
+    """
+    slots, ticks, where = table
+    out: list[int] = []
+    i, p = 0, -1
+    for q in where.get(sym, []):
+        if prefix is None:
+            p = q
+        else:
+            while i < len(prefix) and prefix[i][1] < q:
+                p = prefix[i][0]
+                i += 1
+        t = slots[q]
+        if p >= 0 and (not out or out[-1] != t) and ticks[t] - ticks[slots[p]] <= window:
+            out.append(t)
+    return out
+
+
+def _reach(ticks: list[int], ends: list[int], lag: int) -> int:
+    """Bitmask of the slots timed in (t, t + lag] for some end slot's
+    time t; int ticks keep t + lag exact, where a datetime overflows."""
+    reach = 0
+    for e in ends:
+        reach |= (1 << bisect_right(ticks, ticks[e] + lag)) - (2 << e)
+    return reach
 
 
 # --- mining ----------------------------------------------------------------
@@ -212,38 +241,36 @@ def frequent_episodes(
     min_support: int,
     max_len: int,
     window: timedelta,
-    singles: dict[Episode, list[list[datetime]]] | None = None,
-) -> dict[Episode, list[list[datetime]]]:
+    singles: dict[Episode, list[list[Match]]] | None = None,
+) -> dict[Episode, list[list[Match]]]:
     """Level-wise enumeration of episodes with event count >= min_support.
 
-    Maps each frequent episode to its feasible starts per event; its
-    count is the number of non-empty lists.  A single symbol spans 0, so
-    it fits any window and is counted in one pass over each event's
-    symbol set; for the same reason its starts do not depend on the
-    window, and singles, when given, are the length-1 entries of an
-    earlier call on the same events and min_support, reused as they are.
-    Length-n candidates extend frequent length-(n-1) episodes by one
-    frequent symbol, in sorted order: an event holding an episode holds
-    each of its symbols and, with the same occurrence, its prefix, so
-    nothing frequent is missed.  The search stops at the first empty
+    Maps each frequent episode to its matches per event (see _matches);
+    its count is the number of non-empty lists.  A single symbol spans
+    0, so its matches do not depend on the window: singles come from one
+    pass over the tables or, when given, from an earlier call on the
+    same events and min_support.  Length-n candidates extend frequent
+    length-(n-1) episodes by one frequent symbol, in sorted order: an
+    event holding an episode holds each of its symbols and, with the
+    same occurrence, its prefix.  The search stops at the first empty
     level.
     """
+    tables = [ev.table for ev in events]
     if singles is None:
-        counts = Counter(s for ev in events for s in {sym for _, sym in ev.items})
+        counts = Counter(sym for table in tables for sym in table[2])
         frequent = sorted(sym for sym, count in counts.items() if count >= min_support)
-        singles = {(sym,): _occurrences(events, (sym,), window) for sym in frequent}
+        singles = {(sym,): [_matches(t, (sym,), 0) for t in tables] for sym in frequent}
+    span = window // _US
     alphabet = [sym for (sym,) in singles]
-    freq = dict(singles)
-    level = list(freq)
+    freq, level = dict(singles), list(singles)
     while level and len(level[0]) < max_len:
         nxt: list[Episode] = []
         for ep in level:
             for s in alphabet:
-                cand = ep + (s,)
-                starts = _occurrences(events, cand, window)
-                if sum(1 for st in starts if st) >= min_support:
-                    freq[cand] = starts
-                    nxt.append(cand)
+                matches = [m and _extend(t, m, s, span) for t, m in zip(tables, freq[ep])]
+                if sum(1 for m in matches if m) >= min_support:
+                    freq[ep + (s,)] = matches
+                    nxt.append(ep + (s,))
         level = nxt
     return freq
 
@@ -258,52 +285,52 @@ def mine_rules(
 ) -> list[EpisodeRule]:
     """Mine every rule with support >= min_support, deterministically.
 
-    A rule's support never exceeds the event count of either side, so
-    candidate pairs come from the frequent episode sets, which hold the
-    consequent starts; each antecedent's ends are scanned once, and
-    every pair is scored from those lists.  Output is sorted by
+    A rule's support never exceeds either side's event count, so
+    candidate pairs come from the frequent sets.  One int packs each
+    consequent's start masks (matches have distinct start slots) or
+    antecedent's reach masks, with each event in whole bytes: a bit per
+    slot and a guard bit above, which adding `low` to a pair's AND
+    carries into iff the event holds the rule.  Output is sorted by
     confidence desc, support desc, then lexicographically.
     """
     freq_a = frequent_episodes(events, min_support, max_len, win_a)
-    if win_c == win_a:
-        freq_c = freq_a
-    else:
-        singles = {ep: starts for ep, starts in freq_a.items() if len(ep) == 1}
-        freq_c = frequent_episodes(events, min_support, max_len, win_c, singles)
-    rules: list[EpisodeRule] = []
-    for antecedent, ant_starts in freq_a.items():
-        n_ant = sum(1 for st in ant_starts if st)
-        ends = _occurrences(events, antecedent, win_a, ends=True)
-        for consequent, starts in freq_c.items():
-            sup = sum(1 for e, s in zip(ends, starts) if _lag_paired(e, s, lag))
-            if sup < min_support:
-                continue
-            rules.append(
-                EpisodeRule(
-                    antecedent=antecedent,
-                    consequent=consequent,
-                    win_a=win_a,
-                    win_c=win_c,
-                    lag=lag,
-                    support=sup,
-                    confidence=sup / n_ant,
-                )
-            )
-    rules.sort(
-        key=lambda r: (-r.confidence, -r.support, r.antecedent, r.consequent)
+    singles = {ep: m for ep, m in freq_a.items() if len(ep) == 1}
+    freq_c = freq_a if win_c == win_a else frequent_episodes(
+        events, min_support, max_len, win_c, singles
     )
+    tables = [ev.table for ev in events]
+    sizes = [len(ticks) // 8 + 1 for _, ticks, _ in tables]
+
+    def pack(masks: Iterable[int]) -> int:
+        fields = b"".join(m.to_bytes(n, "little") for m, n in zip(masks, sizes))
+        return int.from_bytes(fields, "little")
+
+    low = pack((1 << len(ticks)) - 1 for _, ticks, _ in tables)
+    guard = pack(1 << len(ticks) for _, ticks, _ in tables)
+    starts = {
+        ep: pack(sum(1 << t[0][p] for p, _ in m) for t, m in zip(tables, matches))
+        for ep, matches in freq_c.items()
+    }
+    span, reach_us = win_a // _US, lag // _US
+    rules: list[EpisodeRule] = []
+    for antecedent, matches in freq_a.items():
+        n_ant = sum(1 for m in matches if m)
+        prefixes = freq_a.get(antecedent[:-1], [None] * len(tables))
+        reach = pack(
+            _reach(t[1], _end_slots(t, pre, antecedent[-1], span), reach_us)
+            for t, pre in zip(tables, prefixes)
+        )
+        for consequent, start in starts.items():
+            sup = (((reach & start) + low) & guard).bit_count()
+            if sup >= min_support:
+                rules.append(EpisodeRule(
+                    antecedent, consequent, win_a, win_c, lag, sup, sup / n_ant
+                ))
+    rules.sort(key=lambda r: (-r.confidence, -r.support, r.antecedent, r.consequent))
     return rules
 
 
 # --- cumulative confidence -------------------------------------------------
-
-
-def _to_epoch(ts: datetime) -> float:
-    return (ts - _EPOCH).total_seconds()
-
-
-def _from_epoch(seconds: float) -> datetime:
-    return _EPOCH + timedelta(seconds=seconds)
 
 
 def confidence_series(
@@ -315,12 +342,11 @@ def confidence_series(
 
     Grid points are whole multiples of step covering the events' span;
     the value at each point is the rule's confidence over only the
-    events that have started by then.  Each event's antecedent ends and
-    consequent starts are scanned once, giving whether it holds the
-    antecedent and whether it holds the rule; the events are then sorted
-    by start and the grid is walked with running counts, so each point
-    is the same integer ratio a recomputation over the prefix would
-    give.  Points before the first event carry 0.
+    events that have started by then.  Each event's table gives whether
+    it holds the antecedent and whether it holds the rule; the events
+    are then sorted by start and the grid is walked with running
+    counts, so each point is the same integer ratio a recomputation
+    over the prefix would give.  Points before the first event carry 0.
 
     A mined rule has support >= 1, so events is never empty.  The step
     (delta, in the pipeline) is positive: at delta 0 an event holds one
@@ -328,19 +354,21 @@ def confidence_series(
     rule is mined.  A valid but huge step that puts grid points outside
     the calendar raises ConfigError.
     """
-    ends = _occurrences(events, rule.antecedent, rule.win_a, ends=True)
-    starts = _occurrences(events, rule.consequent, rule.win_c)
-    table = sorted(
-        (ev.start, bool(e), _lag_paired(e, s, rule.lag))
-        for ev, e, s in zip(events, ends, starts)
-    )
-    span_lo = table[0][0]
-    span_hi = max(ev.end for ev in events)
+    ant = rule.antecedent
+    win_a, win_c, lag = rule.win_a // _US, rule.win_c // _US, rule.lag // _US
+    held = []
+    for ev in events:
+        slots, ticks, _ = t = ev.table
+        pre = _matches(t, ant[:-1], win_a) if len(ant) > 1 else None
+        ends = _end_slots(t, pre, ant[-1], win_a)
+        start = sum(1 << slots[p] for p, _ in _matches(t, rule.consequent, win_c))
+        held.append((ev.start, bool(ends), (_reach(ticks, ends, lag) & start) != 0))
+    table = sorted(held)
     step_s = step.total_seconds()
-    n0 = math.floor(_to_epoch(span_lo) / step_s)
-    n1 = math.ceil(_to_epoch(span_hi) / step_s)
+    n0 = math.floor((table[0][0] - _EPOCH).total_seconds() / step_s)
+    n1 = math.ceil((max(ev.end for ev in events) - _EPOCH).total_seconds() / step_s)
     try:
-        grid = [_from_epoch(n * step_s) for n in range(n0, n1 + 1)]
+        grid = [_EPOCH + timedelta(seconds=n * step_s) for n in range(n0, n1 + 1)]
     except OverflowError:
         raise ConfigError(f"step {step} puts grid points outside the calendar") from None
     curve = []

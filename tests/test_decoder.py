@@ -220,6 +220,14 @@ class TestLoadCalibration:
         with pytest.raises(ConfigError):
             load_calibration(path)
 
+    @pytest.mark.parametrize("value", ["-5_0", "1_000.5", "2.5e1_0", "0.2_"])
+    def test_underscore_in_value(self, tmp_path, value):
+        # float() reads "-5_0" as -50.0; a calibration number is taken as written
+        path = tmp_path / "cal.txt"
+        path.write_text(f"# calibration\ntemp_offset = {value}\n")
+        with pytest.raises(ConfigError, match=f"cal.txt:2: bad value for temp_offset: '{value}'"):
+            load_calibration(path)
+
     def test_non_positive_resolution(self, tmp_path):
         path = tmp_path / "cal.txt"
         path.write_text("sal_resolution = 0\n")

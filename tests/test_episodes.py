@@ -38,6 +38,28 @@ def ev(*pairs):
     return Event(items=tuple((at(t), s) for t, s in pairs))
 
 
+class Walked(tuple):
+    """Event items that count full walks, and reads of any item but the
+    first and last (which give an event's start and end)."""
+
+    def __new__(cls, items):
+        self = super().__new__(cls, items)
+        self.walks = self.reads = 0
+        return self
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+    def __getitem__(self, key):
+        self.reads += key not in (0, -1)
+        return super().__getitem__(key)
+
+
+def walked(*pairs):
+    return Event(items=Walked((at(t), s) for t, s in pairs))
+
+
 def series_of(values, spacing_s=1.0, start_s=0.0):
     return [
         IndexSample(at(start_s + i * spacing_s), float(v))
@@ -319,48 +341,22 @@ class TestMineRules:
             with pytest.raises(ConfigError):
                 config_with(**{field: -1.0}).validate()
 
-    def test_scans_independent_of_alphabet_size(self, monkeypatch):
-        calls = [0]
-        scan = episodes._feasible_starts
-
-        def counted(*args):
-            calls[0] += 1
-            return scan(*args)
-
-        monkeypatch.setattr(episodes, "_feasible_starts", counted)
-        found = []
-        for rare in (1, 300):
-            # A then B in every event, plus `rare` symbols seen in one event only
-            events = [
-                ev((1000 * d, A), (1000 * d + 1, B),
-                   *((1000 * d + 2 + j, 3 + d * rare + j) for j in range(rare)))
-                for d in range(30)
-            ]
-            calls[0] = 0
-            freq = frequent_episodes(events, 2, 3, timedelta(seconds=1))
-            counts = {e: sum(1 for s in starts if s) for e, starts in freq.items()}
-            found.append((counts, calls[0]))
-        assert found[0] == found[1]
-        assert found[0][0] == {(A,): 30, (B,): 30, (A, B): 30}
-
     @pytest.mark.parametrize("win_a_s, win_c_s", [(1, 1), (2, 1)])
-    def test_each_occurrence_list_scanned_once(self, monkeypatch, win_a_s, win_c_s):
-        scanned = []
-        scan = episodes._occurrences
-
-        def recorded(events, episode, window, ends=False):
-            scanned.append((episode, window, ends))
-            return scan(events, episode, window, ends)
-
-        monkeypatch.setattr(episodes, "_occurrences", recorded)
-        mine_rules(EVENTS_ABC, min_support=1, max_len=2,
-                   win_a=timedelta(seconds=win_a_s),
-                   win_c=timedelta(seconds=win_c_s), lag=LAG2)
-        assert any(len(epi) == 2 and not ends for epi, _, ends in scanned)
-        assert len(scanned) == len(set(scanned))
-        # a single symbol spans 0, so its starts are scanned for one window only
-        singles = [epi for epi, _, ends in scanned if len(epi) == 1 and not ends]
-        assert sorted(singles) == [(A,), (B,), (C,)]
+    def test_each_event_walked_once(self, win_a_s, win_c_s):
+        # A then B in every event, tied and not, plus symbols seen in one
+        # event only; the rare ones must not cost a walk either
+        events = [
+            walked((10 * d, A), (10 * d, B), (10 * d + 1, A),
+                   *((10 * d + 1, 3 + 4 * d + j) for j in range(d % 4)), (10 * d + 2, B))
+            for d in range(30)
+        ]
+        rules = mine_rules(events, min_support=2, max_len=3,
+                           win_a=timedelta(seconds=win_a_s),
+                           win_c=timedelta(seconds=win_c_s), lag=LAG2)
+        assert {(r.antecedent, r.consequent) for r in rules} >= {((A, B), (B,))}
+        for rule in (rules[0], rules[-1]):
+            confidence_series(events, rule, timedelta(seconds=1))
+        assert [(e.items.walks, e.items.reads) for e in events] == [(1, 0)] * 30
 
     def test_lag_near_longest_duration(self):
         rules = mine_rules(EVENTS_ABC, min_support=1, max_len=1,
@@ -375,6 +371,50 @@ class TestMineRules:
         for r in rules:
             assert 1 <= r.support <= len(EVENTS_ABC)
             assert 0.0 <= r.confidence <= 1.0
+
+
+GAP = timedelta(hours=6)  # between the profiles of one event
+DURATIONS = [Z, GAP, timedelta.max]
+
+
+def profile_events(rng):
+    """Events of one to three profiles GAP apart, whose levels share a timestamp."""
+    events, t = [], 0
+    for _ in range(rng.randint(1, 4)):
+        items = []
+        for _ in range(rng.randint(1, 3)):
+            items += [(at(t), rng.randrange(3)) for _ in range(rng.randint(1, 4))]
+            t += GAP.total_seconds()
+        events.append(Event(items=tuple(items)))
+        t += 100 * GAP.total_seconds()
+    return events
+
+
+class TestProfileShapedEvents:
+    """Events whose timestamps each hold several items, as a profile's
+    levels do, at windows and lags of 0, the profile gap and the longest
+    duration.  The brute-force oracle adds the lag to a timestamp, which
+    overflows at timedelta.max; any lag of at least an event's span
+    gives the same answer, so it is given the span of the longest event."""
+
+    def test_matches_brute_force(self):
+        rng = random.Random(2002)
+        for _ in range(60):
+            events = profile_events(rng)
+            win_a, win_c, lag = (rng.choice(DURATIONS) for _ in range(3))
+            params = dict(min_support=rng.randint(1, 2), max_len=rng.randint(1, 2),
+                          win_a=win_a, win_c=win_c, lag=lag)
+            brute_lag = min(lag, max(e.end - e.start for e in events))
+            got = [
+                (r.antecedent, r.consequent, r.support, r.confidence)
+                for r in mine_rules(events, **params)
+            ]
+            assert got == oracles.mine_rules_brute(events, **dict(params, lag=brute_lag))
+            for ant, cons in [((A,), (B,)), ((B, A), (A,)), ((A,), (C, A)), ((C, C), (B, B))]:
+                rule = EpisodeRule(ant, cons, win_a, win_c, lag, 0, 0.0)
+                last = confidence_series(events, rule, GAP)[-1][1]
+                want = oracles.confidence_brute(events, ant, cons, win_a, win_c, brute_lag)
+                assert last == want, (ant, cons)
 
 
 class TestConfidenceSeries:
@@ -429,24 +469,15 @@ class TestConfidenceSeries:
             checked += 1
         assert checked >= 5
 
-    def test_scans_independent_of_grid_points(self, monkeypatch):
-        events = [ev((10 * d, A), (10 * d + 1, B), (10 * d + 2, A)) for d in range(30)]
+    def test_scans_independent_of_grid_points(self):
+        events = [walked((10 * d, A), (10 * d + 1, B), (10 * d + 2, A)) for d in range(30)]
         rule = EpisodeRule((A,), (B,), Z, Z, LAG2, 1, 1.0)
-        calls = [0]
-        scan = episodes._feasible_starts
-
-        def counted(*args):
-            calls[0] += 1
-            return scan(*args)
-
-        monkeypatch.setattr(episodes, "_feasible_starts", counted)
-        scans = []
-        for step_s in (100, 10, 1):
-            calls[0] = 0
-            curve = confidence_series(events, rule, timedelta(seconds=step_s))
-            scans.append((len(curve), calls[0]))
-        assert scans[-1][0] >= 290  # one point per second over the span
-        assert all(n <= 2 * len(events) for _, n in scans)
+        points = [
+            len(confidence_series(events, rule, timedelta(seconds=step_s)))
+            for step_s in (100, 10, 1)
+        ]
+        assert points[-1] >= 290  # one point per second over the span
+        assert [(e.items.walks, e.items.reads) for e in events] == [(1, 0)] * 30
 
     def test_step_past_calendar_rejected(self):
         rule = EpisodeRule((A,), (B,), Z, Z, LAG2, 1, 0.5)
