@@ -13,17 +13,16 @@ Each advisory carries the value and the threshold it was judged
 against, so a report reader can re-check the trigger without access
 to the original telemetry.
 
-The dataclasses are the report schema: each report.jsonl row holds
-exactly the fields of a RegionSummary, and each of its advisories
-the fields of an Advisory.
+The records are the report schema: each report.jsonl row holds
+exactly RegionSummary._fields, and each of its advisories
+Advisory._fields.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Sequence, TextIO
+from typing import NamedTuple, Sequence, TextIO
 
 from .oscillation import IndexBand, IndexSample
 
@@ -31,8 +30,7 @@ KIND_STRONG_WAVE = "strong_wave"
 KIND_FISHING_ZONE = "fishing_zone"
 
 
-@dataclass(frozen=True, slots=True)
-class Advisory:
+class Advisory(NamedTuple):
     kind: str
     at: datetime
     value: float
@@ -68,9 +66,7 @@ def detect_strong_waves(
 
 
 def detect_fishing_zone(
-    curve: Sequence[tuple[datetime, float]],
-    theta: float,
-    rule: str | None = None,
+    curve: Sequence[tuple[datetime, float]], theta: float, rule: str
 ) -> list[Advisory]:
     """Flag every curve point attaining the global peak, if it clears theta.
 
@@ -101,8 +97,7 @@ STATUS_OK = "ok"
 STATUS_REJECTED = "all-samples-rejected"
 
 
-@dataclass(slots=True)
-class RegionSummary:
+class RegionSummary(NamedTuple):
     """Everything the report needs to say about one region.
 
     The band fields stay None for a region whose samples were all
@@ -120,11 +115,10 @@ class RegionSummary:
     window_len: int | None = None
     top_rule: str | None = None
     top_confidence: float | None = None
-    advisories: list[Advisory] = field(default_factory=list)
+    advisories: Sequence[Advisory] = ()
 
 
-@dataclass
-class ReportTable:
+class ReportTable(NamedTuple):
     generated_at: datetime
     rows: list[RegionSummary]
 
@@ -133,27 +127,28 @@ def compose_report(
     summaries: Sequence[RegionSummary], generated_at: datetime
 ) -> ReportTable:
     """Assemble region summaries into a report, sorted by region."""
-    rows = sorted(summaries, key=lambda r: r.region)
-    for row in rows:
-        row.advisories = sorted(
-            row.advisories, key=lambda a: (a.at, a.kind, a.rule or "")
+    rows = [
+        row._replace(
+            advisories=sorted(row.advisories, key=lambda a: (a.at, a.kind, a.rule or ""))
         )
+        for row in sorted(summaries, key=lambda r: r.region)
+    ]
     return ReportTable(generated_at=generated_at, rows=rows)
 
 
-def _json_field(obj: object) -> object:
-    # json.dumps calls this for what it cannot encode itself: datetimes
-    # become ISO text, RegionSummary and Advisory (slotted) their fields.
-    if isinstance(obj, datetime):
-        return obj.isoformat()
-    return {name: getattr(obj, name) for name in obj.__dataclass_fields__}
-
-
 def report_jsonl(table: ReportTable, out: TextIO) -> None:
-    """Machine rendering, written to out a record at a time: a head, then each row."""
+    """Machine rendering, written to out a record at a time: a head, then each row.
+
+    json writes a tuple as an array, so each row and advisory goes in
+    as the dict of its fields; datetimes become ISO text.
+    """
+    encode = json.JSONEncoder(sort_keys=True, default=datetime.isoformat).encode
     head = {"generated_at": table.generated_at, "regions": len(table.rows)}
-    for record in [head, *table.rows]:
-        out.write(json.dumps(record, sort_keys=True, default=_json_field) + "\n")
+    out.write(encode(head) + "\n")
+    for row in table.rows:
+        record = row._asdict()
+        record["advisories"] = [a._asdict() for a in row.advisories]
+        out.write(encode(record) + "\n")
 
 
 def _num(value: float | None) -> str:

@@ -28,19 +28,18 @@ rounded once per run and nothing is shared between runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from datetime import datetime
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError, NonTripleWordCount
-from .telemetry import LINE_RE, MessageBlock
+from .telemetry import LINE_RE, MessageBlock, read_number
 
 _WORD_MAX = 0xFFFF
 
 
-@dataclass(frozen=True)
-class CalibrationTable:
+class CalibrationTable(NamedTuple):
     """Linear count-to-unit mapping for the three channels."""
 
     temp_offset: float = -5.0
@@ -62,8 +61,7 @@ class CalibrationTable:
 DEFAULT_CALIBRATION = CalibrationTable()
 
 
-@dataclass(slots=True)
-class ProfileRecord:
+class ProfileRecord(NamedTuple):
     """One decoded depth level of one message block."""
 
     observed_at: datetime
@@ -110,9 +108,7 @@ class DecodeMemo(dict):
 
 
 def decode_block(
-    block: MessageBlock,
-    cal: CalibrationTable = DEFAULT_CALIBRATION,
-    memo: DecodeMemo | None = None,
+    block: MessageBlock, cal: CalibrationTable, memo: DecodeMemo
 ) -> list[ProfileRecord]:
     """Decode a block's words into per-level records.
 
@@ -125,7 +121,7 @@ def decode_block(
 
     The rounded values come from memo, keyed by the whole channel line,
     so one memo serves any calibration exactly; pass the same memo for
-    every block of a run.  Without one, the block fills a fresh memo.
+    every block of a run.
     """
     words = block.words
     if len(words) % 3:
@@ -133,8 +129,6 @@ def decode_block(
             f"block has {len(words)} words, not a multiple of 3",
             span=block.source_line_span,
         )
-    if memo is None:
-        memo = DecodeMemo()
     observed_at = block.block_time or block.header.observed_at
     temperature, salinity, pressure = (
         list(map(memo[line].__getitem__, words[i::3]))
@@ -156,7 +150,6 @@ def load_calibration(path: str | Path) -> CalibrationTable:
     non-finite values, non-positive resolutions, and a channel whose
     decoded range cannot be rounded to its precision raise ConfigError.
     """
-    known = {f.name for f in fields(CalibrationTable)}
     values: dict[str, float] = {}
     try:
         text = Path(path).read_text(encoding="ascii")
@@ -171,12 +164,10 @@ def load_calibration(path: str | Path) -> CalibrationTable:
             raise ConfigError(f"{path}:{line_no}: expected key = value, got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in known:
+        if key not in CalibrationTable._fields:
             raise ConfigError(f"{path}:{line_no}: unknown calibration key {key!r}")
-        try:  # float() would also read "-5_0" as -50.0
-            if "_" in val:
-                raise ValueError
-            values[key] = float(val.strip())
+        try:
+            values[key] = read_number(val.strip(), float)
         except ValueError:
             raise ConfigError(
                 f"{path}:{line_no}: bad value for {key}: {val.strip()!r}"

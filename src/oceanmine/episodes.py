@@ -28,10 +28,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConfigError
 from .oscillation import IndexSample
@@ -48,11 +47,11 @@ _EPOCH = datetime(1970, 1, 1)
 _K3_LABELS = ("LOW", "MID", "HIGH")
 
 
-@dataclass(frozen=True)
 class Event:
     """A maximal run of samples with bounded inter-sample gaps."""
 
-    items: tuple[tuple[datetime, int], ...]
+    def __init__(self, items: tuple[tuple[datetime, int], ...]):
+        self.items = items
 
     @property
     def start(self) -> datetime:
@@ -77,8 +76,7 @@ class Event:
         return slots, ticks, where
 
 
-@dataclass(frozen=True)
-class EpisodeRule:
+class EpisodeRule(NamedTuple):
     antecedent: Episode
     consequent: Episode
     win_a: timedelta

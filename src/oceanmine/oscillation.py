@@ -22,7 +22,6 @@ advisory stage flags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import datetime
 from typing import NamedTuple, Sequence
 
@@ -42,8 +41,7 @@ class IndexSample(NamedTuple):
     n_value: float
 
 
-@dataclass(frozen=True)
-class IndexBand:
+class IndexBand(NamedTuple):
     """Expected envelope of a series: averaged window extrema."""
 
     avg_min: float

@@ -44,10 +44,9 @@ import re
 import signal
 import stat
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import advisories as adv
 from . import decoder
@@ -67,8 +66,7 @@ from .telemetry import HeaderFields, parse_file
 _MAX_SECONDS = timedelta.max.total_seconds()
 
 
-@dataclass
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     inputs: list[Path]
     out_dir: Path
     cell_size: float = 1.0
@@ -128,8 +126,7 @@ class PipelineConfig:
         return timedelta(seconds=self.lag_s if self.lag_s is not None else self.delta_s)
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     report: adv.ReportTable
     record_count: int
     region_count: int
@@ -345,26 +342,18 @@ def _analyse(
     list[tuple[datetime, float]],
 ]:
     """One region's report row, index samples, rules and top-rule curve."""
-    row = adv.RegionSummary(
-        region=key_string(seg.key),
-        status=adv.STATUS_REJECTED,
-        sample_count=0,
-        skipped=len(seg.records),
-        first_seen=seg.records[0].observed_at,
-        last_seen=seg.records[-1].observed_at,
-    )
+    region = key_string(seg.key)
+    first_seen, last_seen = seg.records[0].observed_at, seg.records[-1].observed_at
     try:
         series = compute_series(seg, config.pressure_floor)
     except AllSamplesRejected:
+        row = adv.RegionSummary(
+            region, adv.STATUS_REJECTED, 0, len(seg.records), first_seen, last_seen
+        )
         return row, [], [], []
     samples = series.samples
-    row.status = adv.STATUS_OK
-    row.sample_count = len(samples)
-    row.skipped = series.skipped
     band = band_of([s.n_value for s in samples], config.window_len)
-    row.avg_min, row.avg_max = band.avg_min, band.avg_max
-    row.window_len = band.window_len
-    row.advisories = adv.detect_strong_waves(samples, band)
+    advisories = adv.detect_strong_waves(samples, band)
 
     delta = timedelta(seconds=config.delta_s)
     events = ep.build_events(samples, delta, config.k)
@@ -376,15 +365,28 @@ def _analyse(
         win_c=timedelta(seconds=config.win_c_s),
         lag=config.lag,
     )
+    top_rule = top_confidence = None
     curve: list[tuple[datetime, float]] = []
     if rules:
         top = rules[0]
-        row.top_rule = ep.rule_id(top, config.k)
-        row.top_confidence = top.confidence
+        top_rule = ep.rule_id(top, config.k)
+        top_confidence = top.confidence
         curve = ep.confidence_series(events, top, delta)
-        row.advisories.extend(
-            adv.detect_fishing_zone(curve, config.theta, rule=row.top_rule)
-        )
+        advisories += adv.detect_fishing_zone(curve, config.theta, rule=top_rule)
+    row = adv.RegionSummary(
+        region=region,
+        status=adv.STATUS_OK,
+        sample_count=len(samples),
+        skipped=series.skipped,
+        first_seen=first_seen,
+        last_seen=last_seen,
+        avg_min=band.avg_min,
+        avg_max=band.avg_max,
+        window_len=band.window_len,
+        top_rule=top_rule,
+        top_confidence=top_confidence,
+        advisories=advisories,
+    )
     return row, samples, rules, curve
 
 

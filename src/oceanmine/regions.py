@@ -10,7 +10,6 @@ in negative cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .decoder import ProfileRecord
@@ -28,8 +27,7 @@ def key_string(key: RegionKey) -> str:
     return f"{key.platform_id}_{key.lat_cell}_{key.lon_cell}"
 
 
-@dataclass
-class RegionSegment:
+class RegionSegment(NamedTuple):
     """All records of one region, in (observed_at, level) order."""
 
     key: RegionKey

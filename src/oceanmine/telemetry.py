@@ -52,9 +52,9 @@ from __future__ import annotations
 import math
 import re
 import struct
-from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (
     BadHexToken,
@@ -80,8 +80,18 @@ LINE_RE = re.compile(r"[^\r\n]*(?:\r\n?|\n)?")
 _MIN_TOKENS = 12
 
 
-@dataclass(frozen=True)
-class HeaderFields:
+def read_number(text: str, kind: type[int] | type[float]) -> int | float:
+    """int(text) or float(text), except that a "_" is a ValueError.
+
+    int() and float() read "_" as a digit separator ("6_5" is 65); a
+    number in a dump, a calibration file or a flag is read as written.
+    """
+    if "_" in text:
+        raise ValueError(f"invalid {kind.__name__} value: {text!r}")
+    return kind(text)
+
+
+class HeaderFields(NamedTuple):
     """One parsed header line."""
 
     platform_id: str
@@ -97,14 +107,13 @@ class HeaderFields:
     transmitter_id: str
 
 
-@dataclass
-class MessageBlock:
+class MessageBlock(NamedTuple):
     """A header plus the words decoded from the lines attributed to it."""
 
     header: HeaderFields
     words: list[int]
     block_time: datetime | None = None
-    source_line_span: tuple[int, int] = field(default=(0, 0), compare=False)
+    source_line_span: tuple[int, int] = (0, 0)
 
 
 def _parse_timestamp(date_tok: str, time_tok: str, line_no: int | None) -> datetime:
@@ -154,11 +163,9 @@ def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
     if not message_id.isdigit():
         raise MalformedHeader(f"bad message id {' '.join(mid[:-2])!r}", line=line_no)
 
-    try:  # int() and float() would also read "6_5" as 65
-        if "_" in mid[-2] + mid[-1]:
-            raise ValueError
-        field_a = int(mid[-2])
-        field_b = int(mid[-1])
+    try:
+        field_a = read_number(mid[-2], int)
+        field_b = read_number(mid[-1], int)
     except ValueError:
         raise MalformedHeader(
             f"bad integer fields {mid[-2]!r} {mid[-1]!r}", line=line_no
@@ -172,11 +179,9 @@ def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
     observed_at = _parse_timestamp(date_tok, time_tok, line_no)
 
     try:
-        if "_" in lat_tok + lon_tok + alt_tok:
-            raise ValueError
-        latitude = float(lat_tok)
-        longitude = float(lon_tok)
-        altitude = float(alt_tok)
+        latitude = read_number(lat_tok, float)
+        longitude = read_number(lon_tok, float)
+        altitude = read_number(alt_tok, float)
     except ValueError:
         raise MalformedHeader(
             f"bad coordinate tokens {lat_tok!r} {lon_tok!r} {alt_tok!r}", line=line_no

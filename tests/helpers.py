@@ -8,7 +8,6 @@ never calls them.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
 from typing import Iterable
@@ -37,8 +36,7 @@ def apply_precision(record: ProfileRecord) -> ProfileRecord:
 
     Idempotent: applying twice equals applying once.
     """
-    return replace(
-        record,
+    return record._replace(
         **{
             channel: round_half_away(getattr(record, channel), decimals)
             for channel, _, _, decimals in DEFAULT_CALIBRATION.lines()

@@ -183,7 +183,8 @@ def test_criterion_08_fishing_zone_at_peak():
     advisories = detect_fishing_zone(curve, theta=0.8, rule="A=>B")
     ok = ok and [(a.at, a.value) for a in advisories] == [(at(2), 1.0)]
     plateau = [(at(0), 0.3), (at(1), 0.9), (at(2), 0.9), (at(3), 0.5)]
-    ok = ok and [a.at for a in detect_fishing_zone(plateau, theta=0.8)] == [at(1), at(2)]
+    flagged = detect_fishing_zone(plateau, theta=0.8, rule="A=>B")
+    ok = ok and [a.at for a in flagged] == [at(1), at(2)]
     _verdict(
         8, "advisories at exactly the max-attaining curve points", ok,
         f"advisories={len(advisories)}",

@@ -92,27 +92,27 @@ class TestFishingZone:
 
     def test_plateau_flags_every_peak_point(self):
         curve = [(at(0), 0.3), (at(1), 0.9), (at(2), 0.9), (at(3), 0.5)]
-        advisories = detect_fishing_zone(curve, theta=0.8)
+        advisories = detect_fishing_zone(curve, theta=0.8, rule="A=>B")
         assert [a.at for a in advisories] == [at(1), at(2)]
 
     def test_flat_curve_above_theta_flags_everything(self):
         curve = [(at(i), 0.9) for i in range(4)]
-        assert len(detect_fishing_zone(curve, theta=0.8)) == 4
+        assert len(detect_fishing_zone(curve, theta=0.8, rule="A=>B")) == 4
 
     def test_peak_below_theta_is_quiet(self):
         curve = [(at(0), 0.0), (at(1), 0.79)]
-        assert detect_fishing_zone(curve, theta=0.8) == []
+        assert detect_fishing_zone(curve, theta=0.8, rule="A=>B") == []
 
     def test_all_zero_curve_is_quiet(self):
         curve = [(at(i), 0.0) for i in range(5)]
-        assert detect_fishing_zone(curve, theta=0.8) == []
+        assert detect_fishing_zone(curve, theta=0.8, rule="A=>B") == []
 
     def test_theta_one_is_allowed(self):
-        advisories = detect_fishing_zone(self.CURVE, theta=1.0)
+        advisories = detect_fishing_zone(self.CURVE, theta=1.0, rule="A=>B")
         assert [a.at for a in advisories] == [at(2)]
 
     def test_empty_curve(self):
-        assert detect_fishing_zone([], theta=0.8) == []
+        assert detect_fishing_zone([], theta=0.8, rule="A=>B") == []
 
     @pytest.mark.parametrize("theta", [0.0, -0.1, 1.0001, 2.0])
     def test_theta_out_of_range(self, theta):
@@ -128,8 +128,8 @@ class TestFishingZone:
             ]
             shift = timedelta(seconds=rng.randint(1, 10 ** 6))
             shifted = [(t + shift, c) for t, c in curve]
-            base = detect_fishing_zone(curve, theta=0.5)
-            moved = detect_fishing_zone(shifted, theta=0.5)
+            base = detect_fishing_zone(curve, theta=0.5, rule="A=>B")
+            moved = detect_fishing_zone(shifted, theta=0.5, rule="A=>B")
             assert [(a.at + shift, a.value) for a in base] == [
                 (a.at, a.value) for a in moved
             ]

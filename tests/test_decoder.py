@@ -46,30 +46,34 @@ class TestDecodeWord:
     """Single words, decoded through their channel's line by decode_block."""
 
     def test_temperature_offset(self):
-        (rec,) = decode_block(block_of([13725, 0, 1995]))
+        (rec,) = decode_block(block_of([13725, 0, 1995]), DEFAULT_CALIBRATION, DecodeMemo())
         assert rec.temperature == 8.725
         assert rec.pressure == 199.5
 
     def test_count_boundaries(self):
-        low, high = decode_block(block_of([0, 0, 0, 65535, 65535, 65535]))
+        low, high = decode_block(
+            block_of([0, 0, 0, 65535, 65535, 65535]), DEFAULT_CALIBRATION, DecodeMemo()
+        )
         assert values(low) == (-5.0, 0.0, 0.0)
         assert values(high) == (60.535, 65.535, 6553.5)
 
     def test_monotone_in_word(self):
-        low, high = decode_block(block_of([100, 100, 100, 101, 101, 101]))
+        low, high = decode_block(
+            block_of([100, 100, 100, 101, 101, 101]), DEFAULT_CALIBRATION, DecodeMemo()
+        )
         assert all(a < b for a, b in zip(values(low), values(high)))
 
 
 class TestQuantize:
     def test_inverts_decode(self):
         for word in (0, 1, 1995, 13725, 35134, 65535):
-            (rec,) = decode_block(block_of([word] * 3))
+            (rec,) = decode_block(block_of([word] * 3), DEFAULT_CALIBRATION, DecodeMemo())
             for channel, value in zip(("temperature", "salinity", "pressure"), values(rec)):
                 assert quantize(value, channel) == word
 
     def test_custom_calibration(self):
         cal = CalibrationTable(temp_offset=0.0, temp_resolution=0.002)
-        (rec,) = decode_block(block_of([500, 0, 0]), cal)
+        (rec,) = decode_block(block_of([500, 0, 0]), cal, DecodeMemo())
         assert rec.temperature == 1.0
         assert quantize(1.0, "temperature", cal) == 500
 
@@ -112,36 +116,38 @@ class TestApplyPrecision:
 
 class TestDecodeBlock:
     def test_triple_order(self):
-        (rec,) = decode_block(block_of([18725, 40134, 1995]))
+        (rec,) = decode_block(block_of([18725, 40134, 1995]), DEFAULT_CALIBRATION, DecodeMemo())
         assert rec.temperature == 13.725
         assert rec.salinity == 40.134
         assert rec.pressure == 199.5
         assert rec.level == 1
 
     def test_levels_number_from_one(self):
-        recs = decode_block(block_of([0, 0, 0, 1, 1, 1, 2, 2, 2]))
+        recs = decode_block(
+            block_of([0, 0, 0, 1, 1, 1, 2, 2, 2]), DEFAULT_CALIBRATION, DecodeMemo()
+        )
         assert [r.level for r in recs] == [1, 2, 3]
 
     def test_block_time_stamps_records(self):
         bt = datetime(2003, 1, 10, 12, 49, 18)
-        (rec,) = decode_block(block_of([1, 2, 3], block_time=bt))
+        (rec,) = decode_block(block_of([1, 2, 3], block_time=bt), DEFAULT_CALIBRATION, DecodeMemo())
         assert rec.observed_at == bt
 
     def test_header_time_when_no_block_time(self):
-        (rec,) = decode_block(block_of([1, 2, 3]))
+        (rec,) = decode_block(block_of([1, 2, 3]), DEFAULT_CALIBRATION, DecodeMemo())
         assert rec.observed_at == HEADER.observed_at
 
     def test_non_triple_rejected_with_span(self):
         with pytest.raises(NonTripleWordCount) as err:
-            decode_block(block_of([1, 2, 3, 4]))
+            decode_block(block_of([1, 2, 3, 4]), DEFAULT_CALIBRATION, DecodeMemo())
         assert err.value.span == (1, 3)
 
     def test_empty_block_decodes_to_nothing(self):
-        assert decode_block(block_of([])) == []
+        assert decode_block(block_of([]), DEFAULT_CALIBRATION, DecodeMemo()) == []
 
     def test_custom_calibration_applied(self):
         cal = CalibrationTable(pres_offset=100.0)
-        (rec,) = decode_block(block_of([18725, 40134, 1995]), cal)
+        (rec,) = decode_block(block_of([18725, 40134, 1995]), cal, DecodeMemo())
         assert rec.pressure == 299.5
 
 

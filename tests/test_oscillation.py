@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
 from datetime import datetime, timedelta
 
 import pytest

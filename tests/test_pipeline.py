@@ -176,7 +176,7 @@ class TestRunOnSample:
 
     def test_slotted_report_rows_render_unchanged(self, sample_path, tmp_path):
         # the report types keep no per-instance __dict__; report.jsonl reads
-        # their dataclass fields and its bytes stay as before
+        # their declared fields and its bytes stay as before
         out = tmp_path / "out"
         result = run(config_for(sample_path, out))
         (row,) = result.report.rows
@@ -838,12 +838,28 @@ class TestHeldMemory:
         refs = []
         alive_on_entry = []
 
+        # Tuples take no weak reference, so each block carries a probe in
+        # its words and its header one in its latitude.
+        class Words(list):
+            pass
+
+        class Latitude(float):
+            pass
+
         def probed(path):
             alive_on_entry.append(
                 sorted({type(ref()).__name__ for ref in refs if ref() is not None})
             )
-            blocks = parse_file(path)
-            refs.extend(weakref.ref(obj) for b in blocks for obj in (b, b.header))
+            blocks = [
+                b._replace(
+                    words=Words(b.words),
+                    header=b.header._replace(latitude=Latitude(b.header.latitude)),
+                )
+                for b in parse_file(path)
+            ]
+            refs.extend(
+                weakref.ref(obj) for b in blocks for obj in (b.words, b.header.latitude)
+            )
             return blocks
 
         monkeypatch.setattr(pipeline, "parse_file", probed)
@@ -1008,6 +1024,20 @@ class TestCli:
             assert "usage: oceanmine" in capsys.readouterr().err, argv
             assert not out.exists(), argv
 
+    @pytest.mark.parametrize("flag", NUMERIC_FLAGS)
+    def test_underscore_in_numeric_flag_is_config_error(
+        self, sample_path, tmp_path, capsys, flag
+    ):
+        # int() and float() read "1_0" as 10 and "0.5_0" as 0.5, and each
+        # flag takes that value; written with "_", it is a usage error.
+        value = "0.5_0" if flag == "--theta" else "1_0"
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main([str(sample_path), "--out-dir", str(out), flag, value])
+        assert info.value.code == EXIT_CONFIG
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_delta_mines_no_rules(self, sample_path, tmp_path):
         # delta is also the confidence step; at 0 no rule reaches the curve
         out = tmp_path / "out"
@@ -1057,6 +1087,18 @@ class TestCli:
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, oceanmine.cli; assert 'numpy' not in sys.modules"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_import_loads_no_introspection_modules(self):
+        # the records are NamedTuples: no run needs dataclasses or inspect
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, oceanmine.cli; "
+             "loaded = {'dataclasses', 'inspect'} & set(sys.modules); "
+             "assert not loaded, sorted(loaded)"],
             capture_output=True,
             text=True,
         )

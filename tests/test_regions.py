@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from datetime import datetime, timedelta
 
 import pytest
@@ -19,8 +18,7 @@ HEADER = parse_header(SPLIT_ID_HEADER)
 
 def header_at(lat, lon, platform="02602", ts=None):
     h = parse_header(SPLIT_ID_HEADER)
-    return replace(
-        h,
+    return h._replace(
         platform_id=platform,
         latitude=lat,
         longitude=lon,
@@ -83,8 +81,8 @@ class TestSegment:
     def test_tie_keeps_input_order(self):
         t0 = datetime(2003, 1, 10)
         h = header_at(0.5, 76.5)
-        a = replace(record_at(t0, level=1), salinity=35.001)
-        b = replace(record_at(t0, level=1), salinity=35.002)
+        a = record_at(t0, level=1)._replace(salinity=35.001)
+        b = record_at(t0, level=1)._replace(salinity=35.002)
         (seg,) = segment([(h, [a]), (h, [b])], 1.0)
         # equal (observed_at, level): stable sort keeps input order
         assert [r.salinity for r in seg.records] == [35.001, 35.002]

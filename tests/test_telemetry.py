@@ -373,20 +373,25 @@ def blocks_strategy(draw):
     return MessageBlock(header=header, words=words, block_time=block_time)
 
 
+def without_spans(blocks):
+    """The blocks with no line spans: a rendering has its own line layout."""
+    return [b._replace(source_line_span=None) for b in blocks]
+
+
 class TestRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(blocks=st.lists(blocks_strategy(), min_size=1, max_size=4))
     def test_render_then_parse_is_identity(self, blocks):
-        assert parse_stream(render_stream(blocks)) == blocks
+        assert without_spans(parse_stream(render_stream(blocks))) == without_spans(blocks)
 
     def test_sample_file_round_trips(self, sample_path):
         blocks = parse_stream(sample_path.read_text())
-        assert parse_stream(render_stream(blocks)) == blocks
+        assert without_spans(parse_stream(render_stream(blocks))) == without_spans(blocks)
 
     def test_render_block_single(self):
         (block,) = parse_stream(f"{SPLIT_ID_HEADER}\n35 9D 89 3E 07 CB\n")
         again = parse_stream(render_block(block))
-        assert again == [block]
+        assert without_spans(again) == without_spans([block])
 
 
 # --- fuzz ---------------------------------------------------------------------
