@@ -12,7 +12,8 @@ subsequence spanning at most win_a, and the consequent occurs as a
 subsequence spanning at most win_c whose first sample falls strictly
 after the antecedent's last sample but no later than lag after it.
 Support counts events (binary per event), confidence divides support
-by the number of events containing the antecedent at all.
+by the number of events containing the antecedent at all.  The windows
+and the lag belong to the mining run (Mannila et al., 1997), not to a rule.
 
 Every count is read from one occurrence table per event, built once
 and kept on the event: each symbol's item positions (Zaki's SPADE
@@ -30,6 +31,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from datetime import datetime, timedelta
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConfigError
@@ -38,6 +40,7 @@ from .oscillation import IndexSample
 Episode = tuple[int, ...]
 Match = tuple[int, int]  # a greedy match's start and end item positions
 Table = tuple[list[int], list[int], dict[int, list[int]]]  # see Event.table
+Windows = tuple[timedelta, timedelta, timedelta]  # win_a, win_c, lag
 
 _US = timedelta(microseconds=1)
 _EPOCH = datetime(1970, 1, 1)
@@ -79,9 +82,6 @@ class Event:
 class EpisodeRule(NamedTuple):
     antecedent: Episode
     consequent: Episode
-    win_a: timedelta
-    win_c: timedelta
-    lag: timedelta
     support: int
     confidence: float
 
@@ -239,28 +239,23 @@ def frequent_episodes(
     min_support: int,
     max_len: int,
     window: timedelta,
-    singles: dict[Episode, list[list[Match]]] | None = None,
 ) -> dict[Episode, list[list[Match]]]:
     """Level-wise enumeration of episodes with event count >= min_support.
 
     Maps each frequent episode to its matches per event (see _matches);
-    its count is the number of non-empty lists.  A single symbol spans
-    0, so its matches do not depend on the window: singles come from one
-    pass over the tables or, when given, from an earlier call on the
-    same events and min_support.  Length-n candidates extend frequent
-    length-(n-1) episodes by one frequent symbol, in sorted order: an
-    event holding an episode holds each of its symbols and, with the
-    same occurrence, its prefix.  The search stops at the first empty
-    level.
+    its count is the number of non-empty lists.  Singles come from one
+    pass over the tables, in sorted order; a single symbol spans 0, so
+    its matches do not depend on the window.  Length-n candidates extend
+    frequent length-(n-1) episodes by one frequent symbol, in sorted
+    order: an event holding an episode holds each of its symbols and,
+    with the same occurrence, its prefix.  The search stops at the first
+    empty level.
     """
     tables = [ev.table for ev in events]
-    if singles is None:
-        counts = Counter(sym for table in tables for sym in table[2])
-        frequent = sorted(sym for sym, count in counts.items() if count >= min_support)
-        singles = {(sym,): [_matches(t, (sym,), 0) for t in tables] for sym in frequent}
-    span = window // _US
-    alphabet = [sym for (sym,) in singles]
-    freq, level = dict(singles), list(singles)
+    counts = Counter(sym for table in tables for sym in table[2])
+    alphabet = sorted(sym for sym, count in counts.items() if count >= min_support)
+    freq = {(sym,): [_matches(t, (sym,), 0) for t in tables] for sym in alphabet}
+    span, level = window // _US, list(freq)
     while level and len(level[0]) < max_len:
         nxt: list[Episode] = []
         for ep in level:
@@ -292,9 +287,8 @@ def mine_rules(
     confidence desc, support desc, then lexicographically.
     """
     freq_a = frequent_episodes(events, min_support, max_len, win_a)
-    singles = {ep: m for ep, m in freq_a.items() if len(ep) == 1}
     freq_c = freq_a if win_c == win_a else frequent_episodes(
-        events, min_support, max_len, win_c, singles
+        events, min_support, max_len, win_c
     )
     tables = [ev.table for ev in events]
     sizes = [len(ticks) // 8 + 1 for _, ticks, _ in tables]
@@ -306,13 +300,13 @@ def mine_rules(
     low = pack((1 << len(ticks)) - 1 for _, ticks, _ in tables)
     guard = pack(1 << len(ticks) for _, ticks, _ in tables)
     starts = {
-        ep: pack(sum(1 << t[0][p] for p, _ in m) for t, m in zip(tables, matches))
-        for ep, matches in freq_c.items()
+        ep: pack(sum(1 << t[0][p] for p, _ in m) for t, m in zip(tables, freq_c[ep]))
+        for ep in sorted(freq_c)
     }
     span, reach_us = win_a // _US, lag // _US
     rules: list[EpisodeRule] = []
-    for antecedent, matches in freq_a.items():
-        n_ant = sum(1 for m in matches if m)
+    for antecedent in sorted(freq_a):
+        n_ant = sum(1 for m in freq_a[antecedent] if m)
         prefixes = freq_a.get(antecedent[:-1], [None] * len(tables))
         reach = pack(
             _reach(t[1], _end_slots(t, pre, antecedent[-1], span), reach_us)
@@ -321,10 +315,10 @@ def mine_rules(
         for consequent, start in starts.items():
             sup = (((reach & start) + low) & guard).bit_count()
             if sup >= min_support:
-                rules.append(EpisodeRule(
-                    antecedent, consequent, win_a, win_c, lag, sup, sup / n_ant
-                ))
-    rules.sort(key=lambda r: (-r.confidence, -r.support, r.antecedent, r.consequent))
+                rules.append(EpisodeRule(antecedent, consequent, sup, sup / n_ant))
+    # Pairs were scored in lexicographic order, and a reverse sort keeps
+    # equal keys in input order, so ties stay lexicographic.
+    rules.sort(key=itemgetter(3, 2), reverse=True)
     return rules
 
 
@@ -334,17 +328,19 @@ def mine_rules(
 def confidence_series(
     events: Sequence[Event],
     rule: EpisodeRule,
+    windows: Windows,
     step: timedelta,
 ) -> list[tuple[datetime, float]]:
     """Cumulative-prefix confidence of a rule on a step-aligned grid.
 
     Grid points are whole multiples of step covering the events' span;
-    the value at each point is the rule's confidence over only the
-    events that have started by then.  Each event's table gives whether
-    it holds the antecedent and whether it holds the rule; the events
-    are then sorted by start and the grid is walked with running
-    counts, so each point is the same integer ratio a recomputation
-    over the prefix would give.  Points before the first event carry 0.
+    the value at each point is the rule's confidence, at the mining
+    run's windows (win_a, win_c, lag), over only the events that have
+    started by then.  Each event's table gives whether it holds the
+    antecedent and whether it holds the rule; the events are then sorted
+    by start and the grid is walked with running counts, so each point is
+    the same integer ratio a recomputation over the prefix would give.
+    Points before the first event carry 0.
 
     A mined rule has support >= 1, so events is never empty.  The step
     (delta, in the pipeline) is positive: at delta 0 an event holds one
@@ -353,7 +349,7 @@ def confidence_series(
     the calendar raises ConfigError.
     """
     ant = rule.antecedent
-    win_a, win_c, lag = rule.win_a // _US, rule.win_c // _US, rule.lag // _US
+    win_a, win_c, lag = (w // _US for w in windows)
     held = []
     for ev in events:
         slots, ticks, _ = t = ev.table

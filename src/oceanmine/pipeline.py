@@ -122,8 +122,9 @@ class PipelineConfig(NamedTuple):
             raise ConfigError(f"theta must be in (0, 1], got {self.theta}")
 
     @property
-    def lag(self) -> timedelta:
-        return timedelta(seconds=self.lag_s if self.lag_s is not None else self.delta_s)
+    def windows(self) -> ep.Windows:
+        lag_s = self.lag_s if self.lag_s is not None else self.delta_s
+        return tuple(timedelta(seconds=s) for s in (self.win_a_s, self.win_c_s, lag_s))
 
 
 class RunResult(NamedTuple):
@@ -169,18 +170,16 @@ def index_csv(samples: list[IndexSample]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def rules_csv(rules: list[ep.EpisodeRule], k: int) -> str:
+def rules_csv(rules: list[ep.EpisodeRule], k: int, windows: ep.Windows) -> str:
     lines = ["antecedent,consequent,win_a_s,win_c_s,lag_s,support,confidence"]
-    # Episodes recur across rules, and rules come sorted by confidence
-    # (support over a count, never -0.0) with one mine_rules call's windows
-    # and lag: each value is formatted once per run of rules sharing it.
+    # The rules share one mining run's windows, episodes recur, and rules
+    # come sorted by confidence (support over a count, never -0.0): each
+    # value is formatted once, or once per run of rules sharing it.
+    spans = ",".join(_fmt17(w.total_seconds()) for w in windows)
     episodes = dict.fromkeys(e for r in rules for e in (r.antecedent, r.consequent))
     label = {e: ep.episode_label(e, k) for e in episodes}
-    windows = spans = confidence = conf = None
+    confidence = conf = None
     for r in rules:
-        if (r.win_a, r.win_c, r.lag) != windows:
-            windows = (r.win_a, r.win_c, r.lag)
-            spans = ",".join(_fmt17(w.total_seconds()) for w in windows)
         if r.confidence != confidence:
             confidence = r.confidence
             conf = _fmt17(confidence)
@@ -357,13 +356,14 @@ def _analyse(
 
     delta = timedelta(seconds=config.delta_s)
     events = ep.build_events(samples, delta, config.k)
+    win_a, win_c, lag = windows = config.windows
     rules = ep.mine_rules(
         events,
         min_support=config.min_support,
         max_len=config.max_len,
-        win_a=timedelta(seconds=config.win_a_s),
-        win_c=timedelta(seconds=config.win_c_s),
-        lag=config.lag,
+        win_a=win_a,
+        win_c=win_c,
+        lag=lag,
     )
     top_rule = top_confidence = None
     curve: list[tuple[datetime, float]] = []
@@ -371,7 +371,7 @@ def _analyse(
         top = rules[0]
         top_rule = ep.rule_id(top, config.k)
         top_confidence = top.confidence
-        curve = ep.confidence_series(events, top, delta)
+        curve = ep.confidence_series(events, top, windows, delta)
         advisories += adv.detect_fishing_zone(curve, config.theta, rule=top_rule)
     row = adv.RegionSummary(
         region=region,
@@ -476,7 +476,7 @@ def run(config: PipelineConfig) -> RunResult:
                 summaries.append(row)
                 files = _region_files(row.region, config.write_plots)
                 write(files[0], records_csv(seg.records, row.region))
-                write(files[1], rules_csv(rules, config.k))
+                write(files[1], rules_csv(rules, config.k, config.windows))
                 if config.write_plots:
                     write(files[2], index_csv(samples))
                     write(files[3], confidence_csv(curve, row.top_rule or ""))

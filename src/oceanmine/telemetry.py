@@ -81,12 +81,12 @@ _MIN_TOKENS = 12
 
 
 def read_number(text: str, kind: type[int] | type[float]) -> int | float:
-    """int(text) or float(text), except that a "_" is a ValueError.
+    """int(text) or float(text), but "_", non-ASCII or padding is a ValueError.
 
-    int() and float() read "_" as a digit separator ("6_5" is 65); a
-    number in a dump, a calibration file or a flag is read as written.
+    int() and float() read "6_5" as 65, any Unicode digit and padded text;
+    a number in a dump, a calibration file or a flag is read as written.
     """
-    if "_" in text:
+    if "_" in text or not text.isascii() or text.strip() != text:
         raise ValueError(f"invalid {kind.__name__} value: {text!r}")
     return kind(text)
 

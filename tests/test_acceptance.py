@@ -176,9 +176,9 @@ def test_criterion_08_fishing_zone_at_peak():
         Event(items=((at(3), A), (at(4), C))),
         Event(items=((at(5), B), (at(6), B))),
     ]
-    zero = timedelta(0)
-    rule = EpisodeRule((A,), (B,), zero, zero, timedelta(seconds=2), 1, 0.5)
-    curve = confidence_series(events, rule, timedelta(seconds=2))
+    windows = (timedelta(0), timedelta(0), timedelta(seconds=2))
+    rule = EpisodeRule((A,), (B,), 1, 0.5)
+    curve = confidence_series(events, rule, windows, timedelta(seconds=2))
     ok = [c for _, c in curve] == [0.0, 1.0, 0.5, 0.5]
     advisories = detect_fishing_zone(curve, theta=0.8, rule="A=>B")
     ok = ok and [(a.at, a.value) for a in advisories] == [(at(2), 1.0)]

@@ -220,8 +220,8 @@ def mined_support(antecedent, consequent, events, win_a, win_c, lag):
 
 def final_confidence(antecedent, consequent, events, win_a, win_c, lag):
     """A rule's confidence over all events: the last confidence_series point."""
-    rule = EpisodeRule(antecedent, consequent, win_a, win_c, lag, 0, 0.0)
-    curve = confidence_series(events, rule, timedelta(seconds=1))
+    rule = EpisodeRule(antecedent, consequent, 0, 0.0)
+    curve = confidence_series(events, rule, (win_a, win_c, lag), timedelta(seconds=1))
     assert curve[-1][0] >= max(e.start for e in events)
     return curve[-1][1]
 
@@ -313,12 +313,7 @@ class TestMineRules:
         rng = random.Random(20030110)
         for _ in range(40):
             events, params = oracles.random_instance(rng)
-            got = [
-                (r.antecedent, r.consequent, r.support, r.confidence)
-                for r in mine_rules(events, **params)
-            ]
-            want = oracles.mine_rules_brute(events, **params)
-            assert got == want
+            assert mine_rules(events, **params) == oracles.mine_rules_brute(events, **params)
 
     def test_anti_monotone_supports(self):
         rng = random.Random(42)
@@ -350,12 +345,12 @@ class TestMineRules:
                    *((10 * d + 1, 3 + 4 * d + j) for j in range(d % 4)), (10 * d + 2, B))
             for d in range(30)
         ]
+        windows = (timedelta(seconds=win_a_s), timedelta(seconds=win_c_s), LAG2)
         rules = mine_rules(events, min_support=2, max_len=3,
-                           win_a=timedelta(seconds=win_a_s),
-                           win_c=timedelta(seconds=win_c_s), lag=LAG2)
+                           win_a=windows[0], win_c=windows[1], lag=windows[2])
         assert {(r.antecedent, r.consequent) for r in rules} >= {((A, B), (B,))}
         for rule in (rules[0], rules[-1]):
-            confidence_series(events, rule, timedelta(seconds=1))
+            confidence_series(events, rule, windows, timedelta(seconds=1))
         assert [(e.items.walks, e.items.reads) for e in events] == [(1, 0)] * 30
 
     def test_lag_near_longest_duration(self):
@@ -405,29 +400,26 @@ class TestProfileShapedEvents:
             params = dict(min_support=rng.randint(1, 2), max_len=rng.randint(1, 2),
                           win_a=win_a, win_c=win_c, lag=lag)
             brute_lag = min(lag, max(e.end - e.start for e in events))
-            got = [
-                (r.antecedent, r.consequent, r.support, r.confidence)
-                for r in mine_rules(events, **params)
-            ]
+            got = mine_rules(events, **params)
             assert got == oracles.mine_rules_brute(events, **dict(params, lag=brute_lag))
             for ant, cons in [((A,), (B,)), ((B, A), (A,)), ((A,), (C, A)), ((C, C), (B, B))]:
-                rule = EpisodeRule(ant, cons, win_a, win_c, lag, 0, 0.0)
-                last = confidence_series(events, rule, GAP)[-1][1]
+                rule = EpisodeRule(ant, cons, 0, 0.0)
+                last = confidence_series(events, rule, (win_a, win_c, lag), GAP)[-1][1]
                 want = oracles.confidence_brute(events, ant, cons, win_a, win_c, brute_lag)
                 assert last == want, (ant, cons)
 
 
 class TestConfidenceSeries:
     def test_reference_curve(self):
-        rule = EpisodeRule((A,), (B,), Z, Z, LAG2, 1, 0.5)
-        curve = confidence_series(EVENTS_ABC, rule, timedelta(seconds=2))
+        rule = EpisodeRule((A,), (B,), 1, 0.5)
+        curve = confidence_series(EVENTS_ABC, rule, (Z, Z, LAG2), timedelta(seconds=2))
         assert [c for _, c in curve] == [0.0, 1.0, 0.5, 0.5]
         assert [t for t, _ in curve] == [at(0), at(2), at(4), at(6)]
 
     def test_point_before_first_event_is_zero(self):
         events = [ev((3, A), (4, B))]
-        rule = EpisodeRule((A,), (B,), Z, Z, LAG2, 1, 1.0)
-        curve = confidence_series(events, rule, timedelta(seconds=2))
+        rule = EpisodeRule((A,), (B,), 1, 1.0)
+        curve = confidence_series(events, rule, (Z, Z, LAG2), timedelta(seconds=2))
         assert curve[0] == (at(2), 0.0)
 
     def test_matches_prefix_recomputation(self):
@@ -439,12 +431,12 @@ class TestConfidenceSeries:
                 continue
             rule = rules[0]
             step = timedelta(seconds=rng.choice([1, 2, 5]))
-            curve = confidence_series(events, rule, step)
+            windows = (params["win_a"], params["win_c"], params["lag"])
+            curve = confidence_series(events, rule, windows, step)
             for t, conf in curve:
                 prefix = [e for e in events if e.start <= t]
                 want = oracles.confidence_brute(
-                    prefix, rule.antecedent, rule.consequent,
-                    rule.win_a, rule.win_c, rule.lag,
+                    prefix, rule.antecedent, rule.consequent, *windows
                 )
                 assert conf == want
                 assert 0.0 <= conf <= 1.0
@@ -460,29 +452,29 @@ class TestConfidenceSeries:
             shuffled = events[:]
             rng.shuffle(shuffled)
             rule = rules[rng.randrange(len(rules))]
-            for t, conf in confidence_series(shuffled, rule, timedelta(seconds=1)):
+            windows = (params["win_a"], params["win_c"], params["lag"])
+            for t, conf in confidence_series(shuffled, rule, windows, timedelta(seconds=1)):
                 prefix = [e for e in shuffled if e.start <= t]
                 assert conf == oracles.confidence_brute(
-                    prefix, rule.antecedent, rule.consequent,
-                    rule.win_a, rule.win_c, rule.lag,
+                    prefix, rule.antecedent, rule.consequent, *windows
                 )
             checked += 1
         assert checked >= 5
 
     def test_scans_independent_of_grid_points(self):
         events = [walked((10 * d, A), (10 * d + 1, B), (10 * d + 2, A)) for d in range(30)]
-        rule = EpisodeRule((A,), (B,), Z, Z, LAG2, 1, 1.0)
+        rule = EpisodeRule((A,), (B,), 1, 1.0)
         points = [
-            len(confidence_series(events, rule, timedelta(seconds=step_s)))
+            len(confidence_series(events, rule, (Z, Z, LAG2), timedelta(seconds=step_s)))
             for step_s in (100, 10, 1)
         ]
         assert points[-1] >= 290  # one point per second over the span
         assert [(e.items.walks, e.items.reads) for e in events] == [(1, 0)] * 30
 
     def test_step_past_calendar_rejected(self):
-        rule = EpisodeRule((A,), (B,), Z, Z, LAG2, 1, 0.5)
+        rule = EpisodeRule((A,), (B,), 1, 0.5)
         with pytest.raises(ConfigError):
-            confidence_series(EVENTS_ABC, rule, timedelta(days=10 ** 8))
+            confidence_series(EVENTS_ABC, rule, (Z, Z, LAG2), timedelta(days=10 ** 8))
 
     def test_bad_step(self):
         # The step is delta, and a zero step never reaches the curve: at
@@ -504,7 +496,7 @@ class TestLabels:
         assert episode_label((0, 3), 5) == "C0+C3"
 
     def test_rule_id(self):
-        rule = EpisodeRule((0,), (2, 2), Z, Z, LAG2, 1, 0.5)
+        rule = EpisodeRule((0,), (2, 2), 1, 0.5)
         assert rule_id(rule, 3) == "LOW=>HIGH+HIGH"
 
 

@@ -1028,15 +1028,17 @@ class TestCli:
     def test_underscore_in_numeric_flag_is_config_error(
         self, sample_path, tmp_path, capsys, flag
     ):
-        # int() and float() read "1_0" as 10 and "0.5_0" as 0.5, and each
-        # flag takes that value; written with "_", it is a usage error.
-        value = "0.5_0" if flag == "--theta" else "1_0"
+        # int() and float() read "1_0" as 10 and "0.5_0" as 0.5, non-ASCII
+        # digits ("١", "１") as their values and skip padding, and each
+        # flag takes the value read; written so, it is a usage error.
+        underscored = "0.5_0" if flag == "--theta" else "1_0"
         out = tmp_path / "out"
-        with pytest.raises(SystemExit) as info:
-            main([str(sample_path), "--out-dir", str(out), flag, value])
-        assert info.value.code == EXIT_CONFIG
-        assert f"argument {flag}: invalid" in capsys.readouterr().err
-        assert not out.exists()
+        for value in (underscored, "\u0661", "\uff11", " 1", "1 "):
+            with pytest.raises(SystemExit) as info:
+                main([str(sample_path), "--out-dir", str(out), flag, value])
+            assert info.value.code == EXIT_CONFIG, value
+            assert f"argument {flag}: invalid" in capsys.readouterr().err, value
+            assert not out.exists(), value
 
     def test_zero_delta_mines_no_rules(self, sample_path, tmp_path):
         # delta is also the confidence step; at 0 no rule reaches the curve
@@ -1177,6 +1179,10 @@ class TestGoldenOutput:
             (
                 ["--no-plots", "--cell-size", "0.5"],
                 "17c8b28f359b0c025bd432c7a415be89af07fa201b45b2be68a6f1a1c031ecf9",
+            ),
+            (
+                ["--max-len", "3", "--win-a", "0.25", "--win-c", "5400", "--lag", "43200.5"],
+                "06f45ef4ee290bf1891cc03dfc3c6ff1e7e983035a84382b8edcf1b5cecb3346",
             ),
         ],
     )
