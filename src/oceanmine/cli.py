@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from functools import partial
 from pathlib import Path
-from typing import Callable, NoReturn
+from typing import NoReturn
 
 from . import __version__
 from .advisories import KIND_FISHING_ZONE, KIND_STRONG_WAVE
@@ -34,17 +35,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _number(kind: type[int] | type[float]) -> Callable[[str], int | float]:
-    """A flag type reading kind as telemetry.read_number does."""
-    def read(text: str) -> int | float:
-        return read_number(text, kind)
-    read.__name__ = kind.__name__  # argparse names it: "invalid int value: '1_4'"
-    return read
-
-
-_INT, _FLOAT = _number(int), _number(float)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="oceanmine",
@@ -53,35 +43,39 @@ def build_parser() -> argparse.ArgumentParser:
             "time-lagged episode rules, and emit advisories."
         ),
     )
+    # type=int and type=float flags are read by telemetry.read_number; a
+    # usage error still names the type: "invalid int value: '1_4'".
+    for kind in (int, float):
+        parser.register("type", kind, partial(read_number, kind=kind))
     parser.add_argument("inputs", nargs="+", type=Path, metavar="INPUT",
                         help="telemetry dump file(s)")
     parser.add_argument("--out-dir", type=Path, default="out", metavar="DIR",
                         help="output directory (default: %(default)s)")
-    parser.add_argument("--cell-size", type=_FLOAT, metavar="DEG",
+    parser.add_argument("--cell-size", type=float, metavar="DEG",
                         help="region grid cell size in degrees (default: %(default)s)")
     parser.add_argument("--calibration", dest="calibration_path", type=Path,
                         metavar="FILE",
                         help="calibration table file (key = value lines)")
-    parser.add_argument("--pressure-floor", type=_FLOAT, metavar="DBAR",
+    parser.add_argument("--pressure-floor", type=float, metavar="DBAR",
                         help="reject records at or below this pressure "
                         "(default: %(default)s)")
-    parser.add_argument("--window-len", type=_INT, metavar="N",
+    parser.add_argument("--window-len", type=int, metavar="N",
                         help="band window length in samples (default: %(default)s)")
-    parser.add_argument("--delta", dest="delta_s", type=_FLOAT, metavar="SECONDS",
+    parser.add_argument("--delta", dest="delta_s", type=float, metavar="SECONDS",
                         help="max in-event sample gap (default: %(default)s)")
-    parser.add_argument("--k", type=_INT, metavar="N",
+    parser.add_argument("--k", type=int, metavar="N",
                         help="quantile class count (default: %(default)s)")
-    parser.add_argument("--max-len", type=_INT, metavar="N",
+    parser.add_argument("--max-len", type=int, metavar="N",
                         help="max episode length (default: %(default)s)")
-    parser.add_argument("--win-a", dest="win_a_s", type=_FLOAT, metavar="SECONDS",
+    parser.add_argument("--win-a", dest="win_a_s", type=float, metavar="SECONDS",
                         help="antecedent occurrence window (default: %(default)s)")
-    parser.add_argument("--win-c", dest="win_c_s", type=_FLOAT, metavar="SECONDS",
+    parser.add_argument("--win-c", dest="win_c_s", type=float, metavar="SECONDS",
                         help="consequent occurrence window (default: %(default)s)")
-    parser.add_argument("--lag", dest="lag_s", type=_FLOAT, metavar="SECONDS",
+    parser.add_argument("--lag", dest="lag_s", type=float, metavar="SECONDS",
                         help="max antecedent-to-consequent lag (default: --delta)")
-    parser.add_argument("--min-support", type=_INT, metavar="N",
+    parser.add_argument("--min-support", type=int, metavar="N",
                         help="min rule support in events (default: %(default)s)")
-    parser.add_argument("--theta", type=_FLOAT, metavar="X",
+    parser.add_argument("--theta", type=float, metavar="X",
                         help="fishing-zone confidence threshold (default: %(default)s)")
     parser.add_argument("--no-plots", dest="write_plots", action="store_false",
                         help="skip index/confidence plot CSVs")

@@ -27,7 +27,6 @@ rounded once per run and nothing is shared between runs.
 
 from __future__ import annotations
 
-import math
 from datetime import datetime
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from pathlib import Path
@@ -145,12 +144,12 @@ def load_calibration(path: str | Path) -> CalibrationTable:
 
     Lines are "key = value" and end at LF, CR or CRLF, as in dumps;
     blank lines and '#' comments are ignored.
-    Missing keys keep their defaults.  A file that is not ASCII,
-    unknown keys, unparseable values (a "_" in a number included),
-    non-finite values, non-positive resolutions, and a channel whose
-    decoded range cannot be rounded to its precision raise ConfigError.
+    Missing keys keep their defaults.  A non-ASCII file, an unknown or
+    repeated key, a value read_number rejects, a non-positive resolution
+    and a channel whose decoded range cannot be rounded raise ConfigError.
     """
     values: dict[str, float] = {}
+    line_of: dict[str, int] = {}
     try:
         text = Path(path).read_text(encoding="ascii")
     except UnicodeDecodeError as e:
@@ -166,14 +165,14 @@ def load_calibration(path: str | Path) -> CalibrationTable:
         key = key.strip()
         if key not in CalibrationTable._fields:
             raise ConfigError(f"{path}:{line_no}: unknown calibration key {key!r}")
+        if line_of.setdefault(key, line_no) != line_no:
+            raise ConfigError(f"{path}:{line_no}: {key} already set on line {line_of[key]}")
         try:
             values[key] = read_number(val.strip(), float)
         except ValueError:
             raise ConfigError(
                 f"{path}:{line_no}: bad value for {key}: {val.strip()!r}"
             ) from None
-        if not math.isfinite(values[key]):
-            raise ConfigError(f"{path}:{line_no}: {key} must be finite, got {values[key]}")
     cal = CalibrationTable(**values)
     for channel, offset, resolution, decimals in cal.lines():
         if resolution <= 0:

@@ -45,6 +45,7 @@ import signal
 import stat
 import sys
 from datetime import datetime, timedelta
+from functools import cache
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -106,9 +107,7 @@ class PipelineConfig(NamedTuple):
             ("win_c", self.win_c_s),
             ("lag", self.lag_s),
         ):
-            if seconds is None:
-                continue
-            if not (math.isfinite(seconds) and 0 <= seconds < _MAX_SECONDS):
+            if seconds is not None and not 0 <= seconds < _MAX_SECONDS:
                 raise ConfigError(
                     f"{name} must be in [0, {_MAX_SECONDS:.0f}) seconds, got {seconds}"
                 )
@@ -176,15 +175,14 @@ def rules_csv(rules: list[ep.EpisodeRule], k: int, windows: ep.Windows) -> str:
     # come sorted by confidence (support over a count, never -0.0): each
     # value is formatted once, or once per run of rules sharing it.
     spans = ",".join(_fmt17(w.total_seconds()) for w in windows)
-    episodes = dict.fromkeys(e for r in rules for e in (r.antecedent, r.consequent))
-    label = {e: ep.episode_label(e, k) for e in episodes}
+    label = cache(lambda episode: ep.episode_label(episode, k))
     confidence = conf = None
     for r in rules:
         if r.confidence != confidence:
             confidence = r.confidence
             conf = _fmt17(confidence)
         lines.append(
-            f"{label[r.antecedent]},{label[r.consequent]},{spans},{r.support},{conf}"
+            f"{label(r.antecedent)},{label(r.consequent)},{spans},{r.support},{conf}"
         )
     return "\n".join(lines) + "\n"
 

@@ -14,17 +14,17 @@ Header token layout (left to right):
 
   pos  field            form                       example
   ---  ---------------  -------------------------  -------------
-  1    platform_id      5 decimal digits           02602
-  2    message_id       decimal digits             2902102
-  3    field_a          integer, no "_"            65
-  4    field_b          integer, no "_"            32
+  1    platform_id      5 ASCII digits             02602
+  2    message_id       ASCII digits               2902102
+  3    field_a          integer                    65
+  4    field_b          integer                    32
   5    class_code       single uppercase           K
-  6    pass_count       integer                    2
+  6    pass_count       ASCII digits               2
   7    date             YYYY-MM-DD                 2003-01-10
   8    time             HH:MM:SS[.ffffff]          11:50:18.0
-  9    latitude         decimal degrees, no "_"    0.691
-  10   longitude        decimal degrees, no "_"    76.559
-  11   altitude_or_zero finite decimal, no "_"     0.000
+  9    latitude         decimal degrees            0.691
+  10   longitude        decimal degrees            76.559
+  11   altitude_or_zero finite decimal             0.000
   12   transmitter_id   opaque token               401647210
 
 Dates and times are ASCII digits in exactly the layout shown; the
@@ -64,13 +64,16 @@ from .errors import (
     OddByteCount,
 )
 
-# ASCII digits only, so every field slices to an int as written.
+# ASCII digits only, so every field slices to an int as written and no
+# other script's digit passes.
 _DATE_RE = re.compile(r"^[0-9]{4}-[0-9]{2}-[0-9]{2}$")
 _TIME_RE = re.compile(r"^[0-9]{2}:[0-9]{2}:[0-9]{2}(\.[0-9]+)?$")
+_PLATFORM_RE = re.compile(r"^[0-9]{5}$")
+_DIGITS_RE = re.compile(r"[0-9]+")
+_NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+(\.[0-9]*)?|(\.[0-9]+))([eE][+-]?[0-9]+)?")
 _HEX_RE = re.compile(r"^[0-9a-fA-F]{2}$")
 # A data line's tokens joined by single spaces, all of them byte tokens.
 _HEX_LINE_RE = re.compile(r"(?:[0-9a-fA-F]{2}(?: [0-9a-fA-F]{2})*)?")
-_PLATFORM_RE = re.compile(r"^\d{5}$")
 # One line and its ending; only LF, CR and CRLF end a line.  Matching
 # lines in place keeps one copy of the dump in memory.
 LINE_RE = re.compile(r"[^\r\n]*(?:\r\n?|\n)?")
@@ -81,14 +84,18 @@ _MIN_TOKENS = 12
 
 
 def read_number(text: str, kind: type[int] | type[float]) -> int | float:
-    """int(text) or float(text), but "_", non-ASCII or padding is a ValueError.
+    """The int or finite float that text spells, else a ValueError.
 
-    int() and float() read "6_5" as 65, any Unicode digit and padded text;
-    a number in a dump, a calibration file or a flag is read as written.
+    ASCII only: an optional sign and digits, and for a float an optional
+    fraction ("5." and ".5" too) and exponent.  Unlike int() and float(),
+    no "_", other digits, padding, "nan" or "inf".
     """
-    if "_" in text or not text.isascii() or text.strip() != text:
-        raise ValueError(f"invalid {kind.__name__} value: {text!r}")
-    return kind(text)
+    match = _NUMBER_RE.fullmatch(text)
+    if match and (kind is float or not match.lastindex):  # an int sets no group
+        value = kind(text)
+        if kind is int or math.isfinite(value):  # "1e999" overflows to inf
+            return value
+    raise ValueError(f"invalid {kind.__name__} value: {text!r}")
 
 
 class HeaderFields(NamedTuple):
@@ -160,7 +167,7 @@ def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
     mid = tokens[1:-8]
 
     message_id = "".join(mid[:-2])
-    if not message_id.isdigit():
+    if not _DIGITS_RE.fullmatch(message_id):
         raise MalformedHeader(f"bad message id {' '.join(mid[:-2])!r}", line=line_no)
 
     try:
@@ -173,7 +180,7 @@ def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
 
     if len(class_code) != 1 or not class_code.isupper():
         raise MalformedHeader(f"bad class code {class_code!r}", line=line_no)
-    if not pass_tok.isdigit():
+    if not _DIGITS_RE.fullmatch(pass_tok):
         raise MalformedHeader(f"bad pass count {pass_tok!r}", line=line_no)
 
     observed_at = _parse_timestamp(date_tok, time_tok, line_no)
@@ -190,8 +197,6 @@ def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
         raise MalformedHeader(f"latitude {latitude} out of [-90, 90]", line=line_no)
     if not -180.0 <= longitude <= 180.0:
         raise MalformedHeader(f"longitude {longitude} out of [-180, 180]", line=line_no)
-    if not math.isfinite(altitude):
-        raise MalformedHeader(f"altitude {altitude} is not finite", line=line_no)
 
     return HeaderFields(
         platform_id=platform_id,
@@ -283,7 +288,7 @@ def parse_stream(text: str) -> list[MessageBlock]:
                 current.block_time = stamp
             rest = tokens[2:]
             if rest:
-                if not rest[0].isdigit():
+                if not _DIGITS_RE.fullmatch(rest[0]):
                     raise MalformedHeader(
                         f"block time line has bad sequence token {rest[0]!r}",
                         line=line_no,

@@ -10,6 +10,8 @@ only run in tests.
 from __future__ import annotations
 
 import itertools
+import math
+import re
 from datetime import datetime, timedelta
 
 import mpmath
@@ -68,6 +70,25 @@ def gradient_reference_fd(
         )
 
     return (f(t + hh) - f(t - hh)) / (2 * hh)
+
+
+# --- the number grammar -------------------------------------------------------
+
+# What int() and float() read, cut down to ASCII digits with no "_",
+# padding, "nan" or "inf".  Matched up to \Z, which unlike $ is not
+# satisfied before a final newline.
+_INT_TEXT = re.compile(r"[+-]?[0-9]+\Z")
+_FLOAT_TEXT = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?\Z")
+
+
+def read_number_reference(text: str, kind: type) -> int | float | None:
+    """The int or float text spells, or None when it is no such number."""
+    if not (_INT_TEXT if kind is int else _FLOAT_TEXT).match(text):
+        return None
+    value = kind(text)
+    if kind is float and abs(value) == math.inf:  # an exponent overflowed
+        return None
+    return value
 
 
 # --- brute-force episode mining ----------------------------------------------

@@ -243,13 +243,20 @@ class TestLoadCalibration:
     def test_nan_offset(self, tmp_path):
         path = tmp_path / "cal.txt"
         path.write_text("temp_offset = nan\n")
-        with pytest.raises(ConfigError, match="finite"):
+        with pytest.raises(ConfigError, match="cal.txt:1: bad value for temp_offset: 'nan'"):
             load_calibration(path)
 
     def test_infinite_resolution(self, tmp_path):
         path = tmp_path / "cal.txt"
         path.write_text("temp_resolution = inf\n")
-        with pytest.raises(ConfigError, match="finite"):
+        with pytest.raises(ConfigError, match="cal.txt:1: bad value for temp_resolution: 'inf'"):
+            load_calibration(path)
+
+    def test_repeated_key(self, tmp_path):
+        # the last value used to win silently
+        path = tmp_path / "cal.txt"
+        path.write_text("temp_offset = -4.0\n# warmer\ntemp_offset = 7\n")
+        with pytest.raises(ConfigError, match="cal.txt:3: temp_offset already set on line 1"):
             load_calibration(path)
 
     def test_offset_beyond_rounding_range(self, tmp_path):

@@ -943,14 +943,12 @@ class TestCli:
     ):
         out = tmp_path / "out"
         for flags in (
-            ["--delta", "nan"],
-            ["--lag", "nan"],
             ["--lag", "1e300"],
-            ["--win-a", "inf"],
-            ["--cell-size", "nan"],
             ["--delta", "1e13", "--min-support", "1"],
             ["--k", str(sys.maxsize + 1)],
         ):
+            # finite but out of range; "nan" and "inf" are usage errors
+            # (test_underscore_in_numeric_flag_is_config_error)
             # main returning, not raising, is what keeps a traceback off stderr
             code = main([str(sample_path), "--out-dir", str(out), *flags])
             assert code == EXIT_CONFIG, flags
@@ -1029,11 +1027,12 @@ class TestCli:
         self, sample_path, tmp_path, capsys, flag
     ):
         # int() and float() read "1_0" as 10 and "0.5_0" as 0.5, non-ASCII
-        # digits ("١", "１") as their values and skip padding, and each
-        # flag takes the value read; written so, it is a usage error.
+        # digits ("١", "１") as their values, skip padding and read "nan" and
+        # "inf", and "1e999" overflows to inf; written so, it is a usage error.
         underscored = "0.5_0" if flag == "--theta" else "1_0"
         out = tmp_path / "out"
-        for value in (underscored, "\u0661", "\uff11", " 1", "1 "):
+        for value in (underscored, "\u0661", "\uff11", " 1", "1 ",
+                      "nan", "inf", "1e999"):
             with pytest.raises(SystemExit) as info:
                 main([str(sample_path), "--out-dir", str(out), flag, value])
             assert info.value.code == EXIT_CONFIG, value

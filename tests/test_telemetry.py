@@ -19,8 +19,10 @@ from oceanmine.telemetry import (
     parse_file,
     parse_header,
     parse_stream,
+    read_number,
 )
 
+import oracles
 from conftest import SPLIT_ID_HEADER
 from helpers import is_position_only, render_block, render_stream
 
@@ -98,10 +100,15 @@ class TestParseHeader:
             ("0.000", "nan"),
             ("0.000", "inf"),
             ("0.000", "-Infinity"),
+            ("0.000", "1e999"),  # float() overflows to inf
+            (" K 2 ", " K \u00b2 "),  # pass count: "\u00b2".isdigit(), int() fails
+            ("02602", "\u0660\u0662602"),  # platform id: r"\d" matches Arabic-Indic
+            ("32134", "29021\u00b2"),  # message id
         ],
     )
     def test_numbers_int_and_float_would_misread(self, old, new):
-        # int("7_3") == 73 and float("nan") parse, but neither is a header number
+        # int("7_3") == 73 and float("nan") parse, and str.isdigit() takes
+        # "\u00b2", but none of them is a header number
         bad = SECOND_HEADER.replace(old, new, 1)
         assert bad != SECOND_HEADER
         with pytest.raises(MalformedHeader, match="line 7"):
@@ -111,6 +118,49 @@ class TestParseHeader:
         text = f"{SPLIT_ID_HEADER}\n{SECOND_HEADER.replace(' 73 ', ' 7_3 ')}\n"
         with pytest.raises(MalformedHeader, match="line 2"):
             parse_stream(text)
+
+
+class TestReadNumber:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        text=st.one_of(
+            st.text(alphabet="0123456789+-.eE_ naifIN", max_size=10),
+            st.from_regex(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]{1,3})?",
+                          fullmatch=True),
+            st.floats().map(repr),
+            st.integers().map(str),
+            st.text(max_size=6),
+        )
+    )
+    @example(text="1_0")
+    @example(text="+1")
+    @example(text="-0")
+    @example(text="1e5")
+    @example(text="1E-5")
+    @example(text="1e999")
+    @example(text="nan")
+    @example(text="inf")
+    @example(text="-Infinity")
+    @example(text="")
+    @example(text=".")
+    @example(text="5.")
+    @example(text=".5")
+    @example(text="e5")
+    @example(text=" 1")
+    @example(text="1 ")
+    @example(text="\u0663")  # Arabic-Indic three
+    @example(text="\uff11")  # fullwidth one
+    @example(text="0x10")
+    def test_matches_the_reference_grammar(self, text):
+        for kind in (int, float):
+            want = oracles.read_number_reference(text, kind)
+            if want is None:
+                with pytest.raises(ValueError):
+                    read_number(text, kind)
+            else:
+                got = read_number(text, kind)
+                # repr tells -0.0 from 0.0 and an int from a float
+                assert repr(got) == repr(want), (text, kind)
 
 
 # (date token, time token, the header's timestamp or the error text)
