@@ -19,16 +19,18 @@ canonical precision: three decimals for temperature and salinity, one
 for pressure.  CalibrationTable.lines() is the one channel table.
 
 A channel has at most 65,536 words, so decoding goes through an exact
-memo: one dict per channel line, filled on first use with the same
-rounded value the formula gives.  pipeline.run keeps one memo for the
-decode loop of a run and drops it afterwards, so each distinct word is
-rounded once per run and nothing is shared between runs.
+memo: decode_memo(cal) gives one dict per channel line, filled on first
+use with the rounded value the formula gives, and decode_block(block,
+memo) reads it.  pipeline.run builds one memo per run and drops it after
+decoding, so nothing is shared between runs.  A rounded value keeps at
+most 28 significant digits, so every word must map to a magnitude below
+10**(28 - decimals): 1e25 for temperature and salinity, 1e27 for pressure.
 """
 
 from __future__ import annotations
 
+import math
 from datetime import datetime
-from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from pathlib import Path
 from typing import NamedTuple
 
@@ -71,56 +73,53 @@ class ProfileRecord(NamedTuple):
 
 
 def round_half_away(value: float, ndigits: int) -> float:
-    """Round to ndigits decimals with ties going away from zero."""
-    return _round_to(value, Decimal(1).scaleb(-ndigits))
+    """Round to ndigits >= 0 decimals with ties going away from zero.
 
-
-def _round_to(value: float, quantum: Decimal) -> float:
-    # repr() keeps the shortest decimal that round-trips, so a value
-    # already on the grid stays put and the op is idempotent.
-    out = float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
-    return out + 0.0  # normalise -0.0
+    A tie is read off the shortest decimal that repr() prints, so a
+    value already on the grid stays put and 0.0005 rounds to 0.001.
+    """
+    digits, _, exp = repr(abs(value)).partition("e")
+    whole, _, frac = digits.partition(".")
+    if digits[-1] == "5" and len(frac) - int(exp or 0) == ndigits + 1:
+        # int / int is correctly rounded, so the tie rounds exactly
+        return math.copysign((int(whole + frac) // 10 + 1) / 10**ndigits, value)
+    # round() rounds the exact binary value; no tie at ndigits + 1
+    # decimals lies between a float and its repr(), so both agree
+    return round(value, ndigits) + 0.0  # normalise -0.0
 
 
 class _RoundedLine(dict):
     """word -> its rounded value on one channel line, filled on first use."""
 
-    __slots__ = ("offset", "resolution", "quantum")
+    __slots__ = ("offset", "resolution", "decimals")
 
     def __init__(self, line: tuple[str, float, float, int]):
         super().__init__()
-        _, self.offset, self.resolution, decimals = line
-        self.quantum = Decimal(1).scaleb(-decimals)  # round_half_away's, built once
+        _, self.offset, self.resolution, self.decimals = line
 
     def __missing__(self, word: int) -> float:
-        value = _round_to(self.offset + word * self.resolution, self.quantum)
+        value = round_half_away(self.offset + word * self.resolution, self.decimals)
         self[word] = value
         return value
 
 
-class DecodeMemo(dict):
-    """Channel line (as in CalibrationTable.lines()) -> its rounded words."""
-
-    def __missing__(self, line: tuple[str, float, float, int]) -> _RoundedLine:
-        rounded = self[line] = _RoundedLine(line)
-        return rounded
+def decode_memo(cal: CalibrationTable) -> tuple[_RoundedLine, ...]:
+    """One empty word -> rounded value dict per line of cal.lines()."""
+    return tuple(map(_RoundedLine, cal.lines()))
 
 
 def decode_block(
-    block: MessageBlock, cal: CalibrationTable, memo: DecodeMemo
+    block: MessageBlock, memo: tuple[_RoundedLine, ...]
 ) -> list[ProfileRecord]:
     """Decode a block's words into per-level records.
 
     Words come in (temperature, salinity, pressure) triples, so each
     channel's words (every third, from its place in the triple) are
-    mapped and rounded through its line in cal.lines(); level
-    numbering starts at 1.  Every record carries the block time
+    mapped and rounded through its line of memo, a decode_memo(cal);
+    level numbering starts at 1.  Every record carries the block time
     when the block has one, the header time otherwise.  Raises
     NonTripleWordCount when the word count is not a multiple of three.
-
-    The rounded values come from memo, keyed by the whole channel line,
-    so one memo serves any calibration exactly; pass the same memo for
-    every block of a run.
+    Pass the same memo for every block of a run.
     """
     words = block.words
     if len(words) % 3:
@@ -130,8 +129,7 @@ def decode_block(
         )
     observed_at = block.block_time or block.header.observed_at
     temperature, salinity, pressure = (
-        list(map(memo[line].__getitem__, words[i::3]))
-        for i, line in enumerate(cal.lines())
+        list(map(line.__getitem__, words[i::3])) for i, line in enumerate(memo)
     )
     return [
         ProfileRecord(observed_at, level, t, s, p)
@@ -146,7 +144,8 @@ def load_calibration(path: str | Path) -> CalibrationTable:
     blank lines and '#' comments are ignored.
     Missing keys keep their defaults.  A non-ASCII file, an unknown or
     repeated key, a value read_number rejects, a non-positive resolution
-    and a channel whose decoded range cannot be rounded raise ConfigError.
+    and a channel that maps a word outside the decodable range raise
+    ConfigError.
     """
     values: dict[str, float] = {}
     line_of: dict[str, int] = {}
@@ -177,14 +176,13 @@ def load_calibration(path: str | Path) -> CalibrationTable:
     for channel, offset, resolution, decimals in cal.lines():
         if resolution <= 0:
             raise ConfigError(f"{channel} resolution must be positive, got {resolution}")
-        # The map is linear, so every word rounds if both extremes do.
+        # The map is linear, so every word decodes if both extremes do.
+        bound = 10.0 ** (28 - decimals)
         for word in (0, _WORD_MAX):
             value = offset + word * resolution
-            try:
-                round_half_away(value, decimals)
-            except InvalidOperation:
+            if not abs(value) < bound:
                 raise ConfigError(
-                    f"{channel} calibration maps word {word} to "
-                    f"{value}, beyond the decodable range"
-                ) from None
+                    f"{channel} calibration maps word {word} to {value}, "
+                    f"beyond the decodable range: magnitude below {bound:g}"
+                )
     return cal

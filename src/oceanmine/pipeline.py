@@ -420,7 +420,7 @@ def run(config: PipelineConfig) -> RunResult:
 
     # Decode each file as it is parsed, into segment: one file's blocks at a time.
     block_count = rejected_blocks = 0
-    memo = decoder.DecodeMemo()  # this run's rounded words; records share its floats
+    memo = decoder.decode_memo(cal)  # this run's rounded words; records share its floats
 
     def decoded() -> Iterator[tuple[HeaderFields, list[ProfileRecord]]]:
         nonlocal block_count, rejected_blocks
@@ -433,7 +433,7 @@ def run(config: PipelineConfig) -> RunResult:
             block_count += len(blocks)
             for block in blocks:
                 try:
-                    yield block.header, decoder.decode_block(block, cal, memo)
+                    yield block.header, decoder.decode_block(block, memo)
                 except NonTripleWordCount:
                     rejected_blocks += 1
             del blocks, block

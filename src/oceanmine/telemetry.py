@@ -64,14 +64,15 @@ from .errors import (
     OddByteCount,
 )
 
-# ASCII digits only, so every field slices to an int as written and no
-# other script's digit passes.
-_DATE_RE = re.compile(r"^[0-9]{4}-[0-9]{2}-[0-9]{2}$")
-_TIME_RE = re.compile(r"^[0-9]{2}:[0-9]{2}:[0-9]{2}(\.[0-9]+)?$")
-_PLATFORM_RE = re.compile(r"^[0-9]{5}$")
+# ASCII digits and capitals only, so every field slices to an int as
+# written and no other script's digit or letter passes.
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_TIME_RE = re.compile(r"[0-9]{2}:[0-9]{2}:[0-9]{2}(\.[0-9]+)?")
+_PLATFORM_RE = re.compile(r"[0-9]{5}")
 _DIGITS_RE = re.compile(r"[0-9]+")
+_CLASS_RE = re.compile(r"[A-Z]")
 _NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+(\.[0-9]*)?|(\.[0-9]+))([eE][+-]?[0-9]+)?")
-_HEX_RE = re.compile(r"^[0-9a-fA-F]{2}$")
+_HEX_RE = re.compile(r"[0-9a-fA-F]{2}")
 # A data line's tokens joined by single spaces, all of them byte tokens.
 _HEX_LINE_RE = re.compile(r"(?:[0-9a-fA-F]{2}(?: [0-9a-fA-F]{2})*)?")
 # One line and its ending; only LF, CR and CRLF end a line.  Matching
@@ -124,7 +125,7 @@ class MessageBlock(NamedTuple):
 
 
 def _parse_timestamp(date_tok: str, time_tok: str, line_no: int | None) -> datetime:
-    if not _DATE_RE.match(date_tok) or not _TIME_RE.match(time_tok):
+    if not _DATE_RE.fullmatch(date_tok) or not _TIME_RE.fullmatch(time_tok):
         raise MalformedHeader(
             f"bad timestamp tokens {date_tok!r} {time_tok!r}", line=line_no
         )
@@ -158,7 +159,7 @@ def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
         )
 
     platform_id = tokens[0]
-    if not _PLATFORM_RE.match(platform_id):
+    if not _PLATFORM_RE.fullmatch(platform_id):
         raise MalformedHeader(f"bad platform id {platform_id!r}", line=line_no)
 
     # Fixed tail: class_code pass_count date time lat lon alt transmitter.
@@ -178,7 +179,7 @@ def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
             f"bad integer fields {mid[-2]!r} {mid[-1]!r}", line=line_no
         ) from None
 
-    if len(class_code) != 1 or not class_code.isupper():
+    if not _CLASS_RE.fullmatch(class_code):
         raise MalformedHeader(f"bad class code {class_code!r}", line=line_no)
     if not _DIGITS_RE.fullmatch(pass_tok):
         raise MalformedHeader(f"bad pass count {pass_tok!r}", line=line_no)
@@ -226,7 +227,7 @@ class _BlockBuilder:
     def add_bytes(self, tokens: list[str], line_no: int) -> None:
         line = " ".join(tokens)
         if not _HEX_LINE_RE.fullmatch(line):
-            bad = next(tok for tok in tokens if not _HEX_RE.match(tok))
+            bad = next(tok for tok in tokens if not _HEX_RE.fullmatch(tok))
             raise BadHexToken(f"bad hex byte token {bad!r}", line=line_no)
         self.payload += bytes.fromhex(line)
         self.last_line = line_no
@@ -268,7 +269,7 @@ def parse_stream(text: str) -> list[MessageBlock]:
         if not tokens:
             continue
 
-        if _PLATFORM_RE.match(tokens[0]):
+        if _PLATFORM_RE.fullmatch(tokens[0]):
             if current is not None:
                 blocks.append(current.finish())
             header = parse_header(raw, line_no)
@@ -278,8 +279,8 @@ def parse_stream(text: str) -> list[MessageBlock]:
         if current is None:
             raise MalformedHeader("data line before any header", line=line_no)
 
-        if _DATE_RE.match(tokens[0]):
-            if len(tokens) < 2 or not _TIME_RE.match(tokens[1]):
+        if _DATE_RE.fullmatch(tokens[0]):
+            if len(tokens) < 2 or not _TIME_RE.fullmatch(tokens[1]):
                 raise MalformedHeader(
                     f"block time line missing time token: {raw.strip()!r}", line=line_no
                 )

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written from the definitions, not from
 the production code: the index evaluator runs in 50-digit arithmetic
-term by term, and the rule miner enumerates every candidate episode
-and every subsequence occurrence by brute force.  Slow is fine; these
+term by term, decoded values round in decimal arithmetic, and the rule
+miner enumerates every candidate episode and every subsequence
+occurrence by brute force.  Slow is fine; these
 only run in tests.
 """
 
@@ -13,6 +14,7 @@ import itertools
 import math
 import re
 from datetime import datetime, timedelta
+from decimal import ROUND_HALF_UP, Decimal
 
 import mpmath
 
@@ -89,6 +91,20 @@ def read_number_reference(text: str, kind: type) -> int | float | None:
     if kind is float and abs(value) == math.inf:  # an exponent overflowed
         return None
     return value
+
+
+# --- decimal rounding --------------------------------------------------------
+
+
+def round_half_away_reference(value: float, ndigits: int) -> float:
+    """repr(value) as a decimal, rounded half away from zero to ndigits.
+
+    Raises decimal.InvalidOperation when the rounded value needs more
+    than the context's 28 significant digits.
+    """
+    quantum = Decimal(1).scaleb(-ndigits)
+    out = float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+    return out + 0.0  # normalise -0.0
 
 
 # --- brute-force episode mining ----------------------------------------------

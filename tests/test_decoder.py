@@ -1,17 +1,20 @@
 from __future__ import annotations
 
 import random
+import re
 from datetime import datetime
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from oceanmine import decoder
 from oceanmine.decoder import (
     DEFAULT_CALIBRATION,
     CalibrationTable,
-    DecodeMemo,
     ProfileRecord,
     decode_block,
+    decode_memo,
     load_calibration,
     round_half_away,
 )
@@ -20,6 +23,7 @@ from oceanmine.telemetry import MessageBlock, parse_header
 
 from conftest import SPLIT_ID_HEADER
 from helpers import apply_precision, quantize
+from oracles import round_half_away_reference
 
 HEADER = parse_header(SPLIT_ID_HEADER)
 
@@ -46,20 +50,20 @@ class TestDecodeWord:
     """Single words, decoded through their channel's line by decode_block."""
 
     def test_temperature_offset(self):
-        (rec,) = decode_block(block_of([13725, 0, 1995]), DEFAULT_CALIBRATION, DecodeMemo())
+        (rec,) = decode_block(block_of([13725, 0, 1995]), decode_memo(DEFAULT_CALIBRATION))
         assert rec.temperature == 8.725
         assert rec.pressure == 199.5
 
     def test_count_boundaries(self):
         low, high = decode_block(
-            block_of([0, 0, 0, 65535, 65535, 65535]), DEFAULT_CALIBRATION, DecodeMemo()
+            block_of([0, 0, 0, 65535, 65535, 65535]), decode_memo(DEFAULT_CALIBRATION)
         )
         assert values(low) == (-5.0, 0.0, 0.0)
         assert values(high) == (60.535, 65.535, 6553.5)
 
     def test_monotone_in_word(self):
         low, high = decode_block(
-            block_of([100, 100, 100, 101, 101, 101]), DEFAULT_CALIBRATION, DecodeMemo()
+            block_of([100, 100, 100, 101, 101, 101]), decode_memo(DEFAULT_CALIBRATION)
         )
         assert all(a < b for a, b in zip(values(low), values(high)))
 
@@ -67,13 +71,13 @@ class TestDecodeWord:
 class TestQuantize:
     def test_inverts_decode(self):
         for word in (0, 1, 1995, 13725, 35134, 65535):
-            (rec,) = decode_block(block_of([word] * 3), DEFAULT_CALIBRATION, DecodeMemo())
+            (rec,) = decode_block(block_of([word] * 3), decode_memo(DEFAULT_CALIBRATION))
             for channel, value in zip(("temperature", "salinity", "pressure"), values(rec)):
                 assert quantize(value, channel) == word
 
     def test_custom_calibration(self):
         cal = CalibrationTable(temp_offset=0.0, temp_resolution=0.002)
-        (rec,) = decode_block(block_of([500, 0, 0]), cal, DecodeMemo())
+        (rec,) = decode_block(block_of([500, 0, 0]), decode_memo(cal))
         assert rec.temperature == 1.0
         assert quantize(1.0, "temperature", cal) == 500
 
@@ -116,7 +120,7 @@ class TestApplyPrecision:
 
 class TestDecodeBlock:
     def test_triple_order(self):
-        (rec,) = decode_block(block_of([18725, 40134, 1995]), DEFAULT_CALIBRATION, DecodeMemo())
+        (rec,) = decode_block(block_of([18725, 40134, 1995]), decode_memo(DEFAULT_CALIBRATION))
         assert rec.temperature == 13.725
         assert rec.salinity == 40.134
         assert rec.pressure == 199.5
@@ -124,30 +128,30 @@ class TestDecodeBlock:
 
     def test_levels_number_from_one(self):
         recs = decode_block(
-            block_of([0, 0, 0, 1, 1, 1, 2, 2, 2]), DEFAULT_CALIBRATION, DecodeMemo()
+            block_of([0, 0, 0, 1, 1, 1, 2, 2, 2]), decode_memo(DEFAULT_CALIBRATION)
         )
         assert [r.level for r in recs] == [1, 2, 3]
 
     def test_block_time_stamps_records(self):
         bt = datetime(2003, 1, 10, 12, 49, 18)
-        (rec,) = decode_block(block_of([1, 2, 3], block_time=bt), DEFAULT_CALIBRATION, DecodeMemo())
+        (rec,) = decode_block(block_of([1, 2, 3], block_time=bt), decode_memo(DEFAULT_CALIBRATION))
         assert rec.observed_at == bt
 
     def test_header_time_when_no_block_time(self):
-        (rec,) = decode_block(block_of([1, 2, 3]), DEFAULT_CALIBRATION, DecodeMemo())
+        (rec,) = decode_block(block_of([1, 2, 3]), decode_memo(DEFAULT_CALIBRATION))
         assert rec.observed_at == HEADER.observed_at
 
     def test_non_triple_rejected_with_span(self):
         with pytest.raises(NonTripleWordCount) as err:
-            decode_block(block_of([1, 2, 3, 4]), DEFAULT_CALIBRATION, DecodeMemo())
+            decode_block(block_of([1, 2, 3, 4]), decode_memo(DEFAULT_CALIBRATION))
         assert err.value.span == (1, 3)
 
     def test_empty_block_decodes_to_nothing(self):
-        assert decode_block(block_of([]), DEFAULT_CALIBRATION, DecodeMemo()) == []
+        assert decode_block(block_of([]), decode_memo(DEFAULT_CALIBRATION)) == []
 
     def test_custom_calibration_applied(self):
         cal = CalibrationTable(pres_offset=100.0)
-        (rec,) = decode_block(block_of([18725, 40134, 1995]), cal, DecodeMemo())
+        (rec,) = decode_block(block_of([18725, 40134, 1995]), decode_memo(cal))
         assert rec.pressure == 299.5
 
 
@@ -163,46 +167,52 @@ OTHER_CALIBRATION = CalibrationTable(
 class TestDecodeMemo:
     @pytest.mark.parametrize("cal", [DEFAULT_CALIBRATION, OTHER_CALIBRATION])
     def test_every_word_equals_the_formula(self, cal):
-        memo = DecodeMemo()
-        filled = decode_block(block_of(ALL_WORDS), cal, memo)
+        memo = decode_memo(cal)
+        filled = decode_block(block_of(ALL_WORDS), memo)
         # the second pass reads every value back from the filled memo
-        reread = decode_block(block_of(ALL_WORDS[::-1]), cal, memo)[::-1]
+        reread = decode_block(block_of(ALL_WORDS[::-1]), memo)[::-1]
         for channel, offset, resolution, decimals in cal.lines():
-            want = [round_half_away(offset + w * resolution, decimals) for w in range(0x10000)]
-            assert [getattr(r, channel) for r in filled] == want, channel
-            assert [getattr(r, channel) for r in reread] == want, channel
+            want = [
+                repr(round_half_away_reference(offset + w * resolution, decimals))
+                for w in range(0x10000)
+            ]
+            assert [repr(getattr(r, channel)) for r in filled] == want, channel
+            assert [repr(getattr(r, channel)) for r in reread] == want, channel
 
     def test_each_word_rounds_once_per_memo(self, monkeypatch):
         calls = []
-        real = decoder._round_to
+        real = decoder.round_half_away
         monkeypatch.setattr(
-            decoder, "_round_to", lambda v, q: calls.append(q) or real(v, q)
+            decoder, "round_half_away", lambda v, n: calls.append(n) or real(v, n)
         )
         block = block_of([7, 8, 9, 7, 8, 9, 7, 8, 10])
-        memo = DecodeMemo()
-        first = decode_block(block, DEFAULT_CALIBRATION, memo)
+        memo = decode_memo(DEFAULT_CALIBRATION)
+        first = decode_block(block, memo)
         assert len(calls) == 4
-        assert decode_block(block, DEFAULT_CALIBRATION, memo) == first
+        assert decode_block(block, memo) == first
         assert len(calls) == 4
 
-    @pytest.mark.parametrize("cal", [DEFAULT_CALIBRATION, OTHER_CALIBRATION])
-    def test_line_quantum_rounds_as_round_half_away(self, cal):
-        # each channel line builds its quantum once; the extremes of the
-        # word range must still round as round_half_away rounds them
-        memo = DecodeMemo()
-        for line in cal.lines():
-            _, offset, resolution, decimals = line
-            for word in (0, 0xFFFF):
-                want = round_half_away(offset + word * resolution, decimals)
-                assert memo[line][word] == want, (line, word)
 
-    def test_one_memo_keeps_calibrations_apart(self):
-        memo = DecodeMemo()
-        words = [500, 500, 500]
-        (plain,) = decode_block(block_of(words), DEFAULT_CALIBRATION, memo)
-        (other,) = decode_block(block_of(words), OTHER_CALIBRATION, memo)
-        assert values(plain) == (-4.5, 0.5, 50.0)
-        assert values(other) == (-1.75, 1.6, 122.0)
+class TestRoundHalfAway:
+    @settings(max_examples=2000, deadline=None)
+    @given(
+        value=st.floats(allow_nan=False, allow_infinity=False),
+        ndigits=st.integers(0, 12),
+    )
+    @example(value=0.0005, ndigits=3)
+    @example(value=-0.0005, ndigits=3)
+    @example(value=199.55, ndigits=1)
+    @example(value=0.125, ndigits=2)
+    @example(value=2.5, ndigits=0)
+    @example(value=5e-05, ndigits=4)
+    @example(value=28147321.574496735, ndigits=8)
+    @example(value=-2.25, ndigits=1)
+    def test_equals_decimal_rounding(self, value, ndigits):
+        # the reference needs at most 28 significant digits, as a
+        # calibration's decodable range does
+        assume(abs(value) < 10.0 ** (28 - ndigits))
+        want = round_half_away_reference(value, ndigits)
+        assert repr(round_half_away(value, ndigits)) == repr(want)
 
 
 class TestLoadCalibration:
@@ -264,3 +274,38 @@ class TestLoadCalibration:
         path.write_text("pres_offset = 1e308\n")
         with pytest.raises(ConfigError, match="pressure"):
             load_calibration(path)
+
+    @pytest.mark.parametrize(
+        "key, value, channel, word, bound",
+        [
+            ("temp_offset", "1e25", "temperature", 0, "1e+25"),
+            ("temp_offset", "-1e25", "temperature", 0, "1e+25"),
+            ("sal_offset", "1e25", "salinity", 0, "1e+25"),
+            ("pres_offset", "1e27", "pressure", 0, "1e+27"),
+            ("sal_resolution", "2e20", "salinity", 65535, "1e+25"),
+        ],
+    )
+    def test_decodable_range_bound_rejected(self, tmp_path, key, value, channel, word, bound):
+        # the same calibrations that 28-digit decimal rounding rejected
+        path = tmp_path / "cal.txt"
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(
+            ConfigError,
+            match=f"{channel} calibration maps word {word} .* below {re.escape(bound)}",
+        ):
+            load_calibration(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("temp_offset", "9.99e24"),
+            ("temp_offset", "-9.99e24"),
+            ("sal_offset", "9.99e24"),
+            ("pres_offset", "9.9e26"),
+        ],
+    )
+    def test_just_inside_decodable_range_accepted(self, tmp_path, key, value):
+        # the same calibrations that 28-digit decimal rounding accepted
+        path = tmp_path / "cal.txt"
+        path.write_text(f"{key} = {value}\n")
+        assert getattr(load_calibration(path), key) == float(value)

@@ -1093,13 +1093,20 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
 
-    def test_import_loads_no_introspection_modules(self):
-        # the records are NamedTuples: no run needs dataclasses or inspect
+    def test_import_and_run_load_no_introspection_or_decimal_modules(
+        self, sample_path, tmp_path
+    ):
+        # The records are NamedTuples, so no run needs dataclasses or
+        # inspect; decoded values round on repr()'s digits, without decimal.
+        unused = "{'dataclasses', 'inspect', 'decimal', '_decimal', 'numbers'}"
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, oceanmine.cli; "
-             "loaded = {'dataclasses', 'inspect'} & set(sys.modules); "
-             "assert not loaded, sorted(loaded)"],
+             f"assert not {unused} & set(sys.modules), 'import'; "
+             f"code = oceanmine.cli.main([sys.argv[1], '--out-dir', sys.argv[2]]); "
+             f"loaded = {unused} & set(sys.modules); "
+             "assert code == 0 and not loaded, (code, sorted(loaded))",
+             str(sample_path), str(tmp_path / "out")],
             capture_output=True,
             text=True,
         )
@@ -1192,3 +1199,16 @@ class TestGoldenOutput:
         assert main([str(sample_path), "--out-dir", "out", *flags]) == EXIT_OK
         assert capsys.readouterr().out == SAMPLE_STDOUT
         assert tree_digest(tmp_path / "out") == digest
+
+    def test_sample_tree_with_half_way_ties(self, sample_path, tmp_path, monkeypatch, capsys):
+        # A quarter-dbar pressure line puts words on exact ties at one
+        # decimal (-3.0 + 1485 * 0.25 = 368.25), which round away from zero.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cal.txt").write_text(
+            "pres_offset = -3.0\npres_resolution = 0.25\n", encoding="ascii"
+        )
+        assert main([str(sample_path), "--out-dir", "out", "--calibration", "cal.txt"]) == EXIT_OK
+        assert capsys.readouterr().out == SAMPLE_STDOUT
+        assert tree_digest(tmp_path / "out") == (
+            "6e16c244fa5779ff3391e387383c55afe83e5b976a39fc3dbfae844e1be777a4"
+        )

@@ -74,6 +74,10 @@ class TestParseHeader:
             parse_header(SECOND_HEADER.replace(" K ", " KX "))
         with pytest.raises(MalformedHeader):
             parse_header(SECOND_HEADER.replace(" K ", " k "))
+        # capitals of other scripts and number forms are not ASCII codes
+        for code in ("É", "Ⅻ"):
+            with pytest.raises(MalformedHeader, match="bad class code"):
+                parse_header(SECOND_HEADER.replace(" K ", f" {code} "))
 
     def test_timezone_suffix_rejected(self):
         with pytest.raises(MalformedHeader):
