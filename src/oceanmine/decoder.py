@@ -1,6 +1,6 @@
 """Counts-to-physical-units decoding for message block payloads.
 
-A block payload is a flat run of 16-bit words in repeating
+A block payload is a flat run of big-endian 16-bit words in repeating
 (temperature, salinity, pressure) triples, one triple per depth level,
 shallow to deep.  Each channel maps counts to physical units linearly:
 
@@ -22,14 +22,17 @@ A channel has at most 65,536 words, so decoding goes through an exact
 memo: decode_memo(cal) gives one dict per channel line, filled on first
 use with the rounded value the formula gives, and decode_block(block,
 memo) reads it.  pipeline.run builds one memo per run and drops it after
-decoding, so nothing is shared between runs.  A rounded value keeps at
-most 28 significant digits, so every word must map to a magnitude below
-10**(28 - decimals): 1e25 for temperature and salinity, 1e27 for pressure.
+decoding, so nothing is shared between runs.  Every word must map to a
+magnitude below 10**(28 - decimals), 1e25 for temperature and salinity
+and 1e27 for pressure.  That keeps T**2 and S*T in the oscillation index
+near 1e50 at most, where a merely finite bound would let an offset of
+1e200 square to inf and write -inf into the index.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from datetime import datetime
 from pathlib import Path
 from typing import NamedTuple
@@ -111,37 +114,35 @@ def decode_memo(cal: CalibrationTable) -> tuple[_RoundedLine, ...]:
 def decode_block(
     block: MessageBlock, memo: tuple[_RoundedLine, ...]
 ) -> list[ProfileRecord]:
-    """Decode a block's words into per-level records.
+    """Decode a block's payload into per-level records.
 
-    Words come in (temperature, salinity, pressure) triples, so each
-    channel's words (every third, from its place in the triple) are
-    mapped and rounded through its line of memo, a decode_memo(cal);
-    level numbering starts at 1.  Every record carries the block time
-    when the block has one, the header time otherwise.  Raises
-    NonTripleWordCount when the word count is not a multiple of three.
-    Pass the same memo for every block of a run.
+    The payload's words come in (temperature, salinity, pressure)
+    triples; each word is mapped and rounded through its channel's line
+    of memo, a decode_memo(cal), and level numbering starts at 1.  Every
+    record carries the header's observed_at.  Raises NonTripleWordCount
+    when the word count is not a multiple of three.  Pass the same memo
+    for every block of a run.
     """
-    words = block.words
-    if len(words) % 3:
+    payload = block.payload
+    if len(payload) % 6:
         raise NonTripleWordCount(
-            f"block has {len(words)} words, not a multiple of 3",
+            f"block has {len(payload) // 2} words, not a multiple of 3",
             span=block.source_line_span,
         )
-    observed_at = block.block_time or block.header.observed_at
-    temperature, salinity, pressure = (
-        list(map(line.__getitem__, words[i::3])) for i, line in enumerate(memo)
-    )
+    observed_at = block.header.observed_at
+    temperature, salinity, pressure = memo
     return [
-        ProfileRecord(observed_at, level, t, s, p)
-        for level, (t, s, p) in enumerate(zip(temperature, salinity, pressure), start=1)
+        ProfileRecord(observed_at, level, temperature[t], salinity[s], pressure[p])
+        for level, (t, s, p) in enumerate(struct.iter_unpack(">3H", payload), start=1)
     ]
 
 
 def load_calibration(path: str | Path) -> CalibrationTable:
     """Load a calibration table from a key = value file.
 
-    Lines are "key = value" and end at LF, CR or CRLF, as in dumps;
-    blank lines and '#' comments are ignored.
+    Lines are "key = value" and are read as in dumps: they end at LF, CR
+    or CRLF, and a non-ASCII byte is named with its line.  Blank lines
+    and '#' comments are ignored.
     Missing keys keep their defaults.  A non-ASCII file, an unknown or
     repeated key, a value read_number rejects, a non-positive resolution
     and a channel that maps a word outside the decodable range raise
@@ -149,12 +150,12 @@ def load_calibration(path: str | Path) -> CalibrationTable:
     """
     values: dict[str, float] = {}
     line_of: dict[str, int] = {}
-    try:
-        text = Path(path).read_text(encoding="ascii")
-    except UnicodeDecodeError as e:
-        raise ConfigError(f"{path}: non-ASCII byte at offset {e.start}") from None
+    text = Path(path).read_bytes().decode("latin-1")  # one character per byte
     for line_no, match in enumerate(LINE_RE.finditer(text), start=1):
         raw = match[0].rstrip("\r\n")
+        if not raw.isascii():
+            bad = next(ch for ch in raw if not ch.isascii())
+            raise ConfigError(f"{path}:{line_no}: non-ASCII byte 0x{ord(bad):02x}")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

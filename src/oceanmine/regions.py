@@ -28,7 +28,7 @@ def key_string(key: RegionKey) -> str:
 
 
 class RegionSegment(NamedTuple):
-    """All records of one region, in (observed_at, level) order."""
+    """All records of one region, in tuple order: by observed_at, level, values."""
 
     key: RegionKey
     records: list[ProfileRecord]
@@ -53,8 +53,10 @@ def segment(
     is held after its block.  The header is gridded once per block.
     Every input record lands in exactly one segment; a block without
     records adds no region.  Within a segment records are sorted in
-    place by (observed_at, level); ties keep input order.  Segments
-    come out sorted by key.
+    place as tuples, by (observed_at, level) and then by values, so
+    same-time blocks of one region come out in one order whichever was
+    read first; no decoded value is -0.0, so equal records are equal
+    byte for byte.  Segments come out sorted by key.
     """
     by_key: dict[RegionKey, list[ProfileRecord]] = {}
     for header, records in blocks:
@@ -64,6 +66,6 @@ def segment(
     segments = []
     for key in sorted(by_key):
         records = by_key[key]
-        records.sort(key=lambda r: (r.observed_at, r.level))
+        records.sort()
         segments.append(RegionSegment(key=key, records=records))
     return segments

@@ -7,23 +7,25 @@ a data error naming that line.  Three kinds of line occur:
   header line      one per satellite message, positional whitespace-
                    separated tokens (see table below)
   block time line  optional, starts with a date token; restamps the
-                   message payload with a per-block acquisition time
+                   block with a per-block acquisition time
   data line        whitespace-separated two-hex-digit byte tokens
 
-Header token layout (left to right):
+Header token layout (left to right).  HeaderFields keeps the starred
+tokens, date and time as observed_at; parse_header checks the others
+and drops them.
 
   pos  field            form                       example
   ---  ---------------  -------------------------  -------------
-  1    platform_id      5 ASCII digits             02602
+  1  * platform_id      5 ASCII digits             02602
   2    message_id       ASCII digits               2902102
   3    field_a          integer                    65
   4    field_b          integer                    32
   5    class_code       single uppercase           K
   6    pass_count       ASCII digits               2
-  7    date             YYYY-MM-DD                 2003-01-10
-  8    time             HH:MM:SS[.ffffff]          11:50:18.0
-  9    latitude         decimal degrees            0.691
-  10   longitude        decimal degrees            76.559
+  7  * date             YYYY-MM-DD                 2003-01-10
+  8  * time             HH:MM:SS[.ffffff]          11:50:18.0
+  9  * latitude         decimal degrees            0.691
+  10 * longitude        decimal degrees            76.559
   11   altitude_or_zero finite decimal             0.000
   12   transmitter_id   opaque token               401647210
 
@@ -34,24 +36,24 @@ calendar's range, or a longer fraction, is an unparseable timestamp.
 Some feeds split message_id across several tokens ("29021 02" for
 "2902102").  The reader re-joins them: the tokens between platform_id
 and the two integers preceding class_code are concatenated, so both
-renditions parse to the same header.
+renditions pass the same check.
 
 A block time line is "DATE TIME SEQ [BYTE ...]"; SEQ is a decimal
 sequence number and is validated then dropped.  The first block time
-line of a block sets block_time; any bytes riding on the line join the
-payload in reading order.
+line of a block replaces the header's observed_at; any bytes riding
+on the line join the payload in reading order.
 
-Data bytes pair big-endian into 16-bit words, across line boundaries,
-within a block.  A block ending on an unpaired byte is an error.  A
-data line is checked whole, with one match over its joined tokens; the
-first token that is not two hex digits is named only when that fails.
+A block carries its data bytes as read, in one bytes payload.  They
+pair big-endian into 16-bit words, across line boundaries, within a
+block; a block ending on an unpaired byte is an error.  A data line is
+checked whole, with one match over its joined tokens; the first token
+that is not two hex digits is named only when that fails.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import struct
 from datetime import datetime
 from pathlib import Path
 from typing import NamedTuple
@@ -100,28 +102,23 @@ def read_number(text: str, kind: type[int] | type[float]) -> int | float:
 
 
 class HeaderFields(NamedTuple):
-    """One parsed header line."""
+    """The fields of one header line that a run reads."""
 
     platform_id: str
-    message_id: str
-    field_a: int
-    field_b: int
-    class_code: str
-    pass_count: int
     observed_at: datetime
     latitude: float
     longitude: float
-    altitude_or_zero: float
-    transmitter_id: str
 
 
 class MessageBlock(NamedTuple):
-    """A header plus the words decoded from the lines attributed to it."""
+    """A header plus the payload bytes of the lines attributed to it.
+
+    The header's observed_at is the block time when the block has one.
+    """
 
     header: HeaderFields
-    words: list[int]
-    block_time: datetime | None = None
-    source_line_span: tuple[int, int] = (0, 0)
+    payload: bytes
+    source_line_span: tuple[int, int]
 
 
 def _parse_timestamp(date_tok: str, time_tok: str, line_no: int | None) -> datetime:
@@ -148,8 +145,9 @@ def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
     """Parse one header line into HeaderFields.
 
     Tokens are bound positionally as documented in the module
-    docstring.  Raises MalformedHeader (with the line number when
-    known) on wrong token count, a malformed field, or an out-of-range
+    docstring, and every one is checked before the unkept ones are
+    dropped.  Raises MalformedHeader (with the line number when known)
+    on wrong token count, a malformed field, or an out-of-range
     coordinate.
     """
     tokens = line.split()
@@ -162,9 +160,10 @@ def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
     if not _PLATFORM_RE.fullmatch(platform_id):
         raise MalformedHeader(f"bad platform id {platform_id!r}", line=line_no)
 
-    # Fixed tail: class_code pass_count date time lat lon alt transmitter.
+    # Fixed tail: class_code pass_count date time lat lon alt transmitter;
+    # the transmitter id is opaque, so it has nothing to check.
     (class_code, pass_tok, date_tok, time_tok,
-     lat_tok, lon_tok, alt_tok, transmitter_id) = tokens[-8:]
+     lat_tok, lon_tok, alt_tok, _) = tokens[-8:]
     mid = tokens[1:-8]
 
     message_id = "".join(mid[:-2])
@@ -172,8 +171,8 @@ def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
         raise MalformedHeader(f"bad message id {' '.join(mid[:-2])!r}", line=line_no)
 
     try:
-        field_a = read_number(mid[-2], int)
-        field_b = read_number(mid[-1], int)
+        read_number(mid[-2], int)
+        read_number(mid[-1], int)
     except ValueError:
         raise MalformedHeader(
             f"bad integer fields {mid[-2]!r} {mid[-1]!r}", line=line_no
@@ -189,7 +188,7 @@ def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
     try:
         latitude = read_number(lat_tok, float)
         longitude = read_number(lon_tok, float)
-        altitude = read_number(alt_tok, float)
+        read_number(alt_tok, float)
     except ValueError:
         raise MalformedHeader(
             f"bad coordinate tokens {lat_tok!r} {lon_tok!r} {alt_tok!r}", line=line_no
@@ -199,19 +198,7 @@ def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
     if not -180.0 <= longitude <= 180.0:
         raise MalformedHeader(f"longitude {longitude} out of [-180, 180]", line=line_no)
 
-    return HeaderFields(
-        platform_id=platform_id,
-        message_id=message_id,
-        field_a=field_a,
-        field_b=field_b,
-        class_code=class_code,
-        pass_count=int(pass_tok),
-        observed_at=observed_at,
-        latitude=latitude,
-        longitude=longitude,
-        altitude_or_zero=altitude,
-        transmitter_id=transmitter_id,
-    )
+    return HeaderFields(platform_id, observed_at, latitude, longitude)
 
 
 class _BlockBuilder:
@@ -219,7 +206,7 @@ class _BlockBuilder:
 
     def __init__(self, header: HeaderFields, first_line: int):
         self.header = header
-        self.block_time: datetime | None = None
+        self.restamped = False
         self.payload = bytearray()
         self.first_line = first_line
         self.last_line = first_line
@@ -233,18 +220,12 @@ class _BlockBuilder:
         self.last_line = line_no
 
     def finish(self) -> MessageBlock:
-        n, odd = divmod(len(self.payload), 2)
-        if odd:
+        span = (self.first_line, self.last_line)
+        if len(self.payload) % 2:
             raise OddByteCount(
-                f"block has {len(self.payload)} bytes, one unpaired",
-                span=(self.first_line, self.last_line),
+                f"block has {len(self.payload)} bytes, one unpaired", span=span
             )
-        return MessageBlock(
-            header=self.header,
-            words=list(struct.unpack(f">{n}H", self.payload)),
-            block_time=self.block_time,
-            source_line_span=(self.first_line, self.last_line),
-        )
+        return MessageBlock(self.header, bytes(self.payload), span)
 
 
 def parse_stream(text: str) -> list[MessageBlock]:
@@ -285,8 +266,9 @@ def parse_stream(text: str) -> list[MessageBlock]:
                     f"block time line missing time token: {raw.strip()!r}", line=line_no
                 )
             stamp = _parse_timestamp(tokens[0], tokens[1], line_no)
-            if current.block_time is None:
-                current.block_time = stamp
+            if not current.restamped:
+                current.header = current.header._replace(observed_at=stamp)
+                current.restamped = True
             rest = tokens[2:]
             if rest:
                 if not _DIGITS_RE.fullmatch(rest[0]):

@@ -220,16 +220,9 @@ def test_criterion_10_region_partition():
     for uid in range(1, 1001):
         header = HeaderFields(
             platform_id=rng.choice(platforms),
-            message_id="1",
-            field_a=0,
-            field_b=0,
-            class_code="K",
-            pass_count=1,
             observed_at=datetime(2003, 1, 10) + timedelta(seconds=rng.randrange(86400)),
             latitude=rng.uniform(-90.0, 90.0),
             longitude=rng.uniform(-180.0, 180.0),
-            altitude_or_zero=0.0,
-            transmitter_id="t",
         )
         record = ProfileRecord(
             observed_at=header.observed_at,

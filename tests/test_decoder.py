@@ -22,15 +22,16 @@ from oceanmine.errors import ConfigError, NonTripleWordCount
 from oceanmine.telemetry import MessageBlock, parse_header
 
 from conftest import SPLIT_ID_HEADER
-from helpers import apply_precision, quantize
+from helpers import apply_precision, payload_of, quantize
 from oracles import round_half_away_reference
 
 HEADER = parse_header(SPLIT_ID_HEADER)
 
 
 def block_of(words, block_time=None):
-    return MessageBlock(header=HEADER, words=words, block_time=block_time,
-                        source_line_span=(1, 3))
+    """A block of words, its header restamped as a block time line would."""
+    header = HEADER if block_time is None else HEADER._replace(observed_at=block_time)
+    return MessageBlock(header=header, payload=payload_of(words), source_line_span=(1, 3))
 
 
 def values(record):
@@ -145,6 +146,7 @@ class TestDecodeBlock:
         with pytest.raises(NonTripleWordCount) as err:
             decode_block(block_of([1, 2, 3, 4]), decode_memo(DEFAULT_CALIBRATION))
         assert err.value.span == (1, 3)
+        assert "block has 4 words, not a multiple of 3" in str(err.value)
 
     def test_empty_block_decodes_to_nothing(self):
         assert decode_block(block_of([]), decode_memo(DEFAULT_CALIBRATION)) == []
@@ -283,6 +285,8 @@ class TestLoadCalibration:
             ("sal_offset", "1e25", "salinity", 0, "1e+25"),
             ("pres_offset", "1e27", "pressure", 0, "1e+27"),
             ("sal_resolution", "2e20", "salinity", 65535, "1e+25"),
+            # finite, but T**2 in the index would overflow to inf
+            ("temp_offset", "1e200", "temperature", 0, "1e+25"),
         ],
     )
     def test_decodable_range_bound_rejected(self, tmp_path, key, value, channel, word, bound):

@@ -8,6 +8,7 @@ one zero-pressure record that the index stage must skip.
 import errno
 import hashlib
 import json
+import math
 import os
 import random
 import signal
@@ -38,7 +39,8 @@ from oceanmine.pipeline import (
 from oceanmine.oscillation import IndexSample
 from oceanmine.telemetry import HeaderFields, MessageBlock, parse_file
 
-from helpers import quantize, render_stream
+from conftest import REPO_ROOT
+from helpers import payload_of, quantize, render_stream, words_of
 from oracles import at
 
 SAMPLE_REGION = "02602_0_76"
@@ -77,22 +79,11 @@ def config_for(sample_path, out_dir, **kw):
 
 
 def header(platform, lat, lon, when):
-    return HeaderFields(
-        platform_id=platform,
-        message_id="2902102",
-        field_a=65,
-        field_b=32,
-        class_code="K",
-        pass_count=2,
-        observed_at=when,
-        latitude=lat,
-        longitude=lon,
-        altitude_or_zero=0.0,
-        transmitter_id="401647210",
-    )
+    return HeaderFields(platform_id=platform, observed_at=when, latitude=lat, longitude=lon)
 
 
-def words_for(triples):
+def block_of(header, triples):
+    """A block whose payload carries (temperature, salinity, pressure) triples."""
     words = []
     for t, s, p in triples:
         words += [
@@ -100,7 +91,7 @@ def words_for(triples):
             quantize(s, "salinity"),
             quantize(p, "pressure"),
         ]
-    return words
+    return MessageBlock(header=header, payload=payload_of(words), source_line_span=(1, 1))
 
 
 class TestCsvRoundTrips:
@@ -205,7 +196,7 @@ class TestRunOnSample:
         monkeypatch.setattr(regions, "region_key_of", counted)
         result = run(config_for(sample_path, tmp_path / "out"))
         blocks = parse_file(sample_path)
-        assert all(b.words for b in blocks)
+        assert all(b.payload for b in blocks)
         assert keyed == [b.header for b in blocks]
         assert result.record_count > len(blocks)
 
@@ -259,6 +250,28 @@ class TestRunOnSample:
             assert proc.returncode == EXIT_OK, proc.stderr
             assert tree_digest(tmp_path / f"in_{cal.stem}") == tree_digest(fresh)
         assert tree_digest(tmp_path / "in_cal_a") != tree_digest(tmp_path / "in_cal_b")
+
+    def test_edge_of_the_decodable_range_keeps_the_index_finite(self, sample_path, tmp_path):
+        # The range bound keeps |T| and |S| below 1e25, so T**2 and S*T in
+        # the index stay near 1e50 at most: every index value is finite and
+        # the report is strict JSON.  A bound of "finite" alone would let an
+        # offset of 1e200 through, and T**2 would write -inf.
+        cal = tmp_path / "cal.txt"
+        cal.write_text(
+            "temp_offset = 9.99e24\nsal_offset = -9.99e24\npres_offset = 9.9e26\n",
+            encoding="ascii",
+        )
+        out = tmp_path / "out"
+        run(config_for(sample_path, out, calibration_path=cal))
+        lines = (out / f"index_{SAMPLE_REGION}.csv").read_text(encoding="ascii").splitlines()
+        values = [float(line.split(",")[1]) for line in lines[1:]]
+        assert values and all(math.isfinite(v) and abs(v) > 1e40 for v in values)
+
+        def refuse(name):
+            raise ValueError(f"non-finite JSON constant {name}")
+
+        for line in (out / "report.jsonl").read_text(encoding="ascii").splitlines():
+            json.loads(line, parse_constant=refuse)
 
 
 class TestFailureModes:
@@ -359,13 +372,13 @@ class TestFailureModes:
         assert not out.exists()
 
     def test_dead_region_reported_alongside_live_one(self, tmp_path):
-        live = MessageBlock(
-            header=header("11111", 0.7, 76.5, datetime(2003, 1, 10, 12, 0, 0)),
-            words=words_for([(20.0, 35.0, 100.0), (19.0, 35.1, 150.0)]),
+        live = block_of(
+            header("11111", 0.7, 76.5, datetime(2003, 1, 10, 12, 0, 0)),
+            [(20.0, 35.0, 100.0), (19.0, 35.1, 150.0)],
         )
-        dead = MessageBlock(
-            header=header("09999", 10.5, -40.2, datetime(2003, 1, 10, 13, 0, 0)),
-            words=words_for([(20.0, 35.0, 0.0), (21.0, 35.2, 0.0)]),
+        dead = block_of(
+            header("09999", 10.5, -40.2, datetime(2003, 1, 10, 13, 0, 0)),
+            [(20.0, 35.0, 0.0), (21.0, 35.2, 0.0)],
         )
         src = tmp_path / "two_floats.txt"
         src.write_text(render_stream([live, dead]), encoding="ascii")
@@ -384,11 +397,11 @@ class TestFailureModes:
 
     def test_rejected_region_json_row(self, sample_path, tmp_path):
         # the sample plus a second float whose pressure words are all 0
-        dead = MessageBlock(
-            header=header("09999", 10.5, -40.2, datetime(2003, 1, 10, 13, 0, 0)),
-            words=words_for([(20.0, 35.0, 0.0), (21.0, 35.2, 0.0)]),
+        dead = block_of(
+            header("09999", 10.5, -40.2, datetime(2003, 1, 10, 13, 0, 0)),
+            [(20.0, 35.0, 0.0), (21.0, 35.2, 0.0)],
         )
-        assert dead.words[2::3] == [0, 0]
+        assert words_of(dead)[2::3] == [0, 0]
         src = tmp_path / "sample_and_dead.txt"
         src.write_text(
             Path(sample_path).read_text(encoding="ascii") + render_stream([dead]),
@@ -419,13 +432,13 @@ class TestFailureModes:
 
 def two_region_stream():
     """A live float and a float whose every record is at zero pressure."""
-    live = MessageBlock(
-        header=header("11111", 0.7, 76.5, datetime(2003, 1, 10, 12, 0, 0)),
-        words=words_for([(20.0, 35.0, 100.0), (19.0, 35.1, 150.0)]),
+    live = block_of(
+        header("11111", 0.7, 76.5, datetime(2003, 1, 10, 12, 0, 0)),
+        [(20.0, 35.0, 100.0), (19.0, 35.1, 150.0)],
     )
-    dead = MessageBlock(
-        header=header("09999", 10.5, -40.2, datetime(2003, 1, 10, 13, 0, 0)),
-        words=words_for([(20.0, 35.0, 0.0), (21.0, 35.2, 0.0)]),
+    dead = block_of(
+        header("09999", 10.5, -40.2, datetime(2003, 1, 10, 13, 0, 0)),
+        [(20.0, 35.0, 0.0), (21.0, 35.2, 0.0)],
     )
     return render_stream([live, dead])
 
@@ -795,9 +808,9 @@ def many_region_stream(floats=120):
                 for level in range(1, 4)
             ]
             blocks.append(
-                MessageBlock(
-                    header=header(f"{10000 + i}", 0.5, 76.5, at(hour * 3600)),
-                    words=words_for(triples),
+                block_of(
+                    header(f"{10000 + i}", 0.5, 76.5, at(hour * 3600)),
+                    triples,
                 )
             )
     return render_stream(blocks)
@@ -838,9 +851,9 @@ class TestHeldMemory:
         refs = []
         alive_on_entry = []
 
-        # Tuples take no weak reference, so each block carries a probe in
-        # its words and its header one in its latitude.
-        class Words(list):
+        # Tuples and bytes take no weak reference, so each block carries a
+        # probe in its payload and its header one in its latitude.
+        class Payload(bytearray):
             pass
 
         class Latitude(float):
@@ -852,13 +865,13 @@ class TestHeldMemory:
             )
             blocks = [
                 b._replace(
-                    words=Words(b.words),
+                    payload=Payload(b.payload),
                     header=b.header._replace(latitude=Latitude(b.header.latitude)),
                 )
                 for b in parse_file(path)
             ]
             refs.extend(
-                weakref.ref(obj) for b in blocks for obj in (b.words, b.header.latitude)
+                weakref.ref(obj) for b in blocks for obj in (b.payload, b.header.latitude)
             )
             return blocks
 
@@ -908,10 +921,7 @@ class TestCli:
 
     def test_exit_data_when_nothing_decodes(self, tmp_path, capsys):
         src = tmp_path / "position_only.txt"
-        block = MessageBlock(
-            header=header("11111", 0.7, 76.5, datetime(2003, 1, 10, 12, 0, 0)),
-            words=[],
-        )
+        block = block_of(header("11111", 0.7, 76.5, datetime(2003, 1, 10, 12, 0, 0)), [])
         src.write_text(render_stream([block]), encoding="ascii")
         code = main([str(src), "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_DATA
@@ -919,10 +929,7 @@ class TestCli:
 
     def test_header_only_block_adds_no_region(self, sample_path, tmp_path, capsys):
         # a block in a grid cell of its own that decodes to no records
-        block = MessageBlock(
-            header=header("02602", 10.691, 76.559, datetime(2003, 1, 11, 9, 0, 0)),
-            words=[],
-        )
+        block = block_of(header("02602", 10.691, 76.559, datetime(2003, 1, 11, 9, 0, 0)), [])
         src = tmp_path / "with_empty_block.txt"
         src.write_text(
             sample_path.read_text(encoding="ascii") + render_stream([block]),
@@ -974,7 +981,8 @@ class TestCli:
         out = tmp_path / "out"
         code = main([str(sample_path), "--out-dir", str(out), "--calibration", str(cal)])
         assert code == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
+        # named as a dump names one: the line and the byte
+        assert f"config error: {cal}:1: non-ASCII byte 0xc2\n" in capsys.readouterr().err
         assert not out.exists()
 
     def test_calibration_lines_end_as_in_dumps(self, sample_path, tmp_path, capsys):
@@ -1212,3 +1220,83 @@ class TestGoldenOutput:
         assert tree_digest(tmp_path / "out") == (
             "6e16c244fa5779ff3391e387383c55afe83e5b976a39fc3dbfae844e1be777a4"
         )
+
+
+# A second block with the sample's first platform, position and block time
+# but other words: its one record ties with the first block's level 1 on
+# (observed_at, level).
+SAME_TIME_BLOCK = (
+    "02602 29021 02 65 32 K 2 2003-01-10 11:50:18.0 0.691 76.559 0.000 401647210\n"
+    "2003-01-10 12:49:18 1 49 26 89 3E 07 CB\n"
+)
+SAME_TIME_DIGEST = "ba64578dcf26ecd2fd7ce4cbf99b8015f0b4d1af6b847ea3c91a8ae1d73095ef"
+
+
+def dump_blocks(text):
+    """A dump's blocks, each as its lines from its header line on."""
+    blocks = []
+    for line in text.splitlines():
+        if line[:5].isdigit() and line[5:6] == " ":
+            blocks.append([])
+        blocks[-1].append(line)
+    return blocks
+
+
+@st.composite
+def shuffled_dumps(draw, blocks):
+    """blocks permuted and split into 1 to 3 dumps, each with its own line ending."""
+    order = draw(st.permutations(blocks))
+    files = draw(st.integers(1, 3))
+    cuts = draw(st.sets(st.integers(1, len(blocks) - 1), min_size=files - 1, max_size=files - 1))
+    bounds = [0, *sorted(cuts), len(blocks)]
+    dumps = []
+    for start, stop in zip(bounds, bounds[1:]):
+        ending = draw(st.sampled_from(["\n", "\r", "\r\n"]))
+        dumps.append("".join(line + ending for block in order[start:stop] for line in block))
+    return dumps
+
+
+def run_on_dumps(directory, dumps):
+    """Run on dumps written as files, in order, and return the tree."""
+    inputs = []
+    for i, text in enumerate(dumps):
+        inputs.append(directory / f"in{i}.txt")
+        inputs[-1].write_bytes(text.encode("ascii"))
+    run(PipelineConfig(inputs=inputs, out_dir=directory / "out"))
+    return snapshot(directory / "out")
+
+
+ORDER_CORPUS = (
+    (REPO_ROOT / "data" / "sample_telemetry.txt").read_text(encoding="ascii")
+    + two_region_stream()
+    + SAME_TIME_BLOCK
+)
+
+
+class TestInputOrder:
+    """The tree depends on the set of blocks, not on their order or files."""
+
+    def test_same_time_block_in_either_place(self, sample_path, tmp_path):
+        sample = sample_path.read_text(encoding="ascii")
+        runs = {
+            "appended": [sample + SAME_TIME_BLOCK],
+            "prepended": [SAME_TIME_BLOCK + sample],
+            "second_file": [sample, SAME_TIME_BLOCK],
+            "first_file": [SAME_TIME_BLOCK, sample],
+        }
+        digests = {}
+        for name, dumps in runs.items():
+            (tmp_path / name).mkdir()
+            run_on_dumps(tmp_path / name, dumps)
+            digests[name] = tree_digest(tmp_path / name / "out")
+        assert digests == dict.fromkeys(runs, SAME_TIME_DIGEST)
+
+    @pytest.fixture(scope="class")
+    def in_order_tree(self, tmp_path_factory):
+        return run_on_dumps(tmp_path_factory.mktemp("in_order"), [ORDER_CORPUS])
+
+    @settings(max_examples=30, deadline=None)
+    @given(dumps=shuffled_dumps(dump_blocks(ORDER_CORPUS)))
+    def test_shuffled_and_split_blocks_give_the_same_tree(self, in_order_tree, dumps):
+        with tempfile.TemporaryDirectory() as directory:
+            assert run_on_dumps(Path(directory), dumps) == in_order_tree

@@ -78,14 +78,17 @@ class TestSegment:
             (t0, 1), (t0, 2), (t1, 1), (t1, 2),
         ]
 
-    def test_tie_keeps_input_order(self):
+    def test_ties_break_on_values(self):
         t0 = datetime(2003, 1, 10)
         h = header_at(0.5, 76.5)
-        a = record_at(t0, level=1)._replace(salinity=35.001)
-        b = record_at(t0, level=1)._replace(salinity=35.002)
-        (seg,) = segment([(h, [a]), (h, [b])], 1.0)
-        # equal (observed_at, level): stable sort keeps input order
-        assert [r.salinity for r in seg.records] == [35.001, 35.002]
+        a = record_at(t0, level=1)._replace(temperature=9.0, salinity=35.002)
+        b = record_at(t0, level=1)._replace(salinity=35.001)
+        c = record_at(t0, level=1)._replace(salinity=35.002)
+        # equal (observed_at, level): temperature, then salinity, decide
+        want = [a, b, c]
+        for order in ([a, b, c], [c, b, a], [b, c, a]):
+            (seg,) = segment([(h, [r]) for r in order], 1.0)
+            assert seg.records == want
 
     def test_segments_sorted_by_key(self):
         t0 = datetime(2003, 1, 10)
