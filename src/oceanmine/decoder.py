@@ -27,6 +27,17 @@ magnitude below 10**(28 - decimals), 1e25 for temperature and salinity
 and 1e27 for pressure.  That keeps T**2 and S*T in the oscillation index
 near 1e50 at most, where a merely finite bound would let an offset of
 1e200 square to inf and write -inf into the index.
+
+The memo rounds in float arithmetic.  With P = 10**decimals (exact) and
+u = 2**-53, s = |value| * P is within u * S of the exact product S, and
+a tie that repr() shows is a decimal (n + 1/2) / P whose nearest double
+is |value|, so its S is within u * S of n + 1/2.  So an s more than
+2 * u * S from every half-integer is no tie and rounds as S does, to
+k = floor(s + 1/2), and k / P, one correctly rounded division, is the
+double round() gives.  The memo tests 1/2 - |s - k| > s * 2**-51, at
+least 2 * u * S, and leaves every other value to round_half_away: all
+from s = 2**50 on (whole doubles from 2**52 on among them), and any
+whose s + 1/2 rounds up onto the next integer, as |s - k| > 1/2 then.
 """
 
 from __future__ import annotations
@@ -94,16 +105,22 @@ def round_half_away(value: float, ndigits: int) -> float:
 class _RoundedLine(dict):
     """word -> its rounded value on one channel line, filled on first use."""
 
-    __slots__ = ("offset", "resolution", "decimals")
+    __slots__ = ("offset", "resolution", "decimals", "scale")
 
     def __init__(self, line: tuple[str, float, float, int]):
         super().__init__()
         _, self.offset, self.resolution, self.decimals = line
+        self.scale = 10.0**self.decimals  # exact: decimals <= 22
 
     def __missing__(self, word: int) -> float:
-        value = round_half_away(self.offset + word * self.resolution, self.decimals)
-        self[word] = value
-        return value
+        value = self.offset + word * self.resolution
+        scaled = abs(value) * self.scale
+        k = (scaled + 0.5) // 1.0  # floor; nan when scaled is inf
+        if 0.5 - abs(scaled - k) > scaled * 2.0**-51:  # clear of every tie
+            self[word] = math.copysign(k / self.scale, value) + 0.0
+        else:
+            self[word] = round_half_away(value, self.decimals)
+        return self[word]
 
 
 def decode_memo(cal: CalibrationTable) -> tuple[_RoundedLine, ...]:

@@ -45,9 +45,10 @@ on the line join the payload in reading order.
 
 A block carries its data bytes as read, in one bytes payload.  They
 pair big-endian into 16-bit words, across line boundaries, within a
-block; a block ending on an unpaired byte is an error.  A data line is
-checked whole, with one match over its joined tokens; the first token
-that is not two hex digits is named only when that fails.
+block; a block ending on an unpaired byte is an error.  A dump is read
+one block to a match; one that this does not cover, valid or not (two
+block time lines in a block, \x1c-\x1f in a data line), is walked line
+by line instead.  Only the walk raises; both give the same blocks.
 """
 
 from __future__ import annotations
@@ -77,9 +78,22 @@ _NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+(\.[0-9]*)?|(\.[0-9]+))([eE][+-]?[0-9]+)
 _HEX_RE = re.compile(r"[0-9a-fA-F]{2}")
 # A data line's tokens joined by single spaces, all of them byte tokens.
 _HEX_LINE_RE = re.compile(r"(?:[0-9a-fA-F]{2}(?: [0-9a-fA-F]{2})*)?")
-# One line and its ending; only LF, CR and CRLF end a line.  Matching
-# lines in place keeps one copy of the dump in memory.
+# One line and its ending; only LF, CR and CRLF end a line.
 LINE_RE = re.compile(r"[^\r\n]*(?:\r\n?|\n)?")
+
+# A block over \n line endings: blank lines, a header line, a block time
+# line with a sequence number or none, lines of hex digits.  Tokens part at
+# the whitespace bytes.fromhex skips.  Groups: platform_id, date, time, the
+# latitude, longitude and altitude tokens, block date and time, payload text.
+_S = r"[\t\x0b\x0c ]"
+_STAMP = rf"({_DATE_RE.pattern}){_S}+([0-9]{{2}}(?::[0-9]{{2}}){{2}}(?:\.[0-9]{{1,6}})?)"
+_NUM = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_BLOCK_RE = re.compile(
+    rf"(?:{_S}*\n)*{_S}*([0-9]{{5}})(?:{_S}+[0-9]+)+(?:{_S}+[+-]?[0-9]+){{2}}"
+    rf"{_S}+[A-Z]{_S}+[0-9]+{_S}+{_STAMP}((?:{_S}+{_NUM}){{3}}){_S}+\S+{_S}*(?=\n|\Z)"
+    rf"(?:(?:\n{_S}*)+{_STAMP}{_S}+[0-9]+(?=\s|\Z))?"
+    rf"([0-9A-Fa-f\t\x0b\x0c \n]*){_S}*(?:\n|\Z)"
+)
 
 # Minimum token count for a header line; message_id may span extra
 # tokens beyond this, the rest of the layout is fixed.
@@ -121,20 +135,24 @@ class MessageBlock(NamedTuple):
     source_line_span: tuple[int, int]
 
 
+def _stamp(date_tok: str, time_tok: str) -> datetime:
+    """The datetime of tokens laid out as _DATE_RE and _TIME_RE fix them, with
+    at most 6 fraction digits; ValueError when a field is out of range."""
+    return datetime(
+        int(date_tok[:4]), int(date_tok[5:7]), int(date_tok[8:]),
+        int(time_tok[:2]), int(time_tok[3:5]), int(time_tok[6:8]),
+        int(time_tok[9:].ljust(6, "0")),
+    )
+
+
 def _parse_timestamp(date_tok: str, time_tok: str, line_no: int | None) -> datetime:
     if not _DATE_RE.fullmatch(date_tok) or not _TIME_RE.fullmatch(time_tok):
         raise MalformedHeader(
             f"bad timestamp tokens {date_tok!r} {time_tok!r}", line=line_no
         )
-    # The regexes fix every field's place; datetime checks the ranges.
-    frac = time_tok[9:]
-    if len(frac) <= 6:
+    if len(time_tok) <= 15:  # at most 6 fraction digits
         try:
-            return datetime(
-                int(date_tok[:4]), int(date_tok[5:7]), int(date_tok[8:]),
-                int(time_tok[:2]), int(time_tok[3:5]), int(time_tok[6:8]),
-                int(frac.ljust(6, "0")),
-            )
+            return _stamp(date_tok, time_tok)
         except ValueError:
             pass
     text = f"{date_tok} {time_tok}"
@@ -238,6 +256,40 @@ def parse_stream(text: str) -> list[MessageBlock]:
     OddByteCount (all with line positions) and EmptyInput when no block
     is found.
     """
+    return _read_blocks(text) or _walk_lines(text)
+
+
+def _read_blocks(text: str) -> list[MessageBlock] | None:
+    """The blocks of a dump that _BLOCK_RE covers whole, else None."""
+    text = text.replace("\r\n", "\n").replace("\r", "\n")  # same line numbers
+    blocks = []
+    pos = mark = 0
+    line_no = 1  # the line that text[mark] is on
+    while match := _BLOCK_RE.match(text, pos):
+        pid, date, time, coordinates, block_date, block_time, data = match.groups()
+        try:
+            observed_at = _stamp(date, time)
+            if block_date:
+                observed_at = _stamp(block_date, block_time)
+            payload = bytes.fromhex(data)  # fails on a token of odd length
+        except ValueError:
+            return None
+        if len(payload) % 2 or len(payload) != len(data.split()):  # 2 digits a token
+            return None
+        latitude, longitude, altitude = map(float, coordinates.split())
+        if abs(latitude) > 90.0 or abs(longitude) > 180.0 or math.isinf(altitude):
+            return None
+        first = line_no + text.count("\n", mark, match.start(1))
+        mark = match.start(7) + len(data.rstrip())  # the end of the last token
+        line_no = first + text.count("\n", match.start(1), mark)
+        header = HeaderFields(pid, observed_at, latitude, longitude)
+        blocks.append(MessageBlock(header, payload, (first, line_no)))
+        pos = match.end()
+    return blocks if blocks and text.isascii() and not text[pos:].strip() else None
+
+
+def _walk_lines(text: str) -> list[MessageBlock]:
+    """parse_stream's reading of a dump, one line at a time."""
     blocks: list[MessageBlock] = []
     current: _BlockBuilder | None = None
 

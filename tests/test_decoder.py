@@ -183,9 +183,11 @@ class TestDecodeMemo:
 
     def test_each_word_rounds_once_per_memo(self, monkeypatch):
         calls = []
-        real = decoder.round_half_away
+        real = decoder._RoundedLine.__missing__
         monkeypatch.setattr(
-            decoder, "round_half_away", lambda v, n: calls.append(n) or real(v, n)
+            decoder._RoundedLine,
+            "__missing__",
+            lambda line, word: calls.append(word) or real(line, word),
         )
         block = block_of([7, 8, 9, 7, 8, 9, 7, 8, 10])
         memo = decode_memo(DEFAULT_CALIBRATION)
@@ -193,6 +195,41 @@ class TestDecodeMemo:
         assert len(calls) == 4
         assert decode_block(block, memo) == first
         assert len(calls) == 4
+
+
+# A value (n + 1/2) / 1000 as the nearest double, so that repr() shows a tie.
+_TIES = st.integers(-(10**9), 10**9).map(lambda n: (n + 0.5) / 1000)
+
+
+class TestMemoFill:
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        offset=st.floats(-1e25, 1e25) | _TIES,
+        resolution=st.floats(1e-9, 1e15, exclude_min=True) | _TIES.filter(lambda r: r > 0),
+        word=st.integers(0, 0xFFFF),
+    )
+    @example(offset=0.0005, resolution=0.001, word=0)  # ties that repr() shows
+    @example(offset=-199.55, resolution=0.1, word=0)
+    @example(offset=-2.5, resolution=0.0015, word=1)
+    # the last value on either side of 2.0005 that falls back, and the
+    # first that does not
+    @example(offset=2.0005000000000006, resolution=1.0, word=0)
+    @example(offset=2.000500000000001, resolution=1.0, word=0)
+    @example(offset=2.0004999999999993, resolution=1.0, word=0)
+    @example(offset=2.000499999999999, resolution=1.0, word=0)
+    @example(offset=1234.5675000000006, resolution=1.0, word=0)
+    @example(offset=1234.5675000000008, resolution=1.0, word=0)
+    # |value| * 10**decimals at and past 2**52, where doubles are whole
+    @example(offset=4503599627370.4955, resolution=1e-3, word=1)
+    @example(offset=-4.503599627370497e15, resolution=0.5, word=3)
+    def test_equals_the_reference(self, offset, resolution, word):
+        cal = CalibrationTable(offset, resolution, offset, resolution, offset, resolution)
+        # inside the decodable range of every channel, as load_calibration checks
+        assume(abs(offset) < 1e25 and abs(offset + 0xFFFF * resolution) < 1e25)
+        memo = decode_memo(cal)
+        for line, (channel, _, _, decimals) in zip(memo, cal.lines()):
+            want = round_half_away_reference(offset + word * resolution, decimals)
+            assert repr(line[word]) == repr(want), channel
 
 
 class TestRoundHalfAway:

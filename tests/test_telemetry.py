@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from oceanmine import telemetry
 from oceanmine.errors import (
     BadHexToken,
     DataError,
@@ -497,3 +498,125 @@ class TestFuzz:
         except DataError:
             return
         assert blocks and all(isinstance(b, MessageBlock) for b in blocks)
+
+
+# --- the block-at-a-time reading against the line walker ----------------------
+
+CORPUS_BLOCK = (
+    "10028 12345 67 45 32 K 3 2009-10-13 11:03:26 -21.543 -88.957 0.000 123456789\n"
+    "2009-10-13 12:01:02 1 49 25 89 3E 07 CB\n"
+    "4A 91 89 54 07 62\n"
+)
+
+_HEADERS = [
+    SPLIT_ID_HEADER,
+    "02602\t29021 02\x0b65 32 K 2 2003-01-10 11:50:18.0 -0.0 76.559 .5e1 4016\x0c",
+]
+_BODY_LINES = [
+    "35 9D",
+    "4A 91 89 54 07 62",
+    "\t35\x0b9D\x0c 0a 0B",
+    "35\x1c9D\x1f",
+    "",
+    "2003-01-10 12:00:00 1 35 9D",  # a block time line carrying bytes
+    "2003-01-10 12:00:00 7",
+    "2003-01-10 12:00:00",
+]
+# One line each for checks that the block pattern cannot make alone.
+_FAULTY_LINES = [
+    "02602 29021 02 65 32 K 2 2003-01-10 11:50:18.0 90.0001 76.559 0.000 401647210",
+    "02602 29021 02 65 32 K 2 2003-01-10 11:50:18.0 0.691 76.559 1e999 401647210",
+    "02602 29021 +5 02 65 32 K 2 2003-01-10 11:50:18.0 0.691 76.559 0.000 401647210",
+    "02602 29021 02 65 32 K 2 2003-02-29 11:50:18.0 0.691 76.559 0.000 401647210",
+    "02602 29021 02 65 32 K 2 2003-01-10 11:50:18.0 0.691 180.5 0.000 401647210",
+    "02602 29021 02 65 32 K 2 2003-01-10 11:50:18.0 0.691 76.559 0.000 40164\xe9",
+    f"{SPLIT_ID_HEADER} 35 9D",
+    "89",
+    "GG",
+    "35 9D9",
+    "359D",
+    "2003-01-10 12:00:00 12AB 35",
+    "2003-01-10 12:00:00 4A 35",
+    "2003-01-10 12:00:00.1234567 1",
+    "2003-02-30 12:00:00 1",
+]
+_ENDINGS = ["\n", "\r", "\r\n", "\n\n", " \n", "\t\r\n"]
+
+
+@st.composite
+def dumps_strategy(draw):
+    """Blocks of header and body lines and at most one faulty line, each
+    line with its own ending, the last one optional, and blank lines
+    before and after."""
+    lines = []
+    for _ in range(draw(st.integers(1, 3))):
+        lines.append(draw(st.sampled_from(_HEADERS)))
+        lines += draw(st.lists(st.sampled_from(_BODY_LINES), max_size=4))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(st.sampled_from(_FAULTY_LINES)))
+    text = "".join(line + draw(st.sampled_from(_ENDINGS)) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    lead = draw(st.sampled_from(["", "\n", " \r\n\t"]))
+    tail = draw(st.sampled_from(["", "\n", "\r\r", " \x1e"]))
+    return (lead + text + tail).encode()
+
+
+_LINE_FRAGMENTS = _FRAGMENTS + [
+    s.encode()
+    for s in [CORPUS_BLOCK, "\t", "\x0b", "\x1c", "\x1f"]
+    + _HEADERS + _BODY_LINES + _FAULTY_LINES
+]
+
+
+class TestBlockReading:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        data=dumps_strategy()
+        | st.lists(st.sampled_from(_LINE_FRAGMENTS), max_size=30).map(b"".join)
+    )
+    @example(data=b"")
+    @example(data=CORPUS_BLOCK.encode() + b"2009-10-13 12:01:02 2 35 9D\n")
+    @example(data=CORPUS_BLOCK.replace("\n", "\r").encode() + b"\r\r  ")
+    def test_blocks_and_errors_equal_the_walkers(self, data):
+        self.check_agree(data.decode("latin-1"))
+
+    @pytest.mark.parametrize("line", _FAULTY_LINES)
+    def test_each_fault_is_left_to_the_walker(self, line):
+        # after a block, before a block time line, and right after a header
+        self.check_agree(f"{CORPUS_BLOCK}{line}\n35 9D\n")
+        self.check_agree(f"{CORPUS_BLOCK}{line}\n2003-01-10 12:00:00 1 35 9D\n")
+        self.check_agree(f"{SPLIT_ID_HEADER}\r\n{line}\r\n35 9D")
+
+    @staticmethod
+    def check_agree(text):
+        """Where the block reading accepts text, it gives the walker's
+        blocks; where the walker raises, parse_stream raises the same."""
+        fast = telemetry._read_blocks(text)
+        try:
+            want = telemetry._walk_lines(text)
+        except DataError as e:
+            assert fast is None
+            with pytest.raises(type(e)) as raised:
+                parse_stream(text)
+            assert str(raised.value) == str(e)
+            return
+        # repr() tells -0.0 from 0.0, which == does not
+        if fast is not None:
+            assert repr(fast) == repr(want)
+        assert repr(parse_stream(text)) == repr(want)
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_common_shapes_never_walk_lines(self, sample_path, monkeypatch, ending):
+        sample = sample_path.read_text().replace("\n", ending)
+        corpus = CORPUS_BLOCK.replace("\n", ending)
+        want = [telemetry._walk_lines(sample), telemetry._walk_lines(corpus)]
+
+        def refuse(text):
+            raise AssertionError("walked a dump in the common shape")
+
+        monkeypatch.setattr(telemetry, "_walk_lines", refuse)
+        assert [parse_stream(sample), parse_stream(corpus)] == want
+        assert want[1][0].source_line_span == (1, 3)
+        assert words_of(want[1][0])[:2] == [0x4925, 0x893E]
