@@ -49,7 +49,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ConfigError, NonTripleWordCount
-from .telemetry import LINE_RE, MessageBlock, read_number
+from .telemetry import MessageBlock, lf_endings, read_number
 
 _WORD_MAX = 0xFFFF
 
@@ -167,9 +167,8 @@ def load_calibration(path: str | Path) -> CalibrationTable:
     """
     values: dict[str, float] = {}
     line_of: dict[str, int] = {}
-    text = Path(path).read_bytes().decode("latin-1")  # one character per byte
-    for line_no, match in enumerate(LINE_RE.finditer(text), start=1):
-        raw = match[0].rstrip("\r\n")
+    text = lf_endings(Path(path).read_bytes().decode("latin-1"))  # a byte a character
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         if not raw.isascii():
             bad = next(ch for ch in raw if not ch.isascii())
             raise ConfigError(f"{path}:{line_no}: non-ASCII byte 0x{ord(bad):02x}")

@@ -46,9 +46,8 @@ on the line join the payload in reading order.
 A block carries its data bytes as read, in one bytes payload.  They
 pair big-endian into 16-bit words, across line boundaries, within a
 block; a block ending on an unpaired byte is an error.  A dump is read
-one block to a match; one that this does not cover, valid or not (two
-block time lines in a block, \x1c-\x1f in a data line), is walked line
-by line instead.  Only the walk raises; both give the same blocks.
+once, from the top.  An error names the first line that cannot be read
+and the first fault in it; an unpaired byte names its block's lines.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ import math
 import re
 from datetime import datetime
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .errors import (
     BadHexToken,
@@ -74,26 +73,29 @@ _TIME_RE = re.compile(r"[0-9]{2}:[0-9]{2}:[0-9]{2}(\.[0-9]+)?")
 _PLATFORM_RE = re.compile(r"[0-9]{5}")
 _DIGITS_RE = re.compile(r"[0-9]+")
 _CLASS_RE = re.compile(r"[A-Z]")
-_NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+(\.[0-9]*)?|(\.[0-9]+))([eE][+-]?[0-9]+)?")
 _HEX_RE = re.compile(r"[0-9a-fA-F]{2}")
-# A data line's tokens joined by single spaces, all of them byte tokens.
-_HEX_LINE_RE = re.compile(r"(?:[0-9a-fA-F]{2}(?: [0-9a-fA-F]{2})*)?")
-# One line and its ending; only LF, CR and CRLF end a line.
-LINE_RE = re.compile(r"[^\r\n]*(?:\r\n?|\n)?")
+# The one number grammar: read_number's, and the header's in _DUMP_RE.
+_NUMBER = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_NUMBER_RE = re.compile(_NUMBER)
 
-# A block over \n line endings: blank lines, a header line, a block time
-# line with a sequence number or none, lines of hex digits.  Tokens part at
-# the whitespace bytes.fromhex skips.  Groups: platform_id, date, time, the
-# latitude, longitude and altitude tokens, block date and time, payload text.
-_S = r"[\t\x0b\x0c ]"
-_STAMP = rf"({_DATE_RE.pattern}){_S}+([0-9]{{2}}(?::[0-9]{{2}}){{2}}(?:\.[0-9]{{1,6}})?)"
-_NUM = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-_BLOCK_RE = re.compile(
-    rf"(?:{_S}*\n)*{_S}*([0-9]{{5}})(?:{_S}+[0-9]+)+(?:{_S}+[+-]?[0-9]+){{2}}"
-    rf"{_S}+[A-Z]{_S}+[0-9]+{_S}+{_STAMP}((?:{_S}+{_NUM}){{3}}){_S}+\S+{_S}*(?=\n|\Z)"
-    rf"(?:(?:\n{_S}*)+{_STAMP}{_S}+[0-9]+(?=\s|\Z))?"
-    rf"([0-9A-Fa-f\t\x0b\x0c \n]*){_S}*(?:\n|\Z)"
+# One match reads, each part optional: blank lines, a header line (any ASCII
+# token a transmitter id), a block time line, a run of byte lines.  Tokens part
+# where str.split() parts an ASCII line; values are checked after the match.
+# Groups: platform_id, date, time, latitude, longitude, altitude, then the
+# block date, time, and the bytes from after its sequence number.
+_W = r"[\t\x0b\x0c\x1c-\x1f ]"
+_HEX_W = r"[0-9A-Fa-f\t\x0b\x0c\x1c-\x1f ]"
+_STAMP = rf"({_DATE_RE.pattern}){_W}+([0-9]{{2}}(?::[0-9]{{2}}){{2}}(?:\.[0-9]{{1,6}})?)"
+_DUMP_RE = re.compile(
+    rf"(?:{_W}*\n)*"
+    rf"(?:{_W}*([0-9]{{5}})(?:{_W}+[0-9]+)+(?:{_W}+[+-]?[0-9]+){{2}}{_W}+[A-Z]{_W}+[0-9]+{_W}+"
+    rf"{_STAMP}{_W}+({_NUMBER}){_W}+({_NUMBER}){_W}+({_NUMBER}){_W}+[\x00-\x08\x0e-\x1b!-\x7f]+"
+    rf"{_W}*(?:\n|\Z))?"
+    rf"(?:{_W}*{_STAMP}(?:{_W}+[0-9]+(?={_W}{_HEX_W}*(?:\n|\Z)|\n|\Z)|{_W}*(?:\n|\Z)))?"
+    rf"((?:{_HEX_W}|\n)*)(?:(?<=\n)|\A|\Z)"
 )
+# Hex digits to "x": three in a row are a token of more than one byte.
+_HEX_X = bytes.maketrans(b"0123456789ABCDEFabcdef", b"x" * 22)
 
 # Minimum token count for a header line; message_id may span extra
 # tokens beyond this, the rest of the layout is fixed.
@@ -107,8 +109,7 @@ def read_number(text: str, kind: type[int] | type[float]) -> int | float:
     fraction ("5." and ".5" too) and exponent.  Unlike int() and float(),
     no "_", other digits, padding, "nan" or "inf".
     """
-    match = _NUMBER_RE.fullmatch(text)
-    if match and (kind is float or not match.lastindex):  # an int sets no group
+    if _NUMBER_RE.fullmatch(text) and (kind is float or text.lstrip("+-").isdigit()):
         value = kind(text)
         if kind is int or math.isfinite(value):  # "1e999" overflows to inf
             return value
@@ -219,31 +220,9 @@ def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
     return HeaderFields(platform_id, observed_at, latitude, longitude)
 
 
-class _BlockBuilder:
-    """Accumulates one block's bytes until the next header closes it."""
-
-    def __init__(self, header: HeaderFields, first_line: int):
-        self.header = header
-        self.restamped = False
-        self.payload = bytearray()
-        self.first_line = first_line
-        self.last_line = first_line
-
-    def add_bytes(self, tokens: list[str], line_no: int) -> None:
-        line = " ".join(tokens)
-        if not _HEX_LINE_RE.fullmatch(line):
-            bad = next(tok for tok in tokens if not _HEX_RE.fullmatch(tok))
-            raise BadHexToken(f"bad hex byte token {bad!r}", line=line_no)
-        self.payload += bytes.fromhex(line)
-        self.last_line = line_no
-
-    def finish(self) -> MessageBlock:
-        span = (self.first_line, self.last_line)
-        if len(self.payload) % 2:
-            raise OddByteCount(
-                f"block has {len(self.payload)} bytes, one unpaired", span=span
-            )
-        return MessageBlock(self.header, bytes(self.payload), span)
+def lf_endings(text: str) -> str:
+    """text with each line ending (LF, CR or CRLF) as LF: lines keep their numbers."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def parse_stream(text: str) -> list[MessageBlock]:
@@ -251,95 +230,115 @@ def parse_stream(text: str) -> list[MessageBlock]:
 
     Lines end at LF, CR or CRLF.  Every data line is attributed to the
     most recent header.  Blank lines are skipped and surrounding
-    whitespace is tolerated.  Raises DataError naming the line of the
-    first non-ASCII character, MalformedHeader, BadHexToken,
-    OddByteCount (all with line positions) and EmptyInput when no block
-    is found.
+    whitespace is tolerated.  The first line that cannot be read raises
+    DataError, MalformedHeader, BadHexToken or OddByteCount, naming its
+    line (an OddByteCount its block's lines); no block is EmptyInput.
     """
-    return _read_blocks(text) or _walk_lines(text)
-
-
-def _read_blocks(text: str) -> list[MessageBlock] | None:
-    """The blocks of a dump that _BLOCK_RE covers whole, else None."""
-    text = text.replace("\r\n", "\n").replace("\r", "\n")  # same line numbers
-    blocks = []
-    pos = mark = 0
-    line_no = 1  # the line that text[mark] is on
-    while match := _BLOCK_RE.match(text, pos):
-        pid, date, time, coordinates, block_date, block_time, data = match.groups()
-        try:
-            observed_at = _stamp(date, time)
-            if block_date:
-                observed_at = _stamp(block_date, block_time)
-            payload = bytes.fromhex(data)  # fails on a token of odd length
-        except ValueError:
-            return None
-        if len(payload) % 2 or len(payload) != len(data.split()):  # 2 digits a token
-            return None
-        latitude, longitude, altitude = map(float, coordinates.split())
-        if abs(latitude) > 90.0 or abs(longitude) > 180.0 or math.isinf(altitude):
-            return None
-        first = line_no + text.count("\n", mark, match.start(1))
-        mark = match.start(7) + len(data.rstrip())  # the end of the last token
-        line_no = first + text.count("\n", match.start(1), mark)
-        header = HeaderFields(pid, observed_at, latitude, longitude)
-        blocks.append(MessageBlock(header, payload, (first, line_no)))
-        pos = match.end()
-    return blocks if blocks and text.isascii() and not text[pos:].strip() else None
-
-
-def _walk_lines(text: str) -> list[MessageBlock]:
-    """parse_stream's reading of a dump, one line at a time."""
+    text = lf_endings(text)
     blocks: list[MessageBlock] = []
-    current: _BlockBuilder | None = None
-
-    for line_no, line in enumerate(LINE_RE.finditer(text), start=1):
-        raw = line[0]
-        if not raw.isascii():
-            bad = next(ch for ch in raw if not ch.isascii())
-            raise DataError(f"non-ASCII byte 0x{ord(bad):02x}", line=line_no)
-        tokens = raw.split()
-        if not tokens:
-            continue
-
-        if _PLATFORM_RE.fullmatch(tokens[0]):
-            if current is not None:
-                blocks.append(current.finish())
-            header = parse_header(raw, line_no)
-            current = _BlockBuilder(header, line_no)
-            continue
-
-        if current is None:
-            raise MalformedHeader("data line before any header", line=line_no)
-
-        if _DATE_RE.fullmatch(tokens[0]):
-            if len(tokens) < 2 or not _TIME_RE.fullmatch(tokens[1]):
-                raise MalformedHeader(
-                    f"block time line missing time token: {raw.strip()!r}", line=line_no
-                )
-            stamp = _parse_timestamp(tokens[0], tokens[1], line_no)
-            if not current.restamped:
-                current.header = current.header._replace(observed_at=stamp)
-                current.restamped = True
-            rest = tokens[2:]
-            if rest:
-                if not _DIGITS_RE.fullmatch(rest[0]):
-                    raise MalformedHeader(
-                        f"block time line has bad sequence token {rest[0]!r}",
-                        line=line_no,
-                    )
-                current.add_bytes(rest[1:], line_no)
-            else:
-                current.last_line = line_no
-            continue
-
-        current.add_bytes(tokens, line_no)
-
-    if current is not None:
-        blocks.append(current.finish())
+    header = None  # the open block: header, payload, first and last line
+    payload, first, last, restamped = b"", 0, 0, False
+    pos, line_no = 0, 1  # line_no: the line text[pos] begins
+    while pos < len(text):
+        m = _DUMP_RE.match(text, pos)
+        if m.end() == pos:
+            line = text[pos:].partition("\n")[0]
+            _refuse(line, line_no, header and MessageBlock(header, payload, (first, last)))
+        pid, date, time, lat, lon, alt, block_date, block_time, data = m.groups()
+        if pid:
+            n = line_no + text.count("\n", pos, m.start(1))
+            if header:
+                blocks.append(_closed(MessageBlock(header, payload, (first, last))))
+            try:
+                latitude, longitude = float(lat), float(lon)
+                if abs(latitude) > 90.0 or abs(longitude) > 180.0 or math.isinf(float(alt)):
+                    raise ValueError
+                header = HeaderFields(pid, _stamp(date, time), latitude, longitude)
+            except ValueError:  # parse_header raises, naming the fault
+                header = parse_header(text[m.start(1):].partition("\n")[0], n)
+            payload, first, last, restamped = b"", n, n, False
+        if block_date:
+            n = line_no + text.count("\n", pos, m.start(7))
+            if header is None:
+                _refuse(text[m.start(7):].partition("\n")[0], n, None)
+            try:
+                stamp = _stamp(block_date, block_time)
+            except ValueError:  # _parse_timestamp raises, naming the fault
+                stamp = _parse_timestamp(block_date, block_time, n)
+            if not restamped:
+                header = HeaderFields(header.platform_id, stamp, header.latitude, header.longitude)
+                restamped = True
+            last = n
+        if data:
+            try:
+                chunk = bytes.fromhex(data)  # fails on a token of odd length
+            except ValueError:  # or on \x1c-\x1f, which str.split() splits on
+                chunk = None
+            if chunk is None or b"xxx" in data.encode().translate(_HEX_X) or not header and chunk:
+                # Take the run a line at a time, up to the line it refuses.
+                start = text.rfind("\n", 0, m.start(9)) + 1
+                skip = 3 if start < m.start(9) else 0  # the run starts on a block time line
+                chunk, n = b"", line_no + text.count("\n", pos, start)
+                for n, line in enumerate(text[start:m.end(9)].split("\n"), start=n):
+                    tokens = line.split()[skip:]
+                    skip = 0
+                    if not tokens:
+                        continue
+                    if not header or not all(map(_HEX_RE.fullmatch, tokens)):
+                        block = header and MessageBlock(header, payload + chunk, (first, last))
+                        _refuse(line, n, block)
+                    chunk += bytes.fromhex(" ".join(tokens))
+                    last = n
+            elif chunk:  # the last token's line
+                last = line_no + text.count("\n", pos, m.start(9) + len(data.rstrip()))
+            payload += chunk
+        line_no += text.count("\n", pos, m.end())
+        pos = m.end()
+    if header:
+        blocks.append(_closed(MessageBlock(header, payload, (first, last))))
     if not blocks:
         raise EmptyInput("no message blocks in input")
     return blocks
+
+
+def _closed(block: MessageBlock) -> MessageBlock:
+    """block, unless its payload ends on an unpaired byte."""
+    if len(block.payload) % 2:
+        count = len(block.payload)
+        raise OddByteCount(f"block has {count} bytes, one unpaired", span=block.source_line_span)
+    return block
+
+
+def _refuse(line: str, line_no: int, block: MessageBlock | None) -> NoReturn:
+    """Raise the error for line, the first line parse_stream refuses;
+    block is the block open before it.  The checks run in the order the
+    line is read, so the first fault in it is named."""
+    if not line.isascii():
+        bad = next(ch for ch in line if not ch.isascii())
+        raise DataError(f"non-ASCII byte 0x{ord(bad):02x}", line=line_no)
+    tokens = line.split()
+    if _PLATFORM_RE.fullmatch(tokens[0]):
+        if block:
+            _closed(block)
+        parse_header(line, line_no)
+        tokens = []
+    elif block is None:
+        raise MalformedHeader("data line before any header", line=line_no)
+    elif _DATE_RE.fullmatch(tokens[0]):
+        if len(tokens) < 2 or not _TIME_RE.fullmatch(tokens[1]):
+            raise MalformedHeader(
+                f"block time line missing time token: {line.strip()!r}", line=line_no
+            )
+        _parse_timestamp(tokens[0], tokens[1], line_no)
+        if len(tokens) > 2 and not _DIGITS_RE.fullmatch(tokens[2]):
+            raise MalformedHeader(
+                f"block time line has bad sequence token {tokens[2]!r}", line=line_no
+            )
+        tokens = tokens[3:]
+    for token in tokens:
+        if not _HEX_RE.fullmatch(token):
+            raise BadHexToken(f"bad hex byte token {token!r}", line=line_no)
+    raise AssertionError(f"line {line_no} was refused but reads as valid")
 
 
 def parse_file(path: str | Path) -> list[MessageBlock]:

@@ -2,9 +2,9 @@
 
 Everything here is deliberately written from the definitions, not from
 the production code: the index evaluator runs in 50-digit arithmetic
-term by term, decoded values round in decimal arithmetic, and the rule
-miner enumerates every candidate episode and every subsequence
-occurrence by brute force.  Slow is fine; these
+term by term, decoded values round in decimal arithmetic, a dump is
+read one line at a time, and the rule miner enumerates every candidate
+episode and every subsequence occurrence by brute force.  Slow is fine; these
 only run in tests.
 """
 
@@ -17,6 +17,16 @@ from datetime import datetime, timedelta
 from decimal import ROUND_HALF_UP, Decimal
 
 import mpmath
+
+from oceanmine import telemetry
+from oceanmine.errors import (
+    BadHexToken,
+    DataError,
+    EmptyInput,
+    MalformedHeader,
+    OddByteCount,
+)
+from oceanmine.telemetry import HeaderFields, MessageBlock, parse_header
 
 mpmath.mp.dps = 50
 
@@ -91,6 +101,99 @@ def read_number_reference(text: str, kind: type) -> int | float | None:
     if kind is float and abs(value) == math.inf:  # an exponent overflowed
         return None
     return value
+
+
+# --- the line-by-line dump reading --------------------------------------------
+
+# A dump read one line at a time.  It shares parse_header and the token
+# patterns with oceanmine.telemetry; on its own it decides how lines become
+# blocks and spans, and which line an error names.
+
+# One line and its ending; only LF, CR and CRLF end a line.
+LINE_RE = re.compile(r"[^\r\n]*(?:\r\n?|\n)?")
+# A data line's tokens joined by single spaces, all of them byte tokens.
+_HEX_LINE_RE = re.compile(r"(?:[0-9a-fA-F]{2}(?: [0-9a-fA-F]{2})*)?")
+
+
+class _BlockBuilder:
+    """Accumulates one block's bytes until the next header closes it."""
+
+    def __init__(self, header: HeaderFields, first_line: int):
+        self.header = header
+        self.restamped = False
+        self.payload = bytearray()
+        self.first_line = first_line
+        self.last_line = first_line
+
+    def add_bytes(self, tokens: list[str], line_no: int) -> None:
+        line = " ".join(tokens)
+        if not _HEX_LINE_RE.fullmatch(line):
+            bad = next(tok for tok in tokens if not telemetry._HEX_RE.fullmatch(tok))
+            raise BadHexToken(f"bad hex byte token {bad!r}", line=line_no)
+        self.payload += bytes.fromhex(line)
+        self.last_line = line_no
+
+    def finish(self) -> MessageBlock:
+        span = (self.first_line, self.last_line)
+        if len(self.payload) % 2:
+            raise OddByteCount(
+                f"block has {len(self.payload)} bytes, one unpaired", span=span
+            )
+        return MessageBlock(self.header, bytes(self.payload), span)
+
+
+def walk_lines(text: str) -> list[MessageBlock]:
+    """parse_stream's reading of a dump, one line at a time."""
+    blocks: list[MessageBlock] = []
+    current: _BlockBuilder | None = None
+
+    for line_no, line in enumerate(LINE_RE.finditer(text), start=1):
+        raw = line[0]
+        if not raw.isascii():
+            bad = next(ch for ch in raw if not ch.isascii())
+            raise DataError(f"non-ASCII byte 0x{ord(bad):02x}", line=line_no)
+        tokens = raw.split()
+        if not tokens:
+            continue
+
+        if telemetry._PLATFORM_RE.fullmatch(tokens[0]):
+            if current is not None:
+                blocks.append(current.finish())
+            header = parse_header(raw, line_no)
+            current = _BlockBuilder(header, line_no)
+            continue
+
+        if current is None:
+            raise MalformedHeader("data line before any header", line=line_no)
+
+        if telemetry._DATE_RE.fullmatch(tokens[0]):
+            if len(tokens) < 2 or not telemetry._TIME_RE.fullmatch(tokens[1]):
+                raise MalformedHeader(
+                    f"block time line missing time token: {raw.strip()!r}", line=line_no
+                )
+            stamp = telemetry._parse_timestamp(tokens[0], tokens[1], line_no)
+            if not current.restamped:
+                current.header = current.header._replace(observed_at=stamp)
+                current.restamped = True
+            rest = tokens[2:]
+            if rest:
+                if not telemetry._DIGITS_RE.fullmatch(rest[0]):
+                    raise MalformedHeader(
+                        f"block time line has bad sequence token {rest[0]!r}",
+                        line=line_no,
+                    )
+                current.add_bytes(rest[1:], line_no)
+            else:
+                current.last_line = line_no
+            continue
+
+        current.add_bytes(tokens, line_no)
+
+    if current is not None:
+        blocks.append(current.finish())
+    if not blocks:
+        raise EmptyInput("no message blocks in input")
+    return blocks
 
 
 # --- decimal rounding --------------------------------------------------------

@@ -308,6 +308,20 @@ class TestLoadCalibration:
         with pytest.raises(ConfigError, match="cal.txt:3: temp_offset already set on line 1"):
             load_calibration(path)
 
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"])
+    def test_line_endings_read_as_lf(self, tmp_path, ending):
+        # dumps and calibration files end their lines by one rule
+        lf = tmp_path / "lf.txt"
+        lf.write_bytes(b"temp_offset = -2.0\n\n# coarse\npres_resolution = 0.2\n")
+        other = tmp_path / "other.txt"
+        other.write_bytes(lf.read_bytes().replace(b"\n", ending.encode()))
+        assert load_calibration(other) == load_calibration(lf)
+        assert load_calibration(lf) != DEFAULT_CALIBRATION
+        text = "temp_offset = -4.0\n# warmer\n\ntemp_offset = 7\n".replace("\n", ending)
+        other.write_bytes(text.encode())
+        with pytest.raises(ConfigError, match="other.txt:4: temp_offset already set on line 1"):
+            load_calibration(other)
+
     def test_offset_beyond_rounding_range(self, tmp_path):
         path = tmp_path / "cal.txt"
         path.write_text("pres_offset = 1e308\n")

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oceanmine import telemetry
 from oceanmine.errors import (
     BadHexToken,
     DataError,
@@ -190,6 +189,8 @@ TIMESTAMP_TABLE = [
     ("2004-02-29", "23:59:59", datetime(2004, 2, 29, 23, 59, 59)),
     ("0001-01-01", "00:00:00", datetime(1, 1, 1)),
     ("9999-12-31", "23:59:59.999999", datetime(9999, 12, 31, 23, 59, 59, 999999)),
+    ("2003-01-10", "11:50:18.0000001",  # seven digits, one microsecond if cut
+     "unparseable timestamp '2003-01-10 11:50:18.0000001'"),
 ]
 
 
@@ -500,7 +501,7 @@ class TestFuzz:
         assert blocks and all(isinstance(b, MessageBlock) for b in blocks)
 
 
-# --- the block-at-a-time reading against the line walker ----------------------
+# --- parse_stream against the line-by-line reading ------------------------------
 
 CORPUS_BLOCK = (
     "10028 12345 67 45 32 K 3 2009-10-13 11:03:26 -21.543 -88.957 0.000 123456789\n"
@@ -511,6 +512,7 @@ CORPUS_BLOCK = (
 _HEADERS = [
     SPLIT_ID_HEADER,
     "02602\t29021 02\x0b65 32 K 2 2003-01-10 11:50:18.0 -0.0 76.559 .5e1 4016\x0c",
+    "02602\x1c29021 02 65\x1f32 K 2 2003-01-10 11:50:18.0 0.691 76.559 0.000 4016\x00\x7f",
 ]
 _BODY_LINES = [
     "35 9D",
@@ -521,6 +523,7 @@ _BODY_LINES = [
     "2003-01-10 12:00:00 1 35 9D",  # a block time line carrying bytes
     "2003-01-10 12:00:00 7",
     "2003-01-10 12:00:00",
+    "2003-01-10\x1d12:00:00\x1e1\x1c35 9D",
 ]
 # One line each for checks that the block pattern cannot make alone.
 _FAULTY_LINES = [
@@ -539,12 +542,13 @@ _FAULTY_LINES = [
     "2003-01-10 12:00:00 4A 35",
     "2003-01-10 12:00:00.1234567 1",
     "2003-02-30 12:00:00 1",
+    "02602 29021 02 65 32 K 2 2003-01-10 11:50:18.0000001 0.691 76.559 0.000 401647210",
 ]
 _ENDINGS = ["\n", "\r", "\r\n", "\n\n", " \n", "\t\r\n"]
 
 
 @st.composite
-def dumps_strategy(draw):
+def dumps_strategy(draw, faults=True):
     """Blocks of header and body lines and at most one faulty line, each
     line with its own ending, the last one optional, and blank lines
     before and after."""
@@ -552,7 +556,7 @@ def dumps_strategy(draw):
     for _ in range(draw(st.integers(1, 3))):
         lines.append(draw(st.sampled_from(_HEADERS)))
         lines += draw(st.lists(st.sampled_from(_BODY_LINES), max_size=4))
-    if draw(st.booleans()):
+    if faults and draw(st.booleans()):
         at = draw(st.integers(0, len(lines)))
         lines.insert(at, draw(st.sampled_from(_FAULTY_LINES)))
     text = "".join(line + draw(st.sampled_from(_ENDINGS)) for line in lines)
@@ -563,6 +567,18 @@ def dumps_strategy(draw):
     return (lead + text + tail).encode()
 
 
+@st.composite
+def noisy_dumps_strategy(draw):
+    """A valid dump with controls, line breaks, tabs and a non-ASCII byte
+    put in at random offsets."""
+    data = bytearray(draw(dumps_strategy(faults=False) | st.just(CORPUS_BLOCK.encode())))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        data[at:at] = draw(st.sampled_from([b"\x00", b"\x1b", b"\x7f", b"\x1c", b"\n",
+                                            b"\r", b"\t", b"\xe9"]))
+    return bytes(data)
+
+
 _LINE_FRAGMENTS = _FRAGMENTS + [
     s.encode()
     for s in [CORPUS_BLOCK, "\t", "\x0b", "\x1c", "\x1f"]
@@ -571,52 +587,61 @@ _LINE_FRAGMENTS = _FRAGMENTS + [
 
 
 class TestBlockReading:
-    @settings(max_examples=500, deadline=None)
+    """parse_stream reads a dump as oracles.walk_lines does, line by line:
+    the same blocks and spans, or an error of the same type and text."""
+
+    @settings(max_examples=1500, deadline=None)
     @given(
         data=dumps_strategy()
         | st.lists(st.sampled_from(_LINE_FRAGMENTS), max_size=30).map(b"".join)
     )
     @example(data=b"")
+    # valid shapes outside the common header, block time line, byte lines
     @example(data=CORPUS_BLOCK.encode() + b"2009-10-13 12:01:02 2 35 9D\n")
+    @example(data=CORPUS_BLOCK.encode() + b"2009-10-13 13:00:00\n35 9D\n")
+    @example(data=f"{SPLIT_ID_HEADER}\n35 9D\n2003-01-10 12:00:00 1\n".encode())
+    @example(data=f"{SPLIT_ID_HEADER}\n2003-01-10 12:00:00\n35 9D\n".encode())
+    @example(data=f"{SPLIT_ID_HEADER}\x1c\n2003-01-10\x1d12:00:00 1\x1e35\n9D\x1f0B 00\n".encode())
     @example(data=CORPUS_BLOCK.replace("\n", "\r").encode() + b"\r\r  ")
+    # a transmitter id of control characters is an ASCII token
+    @example(data=SPLIT_ID_HEADER.replace("401647210", "4016\x00\x7f").encode())
+    # an unpaired byte comes before the header that fails to close it
+    @example(data=f"{SPLIT_ID_HEADER}\n89\n02602\n 29021 02 65".encode())
+    # a lone platform id is a header line with too few tokens
+    @example(data=b"02602\n 29021 02 65 32 K 2 2003-01-10 11:50:18.0 0.691 76.559 0.000 1\n")
     def test_blocks_and_errors_equal_the_walkers(self, data):
+        self.check_agree(data.decode("latin-1"))
+
+    @settings(max_examples=1000, deadline=None)
+    @given(data=noisy_dumps_strategy())
+    def test_noise_in_a_valid_dump(self, data):
         self.check_agree(data.decode("latin-1"))
 
     @pytest.mark.parametrize("line", _FAULTY_LINES)
     def test_each_fault_is_left_to_the_walker(self, line):
-        # after a block, before a block time line, and right after a header
+        # after a block, before a block time line, and right after a header,
+        # each fault is named as the line-by-line reading names it
         self.check_agree(f"{CORPUS_BLOCK}{line}\n35 9D\n")
         self.check_agree(f"{CORPUS_BLOCK}{line}\n2003-01-10 12:00:00 1 35 9D\n")
         self.check_agree(f"{SPLIT_ID_HEADER}\r\n{line}\r\n35 9D")
 
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_sample_and_corpus_block_under_each_ending(self, sample_path, ending):
+        self.check_agree(sample_path.read_text().replace("\n", ending))
+        (block,) = parse_stream(CORPUS_BLOCK.replace("\n", ending))
+        assert block.source_line_span == (1, 3)
+        assert words_of(block)[:2] == [0x4925, 0x893E]
+
     @staticmethod
     def check_agree(text):
-        """Where the block reading accepts text, it gives the walker's
-        blocks; where the walker raises, parse_stream raises the same."""
-        fast = telemetry._read_blocks(text)
+        """parse_stream gives the walker's blocks and spans, or raises the
+        walker's error."""
         try:
-            want = telemetry._walk_lines(text)
+            want = oracles.walk_lines(text)
         except DataError as e:
-            assert fast is None
             with pytest.raises(type(e)) as raised:
                 parse_stream(text)
             assert str(raised.value) == str(e)
             return
         # repr() tells -0.0 from 0.0, which == does not
-        if fast is not None:
-            assert repr(fast) == repr(want)
         assert repr(parse_stream(text)) == repr(want)
-
-    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
-    def test_common_shapes_never_walk_lines(self, sample_path, monkeypatch, ending):
-        sample = sample_path.read_text().replace("\n", ending)
-        corpus = CORPUS_BLOCK.replace("\n", ending)
-        want = [telemetry._walk_lines(sample), telemetry._walk_lines(corpus)]
-
-        def refuse(text):
-            raise AssertionError("walked a dump in the common shape")
-
-        monkeypatch.setattr(telemetry, "_walk_lines", refuse)
-        assert [parse_stream(sample), parse_stream(corpus)] == want
-        assert want[1][0].source_line_span == (1, 3)
-        assert words_of(want[1][0])[:2] == [0x4925, 0x893E]
