@@ -272,11 +272,10 @@ def mine_rules(
     events: Sequence[Event],
     min_support: int,
     max_len: int,
-    win_a: timedelta,
-    win_c: timedelta,
-    lag: timedelta,
+    windows: Windows,
 ) -> list[EpisodeRule]:
-    """Mine every rule with support >= min_support, deterministically.
+    """Mine every rule with support >= min_support at the run's
+    windows (win_a, win_c, lag), deterministically.
 
     A rule's support never exceeds either side's event count, so
     candidate pairs come from the frequent sets.  One int packs each
@@ -286,6 +285,7 @@ def mine_rules(
     carries into iff the event holds the rule.  Output is sorted by
     confidence desc, support desc, then lexicographically.
     """
+    win_a, win_c, lag = windows
     freq_a = frequent_episodes(events, min_support, max_len, win_a)
     freq_c = freq_a if win_c == win_a else frequent_episodes(
         events, min_support, max_len, win_c

@@ -17,8 +17,8 @@ class DataError(Exception):
     """Input data violates the format or leaves a stage with nothing to do.
 
     ``line`` prefixes the message with "line N: " and ``span`` with
-    "lines a..b: "; ``span`` is kept for callers.  ``stage`` names the
-    pipeline stage that failed, for the CLI message.
+    "lines a..b: ".  ``stage`` names the pipeline stage that failed, for
+    the CLI message.
     """
 
     def __init__(
@@ -34,7 +34,6 @@ class DataError(Exception):
         if span is not None:
             message = f"lines {span[0]}..{span[1]}: {message}"
         super().__init__(message)
-        self.span = span
         self.stage = stage
 
 

@@ -46,7 +46,6 @@ class IndexBand(NamedTuple):
 
     avg_min: float
     avg_max: float
-    window_len: int
 
 
 class SeriesResult(NamedTuple):
@@ -86,7 +85,7 @@ def compute_series(seg: RegionSegment, pressure_floor: float) -> SeriesResult:
         )
     if not samples:
         raise AllSamplesRejected(
-            f"region {seg.key}: all {skipped} records at or below "
+            f"region {seg.region}: all {skipped} records at or below "
             f"pressure floor {pressure_floor}"
         )
     return SeriesResult(samples=samples, skipped=skipped)
@@ -107,8 +106,4 @@ def band_of(values: Sequence[float], window_len: int) -> IndexBand:
         window = values[i : i + window_len]
         total_min += min(window)
         total_max += max(window)
-    return IndexBand(
-        avg_min=total_min / len(starts),
-        avg_max=total_max / len(starts),
-        window_len=window_len,
-    )
+    return IndexBand(total_min / len(starts), total_max / len(starts))

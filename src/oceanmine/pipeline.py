@@ -60,7 +60,7 @@ from .errors import (
     NonTripleWordCount,
 )
 from .oscillation import IndexSample, band_of, compute_series
-from .regions import RegionSegment, key_string, segment
+from .regions import RegionSegment, segment
 from .telemetry import HeaderFields, parse_file
 
 # Seconds values must stay below this to fit a timedelta.
@@ -197,17 +197,18 @@ def confidence_csv(curve: list[tuple[datetime, float]], rule_label: str) -> str:
 # --- the output tree -------------------------------------------------------
 
 _REPORT_FILES = ("report.jsonl", "report.txt")
+_REGION_KINDS = ("records", "rules", "index", "confidence")  # the last two are plots
 
 
 def _region_files(region: str, write_plots: bool) -> list[str]:
     """The names run() writes for one region, in writing order."""
-    kinds = ["records", "rules"] + (["index", "confidence"] if write_plots else [])
+    kinds = _REGION_KINDS if write_plots else _REGION_KINDS[:2]
     return [f"{kind}_{region}.csv" for kind in kinds]
 
 
 # The names run() writes, and so the only names it replaces or removes.
 _OUTPUT_NAME = re.compile(
-    r"(?:records|rules|index|confidence)_.*\.csv|report\.(?:jsonl|txt)"
+    "|".join([rf"(?:{'|'.join(_REGION_KINDS)})_.*\.csv", *map(re.escape, _REPORT_FILES)])
 )
 
 
@@ -339,13 +340,12 @@ def _analyse(
     list[tuple[datetime, float]],
 ]:
     """One region's report row, index samples, rules and top-rule curve."""
-    region = key_string(seg.key)
     first_seen, last_seen = seg.records[0].observed_at, seg.records[-1].observed_at
     try:
         series = compute_series(seg, config.pressure_floor)
     except AllSamplesRejected:
         row = adv.RegionSummary(
-            region, adv.STATUS_REJECTED, 0, len(seg.records), first_seen, last_seen
+            seg.region, adv.STATUS_REJECTED, 0, len(seg.records), first_seen, last_seen
         )
         return row, [], [], []
     samples = series.samples
@@ -354,15 +354,8 @@ def _analyse(
 
     delta = timedelta(seconds=config.delta_s)
     events = ep.build_events(samples, delta, config.k)
-    win_a, win_c, lag = windows = config.windows
-    rules = ep.mine_rules(
-        events,
-        min_support=config.min_support,
-        max_len=config.max_len,
-        win_a=win_a,
-        win_c=win_c,
-        lag=lag,
-    )
+    windows = config.windows
+    rules = ep.mine_rules(events, config.min_support, config.max_len, windows)
     top_rule = top_confidence = None
     curve: list[tuple[datetime, float]] = []
     if rules:
@@ -372,7 +365,7 @@ def _analyse(
         curve = ep.confidence_series(events, top, windows, delta)
         advisories += adv.detect_fishing_zone(curve, config.theta, rule=top_rule)
     row = adv.RegionSummary(
-        region=region,
+        region=seg.region,
         status=adv.STATUS_OK,
         sample_count=len(samples),
         skipped=series.skipped,
@@ -380,7 +373,7 @@ def _analyse(
         last_seen=last_seen,
         avg_min=band.avg_min,
         avg_max=band.avg_max,
-        window_len=band.window_len,
+        window_len=config.window_len,
         top_rule=top_rule,
         top_confidence=top_confidence,
         advisories=advisories,
@@ -405,8 +398,11 @@ def run(config: PipelineConfig) -> RunResult:
 
     # All inputs must be present and readable before any work starts.
     for path in config.inputs:
-        if not Path(path).is_file():
-            raise FileNotFoundError(f"input file not found: {path}")
+        if Path(path).is_file():
+            continue
+        if os.path.exists(path):
+            raise OSError(f"input is not a regular file: {path}")
+        raise FileNotFoundError(f"input file not found: {path}")
 
     # So must the output tree be replaceable, and any leftover of a killed run.
     out_dir = Path(os.path.abspath(config.out_dir))  # "." has no name or sibling
@@ -449,7 +445,7 @@ def run(config: PipelineConfig) -> RunResult:
     names = [
         name
         for seg in segments
-        for name in _region_files(key_string(seg.key), config.write_plots)
+        for name in _region_files(seg.region, config.write_plots)
     ]
     names += _REPORT_FILES
 

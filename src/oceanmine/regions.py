@@ -4,7 +4,9 @@ Records from the same platform whose header positions fall in the same
 cell of a regular lat/lon grid belong to one region and are analysed
 as one series.  Cell indices come from flooring the coordinates, so
 cells are half-open on their upper edges and negative coordinates land
-in negative cells.
+in negative cells.  A region is known by its name,
+"<platform>_<lat cell>_<lon cell>"; a platform id is five digits, so
+each region has one name.
 """
 
 from __future__ import annotations
@@ -16,31 +18,18 @@ from .decoder import ProfileRecord
 from .telemetry import HeaderFields
 
 
-class RegionKey(NamedTuple):
-    platform_id: str
-    lat_cell: int
-    lon_cell: int
-
-
-def key_string(key: RegionKey) -> str:
-    """Filesystem-safe rendering of a region key."""
-    return f"{key.platform_id}_{key.lat_cell}_{key.lon_cell}"
-
-
 class RegionSegment(NamedTuple):
     """All records of one region, in tuple order: by observed_at, level, values."""
 
-    key: RegionKey
+    region: str
     records: list[ProfileRecord]
 
 
-def region_key_of(header: HeaderFields, cell_size: float) -> RegionKey:
-    """Grid the header position into a region key."""
-    return RegionKey(
-        platform_id=header.platform_id,
-        lat_cell=math.floor(header.latitude / cell_size),
-        lon_cell=math.floor(header.longitude / cell_size),
-    )
+def region_key_of(header: HeaderFields, cell_size: float) -> str:
+    """Grid the header position into its region's name."""
+    lat_cell = math.floor(header.latitude / cell_size)
+    lon_cell = math.floor(header.longitude / cell_size)
+    return f"{header.platform_id}_{lat_cell}_{lon_cell}"
 
 
 def segment(
@@ -56,16 +45,17 @@ def segment(
     place as tuples, by (observed_at, level) and then by values, so
     same-time blocks of one region come out in one order whichever was
     read first; no decoded value is -0.0, so equal records are equal
-    byte for byte.  Segments come out sorted by key.
+    byte for byte.  Segments come out sorted by region name, the order
+    of the report's rows.
     """
-    by_key: dict[RegionKey, list[ProfileRecord]] = {}
+    by_region: dict[str, list[ProfileRecord]] = {}
     for header, records in blocks:
         if records:
-            by_key.setdefault(region_key_of(header, cell_size), []).extend(records)
+            by_region.setdefault(region_key_of(header, cell_size), []).extend(records)
         del header  # not held while blocks reads its next input
     segments = []
-    for key in sorted(by_key):
-        records = by_key[key]
+    for region in sorted(by_region):
+        records = by_region[region]
         records.sort()
-        segments.append(RegionSegment(key=key, records=records))
+        segments.append(RegionSegment(region, records))
     return segments

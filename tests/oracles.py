@@ -258,12 +258,14 @@ def episode_count_brute(events, episode, window) -> int:
     return sum(1 for ev in events if event_contains_brute(ev.items, episode, window))
 
 
-def mine_rules_brute(events, min_support, max_len, win_a, win_c, lag):
-    """All rules with support >= min_support, by exhaustive enumeration.
+def mine_rules_brute(events, min_support, max_len, windows):
+    """All rules with support >= min_support at windows (win_a, win_c,
+    lag), by exhaustive enumeration.
 
     Returns (antecedent, consequent, support, confidence) tuples in the
     same deterministic order the production miner uses.
     """
+    win_a, win_c, lag = windows
     alphabet = sorted({sym for ev in events for _, sym in ev.items})
     episodes = []
     for length in range(1, max_len + 1):
@@ -309,8 +311,10 @@ def random_instance(rng):
     params = dict(
         min_support=rng.randint(1, 3),
         max_len=rng.randint(1, 3),
-        win_a=timedelta(seconds=rng.choice([0, 1, 2, 5])),
-        win_c=timedelta(seconds=rng.choice([0, 1, 2, 5])),
-        lag=timedelta(seconds=rng.choice([1, 2, 5, 10])),
+        windows=(
+            timedelta(seconds=rng.choice([0, 1, 2, 5])),
+            timedelta(seconds=rng.choice([0, 1, 2, 5])),
+            timedelta(seconds=rng.choice([1, 2, 5, 10])),
+        ),
     )
     return events, params

@@ -53,7 +53,7 @@ class TestStrongWaves:
         assert detect_strong_waves(samples, band) == []
 
     def test_bound_equality_is_quiet(self):
-        band = IndexBand(avg_min=1.0, avg_max=2.0, window_len=10)
+        band = IndexBand(avg_min=1.0, avg_max=2.0)
         samples = series_of([1.0, 2.0, 1.5])
         assert detect_strong_waves(samples, band) == []
 
@@ -72,7 +72,7 @@ class TestStrongWaves:
     def test_direction_recoverable_from_threshold(self):
         # every alert can be re-checked as value outside its threshold
         samples = series_of([0.0, 10.0, 5.0])
-        band = IndexBand(avg_min=4.0, avg_max=6.0, window_len=1)
+        band = IndexBand(avg_min=4.0, avg_max=6.0)
         for a in detect_strong_waves(samples, band):
             assert a.value < a.threshold or a.value > a.threshold
 

@@ -82,16 +82,20 @@ _values = st.lists(
 # Two values whose difference overflows: numpy's interpolation and
 # episodes._quantile both reach an infinite boundary here.
 _OVERFLOWING = [1.7976931348623155e308, -2.9937604643020797e292]
+# Here the difference overflows where the interpolation weight is 0, so
+# numpy computes inf * 0.0: both sides return the same NaN.
+_INF_TIMES_ZERO = [1.7976931348623157e308] * 4 + [-9.9792015476736e291] * 3
 
 
 def np_quantile(values, q):
     """numpy's quantile, the oracle for episodes._quantile.
 
-    numpy warns when ``b - a`` overflows in its interpolation, where
-    _quantile does the same arithmetic without a warning; the two
-    results are still compared bit for bit.
+    numpy warns when ``b - a`` overflows in its interpolation, and when
+    that infinity is then multiplied by a weight of 0, where _quantile
+    does the same arithmetic without a warning; the two results are
+    still compared bit for bit.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return float(np.quantile(values, q))
 
 
@@ -166,6 +170,7 @@ class TestDiscretize:
     @given(values=_values, k=st.integers(2, 20))
     @example(values=[5.0], k=3)
     @example(values=_OVERFLOWING, k=2)
+    @example(values=_INF_TIMES_ZERO, k=3)
     def test_quantile_matches_numpy_bit_for_bit(self, values, k):
         ordered = sorted(values)
         for i in range(1, k):
@@ -176,6 +181,7 @@ class TestDiscretize:
     @settings(max_examples=300, deadline=None)
     @given(values=_values, k=st.integers(1, 13))
     @example(values=_OVERFLOWING, k=2)
+    @example(values=_INF_TIMES_ZERO, k=3)
     def test_classes_match_enumerating_every_boundary(self, values, k):
         bounds = [np_quantile(values, i / k) for i in range(1, k)]
         want = [sum(1 for b in bounds if v > b) for v in values]
@@ -208,10 +214,8 @@ class TestDiscretize:
 
 def mined_support(antecedent, consequent, events, win_a, win_c, lag):
     """A rule's support as the miner reports it; an absent rule has 0."""
-    rules = mine_rules(
-        events, min_support=1, max_len=max(len(antecedent), len(consequent)),
-        win_a=win_a, win_c=win_c, lag=lag,
-    )
+    max_len = max(len(antecedent), len(consequent))
+    rules = mine_rules(events, min_support=1, max_len=max_len, windows=(win_a, win_c, lag))
     for r in rules:
         if (r.antecedent, r.consequent) == (antecedent, consequent):
             return r.support
@@ -230,8 +234,7 @@ class TestSupportConfidence:
     def test_reference_events(self):
         assert mined_support((A,), (B,), EVENTS_ABC, Z, Z, LAG2) == 1
         assert final_confidence((A,), (B,), EVENTS_ABC, Z, Z, LAG2) == 0.5
-        rules = mine_rules(EVENTS_ABC, min_support=1, max_len=1,
-                           win_a=Z, win_c=Z, lag=LAG2)
+        rules = mine_rules(EVENTS_ABC, min_support=1, max_len=1, windows=(Z, Z, LAG2))
         (rule,) = [r for r in rules if (r.antecedent, r.consequent) == ((A,), (B,))]
         assert (rule.support, rule.confidence) == (1, 0.5)
 
@@ -282,8 +285,7 @@ class TestMineRules:
     def test_single_symbol_alphabet(self):
         events = [ev((0, A), (1, A), (2, A))]
         rules = mine_rules(
-            events, min_support=1, max_len=1, win_a=Z, win_c=Z,
-            lag=timedelta(seconds=10),
+            events, min_support=1, max_len=1, windows=(Z, Z, timedelta(seconds=10))
         )
         assert len(rules) == 1
         (rule,) = rules
@@ -293,8 +295,7 @@ class TestMineRules:
         assert rule.confidence == 1.0
 
     def test_min_support_filters(self):
-        rules = mine_rules(EVENTS_ABC, min_support=2, max_len=2,
-                           win_a=Z, win_c=Z, lag=LAG2)
+        rules = mine_rules(EVENTS_ABC, min_support=2, max_len=2, windows=(Z, Z, LAG2))
         assert rules == []
 
     def test_sort_order(self):
@@ -319,7 +320,7 @@ class TestMineRules:
         rng = random.Random(42)
         for _ in range(25):
             events, params = oracles.random_instance(rng)
-            for window in (params["win_a"], params["win_c"]):
+            for window in params["windows"][:2]:
                 freq = frequent_episodes(events, 1, params["max_len"], window)
                 counts = {e: sum(1 for s in starts if s) for e, starts in freq.items()}
                 for epi, count in counts.items():
@@ -346,23 +347,20 @@ class TestMineRules:
             for d in range(30)
         ]
         windows = (timedelta(seconds=win_a_s), timedelta(seconds=win_c_s), LAG2)
-        rules = mine_rules(events, min_support=2, max_len=3,
-                           win_a=windows[0], win_c=windows[1], lag=windows[2])
+        rules = mine_rules(events, min_support=2, max_len=3, windows=windows)
         assert {(r.antecedent, r.consequent) for r in rules} >= {((A, B), (B,))}
         for rule in (rules[0], rules[-1]):
             confidence_series(events, rule, windows, timedelta(seconds=1))
         assert [(e.items.walks, e.items.reads) for e in events] == [(1, 0)] * 30
 
     def test_lag_near_longest_duration(self):
-        rules = mine_rules(EVENTS_ABC, min_support=1, max_len=1,
-                           win_a=Z, win_c=Z, lag=timedelta.max)
+        rules = mine_rules(EVENTS_ABC, min_support=1, max_len=1, windows=(Z, Z, timedelta.max))
         pairs = {(r.antecedent, r.consequent): r.support for r in rules}
         assert pairs[(A,), (B,)] == 1
         assert pairs[(B,), (B,)] == 1
 
     def test_support_bounded_by_events(self):
-        rules = mine_rules(EVENTS_ABC, min_support=1, max_len=2,
-                           win_a=Z, win_c=Z, lag=LAG2)
+        rules = mine_rules(EVENTS_ABC, min_support=1, max_len=2, windows=(Z, Z, LAG2))
         for r in rules:
             assert 1 <= r.support <= len(EVENTS_ABC)
             assert 0.0 <= r.confidence <= 1.0
@@ -397,11 +395,12 @@ class TestProfileShapedEvents:
         for _ in range(60):
             events = profile_events(rng)
             win_a, win_c, lag = (rng.choice(DURATIONS) for _ in range(3))
-            params = dict(min_support=rng.randint(1, 2), max_len=rng.randint(1, 2),
-                          win_a=win_a, win_c=win_c, lag=lag)
+            params = dict(min_support=rng.randint(1, 2), max_len=rng.randint(1, 2))
             brute_lag = min(lag, max(e.end - e.start for e in events))
-            got = mine_rules(events, **params)
-            assert got == oracles.mine_rules_brute(events, **dict(params, lag=brute_lag))
+            got = mine_rules(events, **params, windows=(win_a, win_c, lag))
+            assert got == oracles.mine_rules_brute(
+                events, **params, windows=(win_a, win_c, brute_lag)
+            )
             for ant, cons in [((A,), (B,)), ((B, A), (A,)), ((A,), (C, A)), ((C, C), (B, B))]:
                 rule = EpisodeRule(ant, cons, 0, 0.0)
                 last = confidence_series(events, rule, (win_a, win_c, lag), GAP)[-1][1]
@@ -431,7 +430,7 @@ class TestConfidenceSeries:
                 continue
             rule = rules[0]
             step = timedelta(seconds=rng.choice([1, 2, 5]))
-            windows = (params["win_a"], params["win_c"], params["lag"])
+            windows = params["windows"]
             curve = confidence_series(events, rule, windows, step)
             for t, conf in curve:
                 prefix = [e for e in events if e.start <= t]
@@ -452,7 +451,7 @@ class TestConfidenceSeries:
             shuffled = events[:]
             rng.shuffle(shuffled)
             rule = rules[rng.randrange(len(rules))]
-            windows = (params["win_a"], params["win_c"], params["lag"])
+            windows = params["windows"]
             for t, conf in confidence_series(shuffled, rule, windows, timedelta(seconds=1)):
                 prefix = [e for e in shuffled if e.start <= t]
                 assert conf == oracles.confidence_brute(
@@ -484,7 +483,7 @@ class TestConfidenceSeries:
         events = segment_events(samples, Z)
         assert len(events) == 4
         day = timedelta(days=1)
-        assert mine_rules(events, 1, 3, win_a=day, win_c=day, lag=day) == []
+        assert mine_rules(events, 1, 3, (day, day, day)) == []
 
 
 class TestLabels:

@@ -14,7 +14,7 @@ from oceanmine.oscillation import (
     compute_index,
     compute_series,
 )
-from oceanmine.regions import RegionKey, RegionSegment
+from oceanmine.regions import RegionSegment
 
 import oracles
 from helpers import config_with, d_index_d_temperature
@@ -36,7 +36,7 @@ def seg_of(pressures):
         )
         for i, p in enumerate(pressures)
     ]
-    return RegionSegment(key=RegionKey("02602", 0, 76), records=records)
+    return RegionSegment("02602_0_76", records)
 
 
 class TestComputeIndex:

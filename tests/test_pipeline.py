@@ -281,6 +281,19 @@ class TestFailureModes:
             run(config_for(tmp_path / "nope.txt", out))
         assert not out.exists()
 
+    def test_directory_input_is_not_reported_missing(self, tmp_path, capsys):
+        # An input that exists but is not a regular file is named as such,
+        # with the I/O exit code, and nothing is written.
+        out = tmp_path / "out"
+        with pytest.raises(OSError, match="input is not a regular file") as err:
+            run(config_for(tmp_path, out))
+        assert not isinstance(err.value, FileNotFoundError)
+        assert main([str(tmp_path), "--out-dir", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"oceanmine: io error: input is not a regular file: {tmp_path}\n"
+        )
+        assert not out.exists()
+
     def test_malformed_input_writes_nothing(self, sample_path, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text(
@@ -637,7 +650,7 @@ class TestOutputTree:
         compute_series = pipeline.compute_series
 
         def recorded_series(seg, floor):
-            calls.append((len(written), regions.key_string(seg.key)))
+            calls.append((len(written), seg.region))
             return compute_series(seg, floor)
 
         monkeypatch.setattr(pipeline, "compute_series", recorded_series)
@@ -651,6 +664,36 @@ class TestOutputTree:
         # the report follows every region file
         assert len(names) == 10
         assert names[-2:] == ["report.jsonl", "report.txt"]
+
+    def test_segments_writes_and_report_share_the_name_order(self, tmp_path, monkeypatch):
+        # One float in lat cells 9 and 10: by name, "11111_10_76" comes first.
+        src = tmp_path / "two_cells.txt"
+        src.write_text(
+            render_stream(
+                block_of(header("11111", lat, 76.5, datetime(2003, 1, 10, hour)),
+                         [(20.0, 35.0, 100.0), (19.0, 35.1, 150.0)])
+                for lat, hour in ((9.5, 12), (10.5, 13))
+            ),
+            encoding="ascii",
+        )
+        segmented = []
+        segment = pipeline.segment
+
+        def recorded_segment(blocks, cell_size):
+            segs = segment(blocks, cell_size)
+            segmented.extend(seg.region for seg in segs)
+            return segs
+
+        monkeypatch.setattr(pipeline, "segment", recorded_segment)
+        written = record_writes(monkeypatch)
+        result = run(config_for(src, tmp_path / "out"))
+        order = ["11111_10_76", "11111_9_76"]
+        assert segmented == order
+        kinds = ("records", "rules", "index", "confidence")
+        assert [p.name for p in written] == [
+            f"{kind}_{region}.csv" for region in order for kind in kinds
+        ] + ["report.jsonl", "report.txt"]
+        assert [row.region for row in result.report.rows] == order
 
 
 SAMPLE_DIGEST = "1103e97faf436de1c5f97ec815035428e247eba3a77e2bb9e50f3bd01fd03119"

@@ -7,7 +7,7 @@ import pytest
 
 from oceanmine.decoder import ProfileRecord
 from oceanmine.errors import ConfigError
-from oceanmine.regions import RegionKey, key_string, region_key_of, segment
+from oceanmine.regions import region_key_of, segment
 from oceanmine.telemetry import parse_header
 
 from conftest import SPLIT_ID_HEADER
@@ -34,23 +34,18 @@ def record_at(ts, level=1):
 
 class TestRegionKey:
     def test_reference_position(self):
-        assert region_key_of(HEADER, 1.0) == RegionKey("02602", 0, 76)
+        assert region_key_of(HEADER, 1.0) == "02602_0_76"
 
     def test_negative_latitude_floors_down(self):
-        assert region_key_of(header_at(-0.5, 76.559), 1.0).lat_cell == -1
+        assert region_key_of(header_at(-0.5, 76.559), 1.0) == "02602_-1_76"
 
     def test_cell_size_scales(self):
-        key = region_key_of(HEADER, 2.0)
-        assert (key.lat_cell, key.lon_cell) == (0, 38)
+        assert region_key_of(HEADER, 2.0) == "02602_0_38"
 
     def test_non_positive_cell_size(self):
         for cell_size in (0.0, -1.0):
             with pytest.raises(ConfigError):
                 config_with(cell_size=cell_size).validate()
-
-    def test_key_string(self):
-        assert key_string(RegionKey("02602", 0, 76)) == "02602_0_76"
-        assert key_string(RegionKey("02602", -1, 76)) == "02602_-1_76"
 
 
 class TestSegment:
@@ -62,7 +57,7 @@ class TestSegment:
         ]
         segs = segment(blocks, 1.0)
         assert len(segs) == 1
-        assert segs[0].key == RegionKey("02602", 0, 76)
+        assert segs[0].region == "02602_0_76"
         assert len(segs[0].records) == 2
 
     def test_records_sorted_by_time_then_level(self):
@@ -98,7 +93,7 @@ class TestSegment:
             (header_at(5.5, 76.5, platform="02602"), [record_at(t0)]),
         ]
         segs = segment(blocks, 1.0)
-        assert [s.key for s in segs] == sorted(s.key for s in segs)
+        assert [s.region for s in segs] == sorted(s.region for s in segs)
 
     def test_partition_fuzz(self):
         rng = random.Random(76559)
@@ -118,4 +113,4 @@ class TestSegment:
         assert len(set(levels)) == 1000  # no record in two segments
         header_of = {recs[0].level: h for h, recs in blocks}
         for s in segs:
-            assert all(region_key_of(header_of[r.level], 1.0) == s.key for r in s.records)
+            assert all(region_key_of(header_of[r.level], 1.0) == s.region for r in s.records)
