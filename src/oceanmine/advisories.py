@@ -126,12 +126,15 @@ class ReportTable(NamedTuple):
 def compose_report(
     summaries: Sequence[RegionSummary], generated_at: datetime
 ) -> ReportTable:
-    """Assemble region summaries into a report, sorted by region."""
+    """Assemble region summaries into a report, rows in the given order.
+
+    Each row's advisories are sorted by time, kind and rule.
+    """
     rows = [
         row._replace(
             advisories=sorted(row.advisories, key=lambda a: (a.at, a.kind, a.rule or ""))
         )
-        for row in sorted(summaries, key=lambda r: r.region)
+        for row in summaries
     ]
     return ReportTable(generated_at=generated_at, rows=rows)
 

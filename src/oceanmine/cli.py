@@ -103,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
     kinds = Counter(a.kind for row in result.report.rows for a in row.advisories)
     print(
         f"oceanmine: {result.record_count} records, "
-        f"{result.region_count} regions, {kinds[KIND_STRONG_WAVE]} strong-wave alerts, "
+        f"{len(result.report.rows)} regions, {kinds[KIND_STRONG_WAVE]} strong-wave alerts, "
         f"{kinds[KIND_FISHING_ZONE]} fishing-zone advisories"
     )
     if result.rejected_blocks:

@@ -1,9 +1,10 @@
 """Exceptions shared across the pipeline stages.
 
-The CLI maps ConfigError, OSError and DataError (with its subclasses)
-each to its own exit code, without string matching.  Parsing and
-decoding errors name the offending input line or block span; the
-position prefix is formatted once, in DataError.
+The CLI maps ConfigError, OSError and DataError each to its own exit
+code, without string matching.  A fault in the input is one DataError
+whose message names its line or its block's lines; the position prefix
+is formatted once, in DataError.  A subclass exists only where a
+caller catches it by type.
 """
 
 from __future__ import annotations
@@ -35,22 +36,6 @@ class DataError(Exception):
             message = f"lines {span[0]}..{span[1]}: {message}"
         super().__init__(message)
         self.stage = stage
-
-
-class MalformedHeader(DataError):
-    """A header line does not match the positional token grammar."""
-
-
-class BadHexToken(DataError):
-    """A data line token is not a two-hex-digit byte."""
-
-
-class OddByteCount(DataError):
-    """A message block ends with an unpaired byte."""
-
-
-class EmptyInput(DataError):
-    """No message blocks were found in the input."""
 
 
 class NonTripleWordCount(DataError):

@@ -129,7 +129,6 @@ class PipelineConfig(NamedTuple):
 class RunResult(NamedTuple):
     report: adv.ReportTable
     record_count: int
-    region_count: int
     rejected_blocks: int
 
 
@@ -386,9 +385,8 @@ def run(config: PipelineConfig) -> RunResult:
 
     Raises ConfigError for bad parameters, OSError for unreadable
     inputs or an output directory oceanmine may not replace, DataError
-    subclasses (naming the failed stage in .stage) for format and
-    content failures.  A failing run leaves the output directory as it
-    was.
+    (naming the failed stage in .stage) for format and content
+    failures.  A failing run leaves the output directory as it was.
     """
     config.validate()
 
@@ -502,6 +500,5 @@ def run(config: PipelineConfig) -> RunResult:
     return RunResult(
         report=report,
         record_count=sum(len(seg.records) for seg in segments),
-        region_count=len(segments),
         rejected_blocks=rejected_blocks,
     )

@@ -58,13 +58,7 @@ from datetime import datetime
 from pathlib import Path
 from typing import NamedTuple, NoReturn
 
-from .errors import (
-    BadHexToken,
-    DataError,
-    EmptyInput,
-    MalformedHeader,
-    OddByteCount,
-)
+from .errors import DataError
 
 # ASCII digits and capitals only, so every field slices to an int as
 # written and no other script's digit or letter passes.
@@ -148,7 +142,7 @@ def _stamp(date_tok: str, time_tok: str) -> datetime:
 
 def _parse_timestamp(date_tok: str, time_tok: str, line_no: int | None) -> datetime:
     if not _DATE_RE.fullmatch(date_tok) or not _TIME_RE.fullmatch(time_tok):
-        raise MalformedHeader(
+        raise DataError(
             f"bad timestamp tokens {date_tok!r} {time_tok!r}", line=line_no
         )
     if len(time_tok) <= 15:  # at most 6 fraction digits
@@ -157,7 +151,7 @@ def _parse_timestamp(date_tok: str, time_tok: str, line_no: int | None) -> datet
         except ValueError:
             pass
     text = f"{date_tok} {time_tok}"
-    raise MalformedHeader(f"unparseable timestamp {text!r}", line=line_no)
+    raise DataError(f"unparseable timestamp {text!r}", line=line_no)
 
 
 def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
@@ -165,19 +159,19 @@ def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
 
     Tokens are bound positionally as documented in the module
     docstring, and every one is checked before the unkept ones are
-    dropped.  Raises MalformedHeader (with the line number when known)
-    on wrong token count, a malformed field, or an out-of-range
+    dropped.  Raises DataError (with the line number when known) on
+    wrong token count, a malformed field, or an out-of-range
     coordinate.
     """
     tokens = line.split()
     if len(tokens) < _MIN_TOKENS:
-        raise MalformedHeader(
+        raise DataError(
             f"expected at least {_MIN_TOKENS} tokens, got {len(tokens)}", line=line_no
         )
 
     platform_id = tokens[0]
     if not _PLATFORM_RE.fullmatch(platform_id):
-        raise MalformedHeader(f"bad platform id {platform_id!r}", line=line_no)
+        raise DataError(f"bad platform id {platform_id!r}", line=line_no)
 
     # Fixed tail: class_code pass_count date time lat lon alt transmitter;
     # the transmitter id is opaque, so it has nothing to check.
@@ -187,20 +181,20 @@ def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
 
     message_id = "".join(mid[:-2])
     if not _DIGITS_RE.fullmatch(message_id):
-        raise MalformedHeader(f"bad message id {' '.join(mid[:-2])!r}", line=line_no)
+        raise DataError(f"bad message id {' '.join(mid[:-2])!r}", line=line_no)
 
     try:
         read_number(mid[-2], int)
         read_number(mid[-1], int)
     except ValueError:
-        raise MalformedHeader(
+        raise DataError(
             f"bad integer fields {mid[-2]!r} {mid[-1]!r}", line=line_no
         ) from None
 
     if not _CLASS_RE.fullmatch(class_code):
-        raise MalformedHeader(f"bad class code {class_code!r}", line=line_no)
+        raise DataError(f"bad class code {class_code!r}", line=line_no)
     if not _DIGITS_RE.fullmatch(pass_tok):
-        raise MalformedHeader(f"bad pass count {pass_tok!r}", line=line_no)
+        raise DataError(f"bad pass count {pass_tok!r}", line=line_no)
 
     observed_at = _parse_timestamp(date_tok, time_tok, line_no)
 
@@ -209,13 +203,13 @@ def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
         longitude = read_number(lon_tok, float)
         read_number(alt_tok, float)
     except ValueError:
-        raise MalformedHeader(
+        raise DataError(
             f"bad coordinate tokens {lat_tok!r} {lon_tok!r} {alt_tok!r}", line=line_no
         ) from None
     if not -90.0 <= latitude <= 90.0:
-        raise MalformedHeader(f"latitude {latitude} out of [-90, 90]", line=line_no)
+        raise DataError(f"latitude {latitude} out of [-90, 90]", line=line_no)
     if not -180.0 <= longitude <= 180.0:
-        raise MalformedHeader(f"longitude {longitude} out of [-180, 180]", line=line_no)
+        raise DataError(f"longitude {longitude} out of [-180, 180]", line=line_no)
 
     return HeaderFields(platform_id, observed_at, latitude, longitude)
 
@@ -231,8 +225,8 @@ def parse_stream(text: str) -> list[MessageBlock]:
     Lines end at LF, CR or CRLF.  Every data line is attributed to the
     most recent header.  Blank lines are skipped and surrounding
     whitespace is tolerated.  The first line that cannot be read raises
-    DataError, MalformedHeader, BadHexToken or OddByteCount, naming its
-    line (an OddByteCount its block's lines); no block is EmptyInput.
+    DataError naming that line, or, for a block ending on an unpaired
+    byte, the block's lines; an input without blocks raises DataError.
     """
     text = lf_endings(text)
     blocks: list[MessageBlock] = []
@@ -297,7 +291,7 @@ def parse_stream(text: str) -> list[MessageBlock]:
     if header:
         blocks.append(_closed(MessageBlock(header, payload, (first, last))))
     if not blocks:
-        raise EmptyInput("no message blocks in input")
+        raise DataError("no message blocks in input")
     return blocks
 
 
@@ -305,7 +299,7 @@ def _closed(block: MessageBlock) -> MessageBlock:
     """block, unless its payload ends on an unpaired byte."""
     if len(block.payload) % 2:
         count = len(block.payload)
-        raise OddByteCount(f"block has {count} bytes, one unpaired", span=block.source_line_span)
+        raise DataError(f"block has {count} bytes, one unpaired", span=block.source_line_span)
     return block
 
 
@@ -323,21 +317,21 @@ def _refuse(line: str, line_no: int, block: MessageBlock | None) -> NoReturn:
         parse_header(line, line_no)
         tokens = []
     elif block is None:
-        raise MalformedHeader("data line before any header", line=line_no)
+        raise DataError("data line before any header", line=line_no)
     elif _DATE_RE.fullmatch(tokens[0]):
         if len(tokens) < 2 or not _TIME_RE.fullmatch(tokens[1]):
-            raise MalformedHeader(
+            raise DataError(
                 f"block time line missing time token: {line.strip()!r}", line=line_no
             )
         _parse_timestamp(tokens[0], tokens[1], line_no)
         if len(tokens) > 2 and not _DIGITS_RE.fullmatch(tokens[2]):
-            raise MalformedHeader(
+            raise DataError(
                 f"block time line has bad sequence token {tokens[2]!r}", line=line_no
             )
         tokens = tokens[3:]
     for token in tokens:
         if not _HEX_RE.fullmatch(token):
-            raise BadHexToken(f"bad hex byte token {token!r}", line=line_no)
+            raise DataError(f"bad hex byte token {token!r}", line=line_no)
     raise AssertionError(f"line {line_no} was refused but reads as valid")
 
 

@@ -19,13 +19,7 @@ from decimal import ROUND_HALF_UP, Decimal
 import mpmath
 
 from oceanmine import telemetry
-from oceanmine.errors import (
-    BadHexToken,
-    DataError,
-    EmptyInput,
-    MalformedHeader,
-    OddByteCount,
-)
+from oceanmine.errors import DataError
 from oceanmine.telemetry import HeaderFields, MessageBlock, parse_header
 
 mpmath.mp.dps = 50
@@ -129,14 +123,14 @@ class _BlockBuilder:
         line = " ".join(tokens)
         if not _HEX_LINE_RE.fullmatch(line):
             bad = next(tok for tok in tokens if not telemetry._HEX_RE.fullmatch(tok))
-            raise BadHexToken(f"bad hex byte token {bad!r}", line=line_no)
+            raise DataError(f"bad hex byte token {bad!r}", line=line_no)
         self.payload += bytes.fromhex(line)
         self.last_line = line_no
 
     def finish(self) -> MessageBlock:
         span = (self.first_line, self.last_line)
         if len(self.payload) % 2:
-            raise OddByteCount(
+            raise DataError(
                 f"block has {len(self.payload)} bytes, one unpaired", span=span
             )
         return MessageBlock(self.header, bytes(self.payload), span)
@@ -164,11 +158,11 @@ def walk_lines(text: str) -> list[MessageBlock]:
             continue
 
         if current is None:
-            raise MalformedHeader("data line before any header", line=line_no)
+            raise DataError("data line before any header", line=line_no)
 
         if telemetry._DATE_RE.fullmatch(tokens[0]):
             if len(tokens) < 2 or not telemetry._TIME_RE.fullmatch(tokens[1]):
-                raise MalformedHeader(
+                raise DataError(
                     f"block time line missing time token: {raw.strip()!r}", line=line_no
                 )
             stamp = telemetry._parse_timestamp(tokens[0], tokens[1], line_no)
@@ -178,7 +172,7 @@ def walk_lines(text: str) -> list[MessageBlock]:
             rest = tokens[2:]
             if rest:
                 if not telemetry._DIGITS_RE.fullmatch(rest[0]):
-                    raise MalformedHeader(
+                    raise DataError(
                         f"block time line has bad sequence token {rest[0]!r}",
                         line=line_no,
                     )
@@ -192,7 +186,7 @@ def walk_lines(text: str) -> list[MessageBlock]:
     if current is not None:
         blocks.append(current.finish())
     if not blocks:
-        raise EmptyInput("no message blocks in input")
+        raise DataError("no message blocks in input")
     return blocks
 
 

@@ -155,11 +155,12 @@ def summary(region, **kw):
 
 
 class TestReport:
-    def test_rows_sorted_by_region(self):
+    def test_rows_keep_the_given_order(self):
+        # segment sets the order; compose_report does not sort it again
         table = compose_report(
             [summary("99999_1_2"), summary("02602_0_76")], generated_at=at(300)
         )
-        assert [r.region for r in table.rows] == ["02602_0_76", "99999_1_2"]
+        assert [r.region for r in table.rows] == ["99999_1_2", "02602_0_76"]
 
     def test_advisories_sorted_within_row(self):
         adv = [

@@ -132,7 +132,6 @@ class TestRunOnSample:
     def test_frozen_outcome(self, sample_path, tmp_path):
         result = run(config_for(sample_path, tmp_path / "out"))
         assert result.record_count == 31
-        assert result.region_count == 1
         assert result.rejected_blocks == 0
         (row,) = result.report.rows
         assert row.region == SAMPLE_REGION
@@ -882,7 +881,7 @@ class TestHeldMemory:
             result = run(config_for(src, out))
         finally:
             tracemalloc.stop()
-        assert result.region_count >= 100
+        assert len(result.report.rows) >= 100
         size = (out / "report.jsonl").stat().st_size
         assert heap["peak"] - heap["before"] < size / 2
 
@@ -922,7 +921,7 @@ class TestHeldMemory:
         result = run(
             PipelineConfig(inputs=[Path(sample_path), second], out_dir=tmp_path / "out")
         )
-        assert result.region_count == 3
+        assert len(result.report.rows) == 3
         assert alive_on_entry == [[], []]
 
 
@@ -934,6 +933,16 @@ class TestCli:
         assert "31 records, 1 regions, 3 strong-wave alerts," in out
         assert "13 fishing-zone advisories" in out
         assert "report.txt" in out
+
+    def test_region_count_is_the_report_rows(self, tmp_path, capsys):
+        # one live region and one whose samples are all rejected
+        src = tmp_path / "two_floats.txt"
+        src.write_text(two_region_stream(), encoding="ascii")
+        out = tmp_path / "out"
+        assert main([str(src), "--out-dir", str(out)]) == EXIT_OK
+        assert ", 2 regions, " in capsys.readouterr().out
+        head = json.loads((out / "report.jsonl").read_text().splitlines()[0])
+        assert head["regions"] == 2
 
     def test_exit_config(self, sample_path, tmp_path, capsys):
         code = main(

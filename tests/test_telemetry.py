@@ -6,13 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oceanmine.errors import (
-    BadHexToken,
-    DataError,
-    EmptyInput,
-    MalformedHeader,
-    OddByteCount,
-)
+from oceanmine.errors import DataError
 from oceanmine.telemetry import (
     HeaderFields,
     MessageBlock,
@@ -49,7 +43,7 @@ class TestParseHeader:
         merged = SPLIT_ID_HEADER.replace("29021 02", "2902102")
         assert parse_header(SPLIT_ID_HEADER) == parse_header(merged)
         # a split id is checked whole, and named as written
-        with pytest.raises(MalformedHeader, match="bad message id '29021 0x'"):
+        with pytest.raises(DataError, match="bad message id '29021 0x'"):
             parse_header(SPLIT_ID_HEADER.replace("29021 02", "29021 0x"))
 
     def test_twelve_token_line(self):
@@ -58,37 +52,37 @@ class TestParseHeader:
 
     def test_latitude_out_of_range(self):
         bad = SPLIT_ID_HEADER.replace("0.691", "95.0")
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(DataError, match=r"latitude 95.0 out of \[-90, 90\]"):
             parse_header(bad)
 
     def test_longitude_out_of_range(self):
         bad = SPLIT_ID_HEADER.replace("76.559", "191.0")
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(DataError, match=r"longitude 191.0 out of \[-180, 180\]"):
             parse_header(bad)
 
     def test_eleven_tokens_rejected(self):
         tokens = SECOND_HEADER.split()[:11]
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(DataError, match="expected at least 12 tokens, got 11"):
             parse_header(" ".join(tokens))
 
     def test_bad_class_code(self):
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(DataError, match="bad class code 'KX'"):
             parse_header(SECOND_HEADER.replace(" K ", " KX "))
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(DataError, match="bad class code 'k'"):
             parse_header(SECOND_HEADER.replace(" K ", " k "))
         # capitals of other scripts and number forms are not ASCII codes
         for code in ("É", "Ⅻ"):
-            with pytest.raises(MalformedHeader, match="bad class code"):
+            with pytest.raises(DataError, match="bad class code"):
                 parse_header(SECOND_HEADER.replace(" K ", f" {code} "))
 
     def test_timezone_suffix_rejected(self):
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(DataError, match="bad timestamp tokens"):
             parse_header(SECOND_HEADER.replace("14:34:18", "14:34:18Z"))
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(DataError, match="bad timestamp tokens"):
             parse_header(SECOND_HEADER.replace("14:34:18", "14:34:18+05:30"))
 
     def test_line_number_in_message(self):
-        with pytest.raises(MalformedHeader, match="line 7"):
+        with pytest.raises(DataError, match="line 7"):
             parse_header("02602 1 2", line_no=7)
 
     def test_fractional_seconds_kept(self):
@@ -117,12 +111,12 @@ class TestParseHeader:
         # "\u00b2", but none of them is a header number
         bad = SECOND_HEADER.replace(old, new, 1)
         assert bad != SECOND_HEADER
-        with pytest.raises(MalformedHeader, match="line 7"):
+        with pytest.raises(DataError, match="line 7"):
             parse_header(bad, line_no=7)
 
     def test_numbers_rejected_in_a_stream_at_their_line(self):
         text = f"{SPLIT_ID_HEADER}\n{SECOND_HEADER.replace(' 73 ', ' 7_3 ')}\n"
-        with pytest.raises(MalformedHeader, match="line 2"):
+        with pytest.raises(DataError, match="line 2"):
             parse_stream(text)
 
 
@@ -201,7 +195,7 @@ class TestTimestamps:
         if isinstance(want, datetime):
             assert parse_header(line, line_no=4).observed_at == want
         else:
-            with pytest.raises(MalformedHeader) as err:
+            with pytest.raises(DataError) as err:
                 parse_header(line, line_no=4)
             assert str(err.value) == f"line 4: {want}"
 
@@ -212,7 +206,7 @@ class TestTimestamps:
             (block,) = parse_stream(text)
             assert block.header.observed_at == want
         else:
-            with pytest.raises(MalformedHeader) as err:
+            with pytest.raises(DataError) as err:
                 parse_stream(text)
             assert str(err.value) == f"line 2: {want}"
 
@@ -230,7 +224,7 @@ class TestTimestamps:
         try:
             want = datetime.strptime(text, fmt)
         except ValueError:
-            with pytest.raises(MalformedHeader, match="unparseable timestamp"):
+            with pytest.raises(DataError, match="unparseable timestamp"):
                 parse_header(line)
         else:
             assert parse_header(line).observed_at == want
@@ -260,9 +254,9 @@ class TestWordsOf:
         assert block_words(["ee 05"]) == [60933]
 
     def test_bad_token(self):
-        with pytest.raises(BadHexToken):
+        with pytest.raises(DataError, match="bad hex byte token '9'"):
             block_words(["35 9"])
-        with pytest.raises(BadHexToken):
+        with pytest.raises(DataError, match="bad hex byte token 'GG'"):
             block_words(["GG 00"])
 
     @pytest.mark.parametrize(
@@ -278,12 +272,12 @@ class TestWordsOf:
         ],
     )
     def test_bad_token_named(self, line, message):
-        with pytest.raises(BadHexToken) as err:
+        with pytest.raises(DataError) as err:
             block_words([line, "00 00"])
         assert str(err.value) == message
 
     def test_odd_byte_count(self):
-        with pytest.raises(OddByteCount):
+        with pytest.raises(DataError, match="block has 3 bytes, one unpaired"):
             block_words(["35 9D 89"])
 
 
@@ -334,18 +328,18 @@ class TestParseStream:
 
     def test_odd_byte_block_reports_span(self):
         text = f"{SPLIT_ID_HEADER}\n35 9D 89\n"
-        with pytest.raises(OddByteCount) as err:
+        with pytest.raises(DataError) as err:
             parse_stream(text)
         assert str(err.value).startswith("lines 1..2: ")
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DataError, match="^no message blocks in input$"):
             parse_stream("")
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DataError, match="^no message blocks in input$"):
             parse_stream("\n   \n")
 
     def test_data_line_before_header(self):
-        with pytest.raises(MalformedHeader, match="line 1"):
+        with pytest.raises(DataError, match="line 1: data line before any header"):
             parse_stream("35 9D\n")
 
     def test_blank_lines_and_crlf_tolerated(self):
@@ -369,7 +363,7 @@ class TestParseStream:
         assert words_of(from_file[1]) == [0x4D0B, 0x70B9, 0x07CB, 0x0203]
 
     def test_first_faulty_line_is_reported(self):
-        with pytest.raises(BadHexToken, match="line 2"):
+        with pytest.raises(DataError, match="line 2: bad hex byte token 'GG'"):
             parse_stream(f"{SPLIT_ID_HEADER}\nGG\n35 \xe9\n")
         with pytest.raises(DataError, match="line 3: non-ASCII byte 0xe9"):
             parse_stream(f"{SPLIT_ID_HEADER}\r35 9D\r\nGG \xe9\n")
@@ -639,8 +633,9 @@ class TestBlockReading:
         try:
             want = oracles.walk_lines(text)
         except DataError as e:
-            with pytest.raises(type(e)) as raised:
+            with pytest.raises(DataError) as raised:
                 parse_stream(text)
+            assert type(raised.value) is type(e) is DataError
             assert str(raised.value) == str(e)
             return
         # repr() tells -0.0 from 0.0, which == does not
