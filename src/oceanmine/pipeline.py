@@ -47,7 +47,7 @@ import sys
 from datetime import datetime, timedelta
 from functools import cache
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import advisories as adv
 from . import decoder
@@ -331,53 +331,49 @@ def _stop(helper: int | None) -> None:
 
 
 def _analyse(
-    seg: RegionSegment, config: PipelineConfig
-) -> tuple[
-    adv.RegionSummary,
-    list[IndexSample],
-    list[ep.EpisodeRule],
-    list[tuple[datetime, float]],
-]:
-    """One region's report row, index samples, rules and top-rule curve."""
+    seg: RegionSegment, config: PipelineConfig, write: Callable[[str, str], None]
+) -> adv.RegionSummary:
+    """Analyse one region, write its files, and return its report row."""
     first_seen, last_seen = seg.records[0].observed_at, seg.records[-1].observed_at
+    samples: list[IndexSample] = []
+    rules: list[ep.EpisodeRule] = []
+    curve: list[tuple[datetime, float]] = []
+    windows = config.windows
     try:
         series = compute_series(seg, config.pressure_floor)
     except AllSamplesRejected:
         row = adv.RegionSummary(
             seg.region, adv.STATUS_REJECTED, 0, len(seg.records), first_seen, last_seen
         )
-        return row, [], [], []
-    samples = series.samples
-    band = band_of([s.n_value for s in samples], config.window_len)
-    advisories = adv.detect_strong_waves(samples, band)
+    else:
+        samples = series.samples
+        band = band_of([s.n_value for s in samples], config.window_len)
+        advisories = adv.detect_strong_waves(samples, band)
 
-    delta = timedelta(seconds=config.delta_s)
-    events = ep.build_events(samples, delta, config.k)
-    windows = config.windows
-    rules = ep.mine_rules(events, config.min_support, config.max_len, windows)
-    top_rule = top_confidence = None
-    curve: list[tuple[datetime, float]] = []
-    if rules:
-        top = rules[0]
-        top_rule = ep.rule_id(top, config.k)
-        top_confidence = top.confidence
-        curve = ep.confidence_series(events, top, windows, delta)
-        advisories += adv.detect_fishing_zone(curve, config.theta, rule=top_rule)
-    row = adv.RegionSummary(
-        region=seg.region,
-        status=adv.STATUS_OK,
-        sample_count=len(samples),
-        skipped=series.skipped,
-        first_seen=first_seen,
-        last_seen=last_seen,
-        avg_min=band.avg_min,
-        avg_max=band.avg_max,
-        window_len=config.window_len,
-        top_rule=top_rule,
-        top_confidence=top_confidence,
-        advisories=advisories,
-    )
-    return row, samples, rules, curve
+        delta = timedelta(seconds=config.delta_s)
+        events = ep.build_events(samples, delta, config.k)
+        rules = ep.mine_rules(events, config.min_support, config.max_len, windows)
+        top_rule = top_confidence = None
+        if rules:
+            top = rules[0]
+            top_rule = ep.rule_id(top, config.k)
+            top_confidence = top.confidence
+            curve = ep.confidence_series(events, top, windows, delta)
+            advisories += adv.detect_fishing_zone(curve, config.theta, rule=top_rule)
+        del events  # the region's largest structure: not held through the writes
+        row = adv.RegionSummary(
+            region=seg.region, status=adv.STATUS_OK, sample_count=len(samples),
+            skipped=series.skipped, first_seen=first_seen, last_seen=last_seen,
+            avg_min=band.avg_min, avg_max=band.avg_max, window_len=config.window_len,
+            top_rule=top_rule, top_confidence=top_confidence, advisories=advisories,
+        )
+    names = iter(_region_files(seg.region, config.write_plots))
+    write(next(names), records_csv(seg.records, seg.region))
+    write(next(names), rules_csv(rules, config.k, windows))
+    if config.write_plots:
+        write(next(names), index_csv(samples))
+        write(next(names), confidence_csv(curve, row.top_rule or ""))
+    return row
 
 
 def run(config: PipelineConfig) -> RunResult:
@@ -462,24 +458,10 @@ def run(config: PipelineConfig) -> RunResult:
         helper = _start_creating(staging, names)
         try:
             # Each region's files go to disk once it is analysed, the report last.
-            summaries: list[adv.RegionSummary] = []
-            for seg in segments:
-                row, samples, rules, curve = _analyse(seg, config)
-                summaries.append(row)
-                files = _region_files(row.region, config.write_plots)
-                write(files[0], records_csv(seg.records, row.region))
-                write(files[1], rules_csv(rules, config.k, config.windows))
-                if config.write_plots:
-                    write(files[2], index_csv(samples))
-                    write(files[3], confidence_csv(curve, row.top_rule or ""))
-
+            summaries = [_analyse(seg, config, write) for seg in segments]
             if all(row.status == adv.STATUS_REJECTED for row in summaries):
-                raise AllSamplesRejected(
-                    "every region failed the pressure floor", stage="index"
-                )
-
-            generated_at = max(seg.records[-1].observed_at for seg in segments)
-            report = adv.compose_report(summaries, generated_at)
+                raise DataError("every region failed the pressure floor", stage="index")
+            report = adv.compose_report(summaries, max(row.last_seen for row in summaries))
             jsonl = staging / _REPORT_FILES[0]
             with jsonl.open("w", encoding="ascii", newline="") as f:
                 adv.report_jsonl(report, f)

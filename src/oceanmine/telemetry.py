@@ -48,6 +48,8 @@ pair big-endian into 16-bit words, across line boundaries, within a
 block; a block ending on an unpaired byte is an error.  A dump is read
 once, from the top.  An error names the first line that cannot be read
 and the first fault in it; an unpaired byte names its block's lines.
+A run of byte lines is checked whole; a run that fails is cut at its
+first unreadable line, which goes to _refuse as every refused line does.
 """
 
 from __future__ import annotations
@@ -88,6 +90,9 @@ _DUMP_RE = re.compile(
     rf"(?:{_W}*{_STAMP}(?:{_W}+[0-9]+(?={_W}{_HEX_W}*(?:\n|\Z)|\n|\Z)|{_W}*(?:\n|\Z)))?"
     rf"((?:{_HEX_W}|\n)*)(?:(?<=\n)|\A|\Z)"
 )
+# Whole lines of byte tokens: where a run of byte lines that fails the
+# checks in parse_stream is cut.
+_BYTE_LINES_RE = re.compile(rf"(?:{_W}*(?:[0-9A-Fa-f]{{2}}(?={_W}|\n|\Z){_W}*)*(?:\n|\Z))*")
 # Hex digits to "x": three in a row are a token of more than one byte.
 _HEX_X = bytes.maketrans(b"0123456789ABCDEFabcdef", b"x" * 22)
 
@@ -227,6 +232,8 @@ def parse_stream(text: str) -> list[MessageBlock]:
     whitespace is tolerated.  The first line that cannot be read raises
     DataError naming that line, or, for a block ending on an unpaired
     byte, the block's lines; an input without blocks raises DataError.
+    A run of byte lines is checked whole; a run that fails is cut at its
+    first unreadable line, and _refuse raises that line's error.
     """
     text = lf_endings(text)
     blocks: list[MessageBlock] = []
@@ -268,24 +275,21 @@ def parse_stream(text: str) -> list[MessageBlock]:
                 chunk = bytes.fromhex(data)  # fails on a token of odd length
             except ValueError:  # or on \x1c-\x1f, which str.split() splits on
                 chunk = None
+            cut = m.end()
             if chunk is None or b"xxx" in data.encode().translate(_HEX_X) or not header and chunk:
-                # Take the run a line at a time, up to the line it refuses.
-                start = text.rfind("\n", 0, m.start(9)) + 1
-                skip = 3 if start < m.start(9) else 0  # the run starts on a block time line
-                chunk, n = b"", line_no + text.count("\n", pos, start)
-                for n, line in enumerate(text[start:m.end(9)].split("\n"), start=n):
-                    tokens = line.split()[skip:]
-                    skip = 0
-                    if not tokens:
-                        continue
-                    if not header or not all(map(_HEX_RE.fullmatch, tokens)):
-                        block = header and MessageBlock(header, payload + chunk, (first, last))
-                        _refuse(line, n, block)
-                    chunk += bytes.fromhex(" ".join(tokens))
-                    last = n
-            elif chunk:  # the last token's line
+                # Keep the run's leading lines of byte tokens (its leading blanks
+                # before a header); the line at the cut is refused below.
+                cut = (_BYTE_LINES_RE.match(text, m.start(9), cut).end() if header
+                       else cut - len(data.lstrip()))
+                data = text[m.start(9):cut]
+                chunk = bytes.fromhex(" ".join(data.split()))
+            if chunk:  # the last token's line
                 last = line_no + text.count("\n", pos, m.start(9) + len(data.rstrip()))
             payload += chunk
+            if cut < m.end():
+                line = text[text.rfind("\n", 0, cut) + 1:].partition("\n")[0]
+                block = header and MessageBlock(header, payload, (first, last))
+                _refuse(line, line_no + text.count("\n", pos, cut), block)
         line_no += text.count("\n", pos, m.end())
         pos = m.end()
     if header:

@@ -346,6 +346,8 @@ class TestFailureModes:
         ]:
             with pytest.raises(ConfigError):
                 run(config_for(sample_path, out, **{field: value}))
+        with pytest.raises(ConfigError, match="at least one input file is required"):
+            run(config_for(sample_path, out)._replace(inputs=[]))
         assert not out.exists()
 
     def test_unwritable_target_writes_nothing(self, sample_path, tmp_path):
@@ -378,9 +380,11 @@ class TestFailureModes:
 
     def test_every_region_rejected(self, sample_path, tmp_path):
         out = tmp_path / "out"
-        with pytest.raises(AllSamplesRejected) as info:
+        with pytest.raises(DataError, match="every region failed the pressure floor") as info:
             run(config_for(sample_path, out, pressure_floor=1e6))
-        assert getattr(info.value, "stage", "") == "index"
+        # a plain DataError: AllSamplesRejected marks one region only
+        assert type(info.value) is DataError
+        assert info.value.stage == "index"
         assert not out.exists()
 
     def test_dead_region_reported_alongside_live_one(self, tmp_path):
@@ -549,6 +553,34 @@ class TestOutputTree:
         assert len(forks) == 2
         assert_nothing_left(out)
 
+    def test_failed_swap_puts_the_old_tree_back(self, sample_path, tmp_path, monkeypatch):
+        # The staged tree cannot take out_dir's place once the old tree is
+        # renamed aside: the old tree goes back, and nothing else is left.
+        out = tmp_path / "out"
+        run(config_for(sample_path, out))
+        before = snapshot(out)
+        renames = []
+        rename = os.rename
+
+        def failing(src, dst):
+            renames.append((Path(src).name, Path(dst).name))
+            if Path(src).name == ".out.oceanmine-staging":
+                raise OSError(errno.EIO, os.strerror(errno.EIO), str(src))
+            rename(src, dst)
+
+        monkeypatch.setattr(os, "rename", failing)
+        with pytest.raises(OSError) as info:
+            run(config_for(sample_path, out, cell_size=0.5))
+        assert info.value.errno == errno.EIO
+        assert renames == [
+            ("out", ".out.oceanmine-old"),
+            (".out.oceanmine-staging", "out"),
+            (".out.oceanmine-old", "out"),
+        ]
+        assert snapshot(out) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert_nothing_left(out)
+
     def test_foreign_file_is_refused(self, sample_path, tmp_path, capsys):
         out = tmp_path / "out"
         out.mkdir()
@@ -625,8 +657,9 @@ class TestOutputTree:
         staging = tmp_path / ".out.oceanmine-staging"
         staging.mkdir()
         written = record_writes(monkeypatch)
-        with pytest.raises(AllSamplesRejected):
+        with pytest.raises(DataError, match="every region failed the pressure floor") as info:
             run(config_for(sample_path, out, pressure_floor=1e6))
+        assert type(info.value) is DataError
         assert [p.parent for p in written] == [staging] * 4
         assert list(tmp_path.iterdir()) == []
         assert len(forks) == 1
@@ -634,8 +667,9 @@ class TestOutputTree:
 
     def test_missing_parents_removed_after_failure(self, sample_path, tmp_path):
         out = tmp_path / "a" / "b" / "out"
-        with pytest.raises(AllSamplesRejected):
+        with pytest.raises(DataError, match="every region failed the pressure floor") as info:
             run(config_for(sample_path, out, pressure_floor=1e6))
+        assert type(info.value) is DataError
         assert list(tmp_path.iterdir()) == []
         run(config_for(sample_path, out))
         assert len(snapshot(out)) == 6
@@ -945,11 +979,18 @@ class TestCli:
         assert head["regions"] == 2
 
     def test_exit_config(self, sample_path, tmp_path, capsys):
-        code = main(
-            [str(sample_path), "--out-dir", str(tmp_path / "out"), "--theta", "0"]
-        )
-        assert code == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
+        nokv = tmp_path / "nokv.txt"
+        nokv.write_text("temp_offset -5\n", encoding="ascii")
+        out = tmp_path / "out"
+        for flags, message in (
+            (["--theta", "0"], "config error"),
+            (["--calibration", str(nokv)],
+             f"config error: {nokv}:1: expected key = value, got 'temp_offset -5'\n"),
+        ):
+            code = main([str(sample_path), "--out-dir", str(out), *flags])
+            assert code == EXIT_CONFIG, flags
+            assert message in capsys.readouterr().err, flags
+            assert not out.exists(), flags
 
     def test_exit_io(self, sample_path, tmp_path, capsys):
         out = tmp_path / "out"
@@ -962,6 +1003,25 @@ class TestCli:
             assert code == EXIT_IO, argv
             assert "io error" in capsys.readouterr().err, argv
             assert not out.exists(), argv
+
+    def test_rejected_block_is_counted_and_dropped(self, sample_path, tmp_path, capsys):
+        # Line 3 loses a word, so the first block (lines 1-6) holds 14 words:
+        # no whole number of triples.  The run reports it and goes on.
+        lines = sample_path.read_text(encoding="ascii").splitlines(keepends=True)
+        short, without = tmp_path / "short.txt", tmp_path / "without.txt"
+        without.write_text("".join(lines[6:]), encoding="ascii")
+        assert lines[2].endswith(" 07 62\n")
+        lines[2] = lines[2].removesuffix(" 07 62\n") + "\n"
+        short.write_text("".join(lines), encoding="ascii")
+        assert main([str(short), "--out-dir", str(tmp_path / "cli")]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert "oceanmine: 26 records, 1 regions," in out
+        assert err == "oceanmine: 1 blocks rejected\n"
+        result = run(config_for(short, tmp_path / "run"))
+        assert (result.record_count, result.rejected_blocks) == (26, 1)
+        run(config_for(without, tmp_path / "without"))
+        assert snapshot(tmp_path / "cli") == snapshot(tmp_path / "run")
+        assert snapshot(tmp_path / "run") == snapshot(tmp_path / "without")
 
     def test_exit_data_with_stage(self, tmp_path, capsys):
         src = tmp_path / "empty.txt"
