@@ -15,9 +15,9 @@ Support counts events (binary per event), confidence divides support
 by the number of events containing the antecedent at all.  The windows
 and the lag belong to the mining run (Mannila et al., 1997), not to a rule.
 
-Every count is read from one occurrence table per event, built once
-and kept on the event: each symbol's item positions (Zaki's SPADE
-id-lists, 2001) and each item's distinct-timestamp slot.  Episodes grow
+Each event is its own occurrence table, built while segmenting: each
+symbol's item positions (Zaki's SPADE id-lists, 2001) and each item's
+distinct-timestamp slot, and every count is read from it.  Episodes grow
 by bisecting the next symbol's positions.  A rule holds in an event iff
 the slots within lag after an antecedent end meet the consequent's
 start slots, tested on bitmasks (as in SPAM, Ayres et al., 2002).  The
@@ -30,7 +30,6 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from datetime import datetime, timedelta
-from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -39,7 +38,6 @@ from .oscillation import IndexSample
 
 Episode = tuple[int, ...]
 Match = tuple[int, int]  # a greedy match's start and end item positions
-Table = tuple[list[int], list[int], dict[int, list[int]]]  # see Event.table
 Windows = tuple[timedelta, timedelta, timedelta]  # win_a, win_c, lag
 
 _US = timedelta(microseconds=1)
@@ -50,33 +48,16 @@ _EPOCH = datetime(1970, 1, 1)
 _K3_LABELS = ("LOW", "MID", "HIGH")
 
 
-class Event:
-    """A maximal run of samples with bounded inter-sample gaps."""
+class Event(NamedTuple):
+    """A maximal run of samples with bounded inter-sample gaps, as its
+    occurrence table: each item's slot (its time's rank among the
+    distinct times), each slot's time in whole microseconds after the
+    start, and each symbol's item positions."""
 
-    def __init__(self, items: tuple[tuple[datetime, int], ...]):
-        self.items = items
-
-    @property
-    def start(self) -> datetime:
-        return self.items[0][0]
-
-    @property
-    def end(self) -> datetime:
-        return self.items[-1][0]
-
-    @cached_property
-    def table(self) -> Table:
-        """Each item's slot (its time's rank among the distinct times),
-        each slot's time in microseconds after the start, and each
-        symbol's item positions, from one walk of the items."""
-        slots, ticks, where, prev = [], [], {}, None
-        for i, (ts, sym) in enumerate(self.items):
-            if ts != prev:
-                ticks.append((ts - self.start) // _US)
-                prev = ts
-            slots.append(len(ticks) - 1)
-            where.setdefault(sym, []).append(i)
-        return slots, ticks, where
+    start: datetime
+    slots: list[int]
+    ticks: list[int]
+    where: dict[int, list[int]]
 
 
 class EpisodeRule(NamedTuple):
@@ -146,18 +127,19 @@ def discretize(series: Sequence[IndexSample], k: int) -> list[tuple[datetime, in
 def segment_events(
     samples: Iterable[tuple[datetime, int]], delta: timedelta
 ) -> list[Event]:
-    """Split time-ordered (timestamp, class) pairs on gaps above delta."""
+    """Split time-ordered (timestamp, class) pairs on gaps above delta,
+    filling each event's table in the same walk."""
     events: list[Event] = []
-    run: list[tuple[datetime, int]] = []
     prev: datetime | None = None
     for ts, sym in samples:
-        if prev is not None and ts - prev > delta:
-            events.append(Event(items=tuple(run)))
-            run = []
-        run.append((ts, sym))
+        if prev is None or ts - prev > delta:
+            start, slots, ticks, where = ts, [], [0], {}
+            events.append(Event(start, slots, ticks, where))
+        elif ts != prev:
+            ticks.append((ts - start) // _US)
         prev = ts
-    if run:
-        events.append(Event(items=tuple(run)))
+        where.setdefault(sym, []).append(len(slots))
+        slots.append(len(ticks) - 1)
     return events
 
 
@@ -169,13 +151,13 @@ def build_events(series: Sequence[IndexSample], delta: timedelta, k: int) -> lis
 # --- occurrence table ------------------------------------------------------
 
 
-def _extend(table: Table, matches: list[Match], sym: int, window: int) -> list[Match]:
+def _extend(ev: Event, matches: list[Match], sym: int, window: int) -> list[Match]:
     """Greedy matches of an episode plus sym, from the episode's own.
 
     Taking each symbol as early as possible minimises the span.  Ends
     rise with starts, so once no sym follows a match, none follows later.
     """
-    slots, ticks, where = table
+    _, slots, ticks, where = ev
     nxt, out, j = where.get(sym, []), [], 0
     for p, q in matches:
         j = bisect_right(nxt, q, j)
@@ -186,27 +168,27 @@ def _extend(table: Table, matches: list[Match], sym: int, window: int) -> list[M
     return out
 
 
-def _matches(table: Table, episode: Episode, window: int) -> list[Match]:
+def _matches(ev: Event, episode: Episode, window: int) -> list[Match]:
     """Greedy matches of episode within window, one per feasible start
     slot: a later start in a slot spans no less than the slot's first."""
-    slots, _, where = table
+    _, slots, _, where = ev
     matches: list[Match] = []
     for p in where.get(episode[0], []):
         if not matches or slots[matches[-1][0]] != slots[p]:
             matches.append((p, p))
     for sym in episode[1:]:
-        matches = _extend(table, matches, sym, window)
+        matches = _extend(ev, matches, sym, window)
     return matches
 
 
-def _end_slots(table: Table, prefix: list[Match] | None, sym: int, window: int) -> list[int]:
+def _end_slots(ev: Event, prefix: list[Match] | None, sym: int, window: int) -> list[int]:
     """Slots, ascending, of the feasible ends of prefix + (sym,).
 
     prefix holds the prefix's matches, or is None if it is empty.  An
     end is feasible iff the latest prefix match ending before it starts
     within window of it.
     """
-    slots, ticks, where = table
+    _, slots, ticks, where = ev
     out: list[int] = []
     i, p = 0, -1
     for q in where.get(sym, []):
@@ -244,23 +226,22 @@ def frequent_episodes(
 
     Maps each frequent episode to its matches per event (see _matches);
     its count is the number of non-empty lists.  Singles come from one
-    pass over the tables, in sorted order; a single symbol spans 0, so
+    pass over the events, in sorted order; a single symbol spans 0, so
     its matches do not depend on the window.  Length-n candidates extend
     frequent length-(n-1) episodes by one frequent symbol, in sorted
     order: an event holding an episode holds each of its symbols and,
     with the same occurrence, its prefix.  The search stops at the first
     empty level.
     """
-    tables = [ev.table for ev in events]
-    counts = Counter(sym for table in tables for sym in table[2])
+    counts = Counter(sym for ev in events for sym in ev.where)
     alphabet = sorted(sym for sym, count in counts.items() if count >= min_support)
-    freq = {(sym,): [_matches(t, (sym,), 0) for t in tables] for sym in alphabet}
+    freq = {(sym,): [_matches(ev, (sym,), 0) for ev in events] for sym in alphabet}
     span, level = window // _US, list(freq)
     while level and len(level[0]) < max_len:
         nxt: list[Episode] = []
         for ep in level:
             for s in alphabet:
-                matches = [m and _extend(t, m, s, span) for t, m in zip(tables, freq[ep])]
+                matches = [m and _extend(ev, m, s, span) for ev, m in zip(events, freq[ep])]
                 if sum(1 for m in matches if m) >= min_support:
                     freq[ep + (s,)] = matches
                     nxt.append(ep + (s,))
@@ -290,27 +271,26 @@ def mine_rules(
     freq_c = freq_a if win_c == win_a else frequent_episodes(
         events, min_support, max_len, win_c
     )
-    tables = [ev.table for ev in events]
-    sizes = [len(ticks) // 8 + 1 for _, ticks, _ in tables]
+    sizes = [len(ev.ticks) // 8 + 1 for ev in events]
 
     def pack(masks: Iterable[int]) -> int:
         fields = b"".join(m.to_bytes(n, "little") for m, n in zip(masks, sizes))
         return int.from_bytes(fields, "little")
 
-    low = pack((1 << len(ticks)) - 1 for _, ticks, _ in tables)
-    guard = pack(1 << len(ticks) for _, ticks, _ in tables)
+    low = pack((1 << len(ev.ticks)) - 1 for ev in events)
+    guard = pack(1 << len(ev.ticks) for ev in events)
     starts = {
-        ep: pack(sum(1 << t[0][p] for p, _ in m) for t, m in zip(tables, freq_c[ep]))
+        ep: pack(sum(1 << ev.slots[p] for p, _ in m) for ev, m in zip(events, freq_c[ep]))
         for ep in sorted(freq_c)
     }
     span, reach_us = win_a // _US, lag // _US
     rules: list[EpisodeRule] = []
     for antecedent in sorted(freq_a):
         n_ant = sum(1 for m in freq_a[antecedent] if m)
-        prefixes = freq_a.get(antecedent[:-1], [None] * len(tables))
+        prefixes = freq_a.get(antecedent[:-1], [None] * len(events))
         reach = pack(
-            _reach(t[1], _end_slots(t, pre, antecedent[-1], span), reach_us)
-            for t, pre in zip(tables, prefixes)
+            _reach(ev.ticks, _end_slots(ev, pre, antecedent[-1], span), reach_us)
+            for ev, pre in zip(events, prefixes)
         )
         for consequent, start in starts.items():
             sup = (((reach & start) + low) & guard).bit_count()
@@ -352,15 +332,15 @@ def confidence_series(
     win_a, win_c, lag = (w // _US for w in windows)
     held = []
     for ev in events:
-        slots, ticks, _ = t = ev.table
-        pre = _matches(t, ant[:-1], win_a) if len(ant) > 1 else None
-        ends = _end_slots(t, pre, ant[-1], win_a)
-        start = sum(1 << slots[p] for p, _ in _matches(t, rule.consequent, win_c))
-        held.append((ev.start, bool(ends), (_reach(ticks, ends, lag) & start) != 0))
-    table = sorted(held)
+        pre = _matches(ev, ant[:-1], win_a) if len(ant) > 1 else None
+        ends = _end_slots(ev, pre, ant[-1], win_a)
+        start = sum(1 << ev.slots[p] for p, _ in _matches(ev, rule.consequent, win_c))
+        held.append((ev.start, bool(ends), (_reach(ev.ticks, ends, lag) & start) != 0))
+    held.sort()
+    end = max(ev.start + ev.ticks[-1] * _US for ev in events)
     step_s = step.total_seconds()
-    n0 = math.floor((table[0][0] - _EPOCH).total_seconds() / step_s)
-    n1 = math.ceil((max(ev.end for ev in events) - _EPOCH).total_seconds() / step_s)
+    n0 = math.floor((held[0][0] - _EPOCH).total_seconds() / step_s)
+    n1 = math.ceil((end - _EPOCH).total_seconds() / step_s)
     try:
         grid = [_EPOCH + timedelta(seconds=n * step_s) for n in range(n0, n1 + 1)]
     except OverflowError:
@@ -368,9 +348,9 @@ def confidence_series(
     curve = []
     i = n_ant = n_pair = 0
     for t in grid:
-        while i < len(table) and table[i][0] <= t:
-            n_ant += table[i][1]
-            n_pair += table[i][2]
+        while i < len(held) and held[i][0] <= t:
+            n_ant += held[i][1]
+            n_pair += held[i][2]
             i += 1
         curve.append((t, n_pair / n_ant if n_ant else 0.0))
     return curve

@@ -63,7 +63,8 @@ from typing import NamedTuple, NoReturn
 from .errors import DataError
 
 # ASCII digits and capitals only, so every field slices to an int as
-# written and no other script's digit or letter passes.
+# written and no other script's digit or letter passes.  Each token grammar
+# is stated once: _DUMP_RE and _BYTE_LINES_RE are built from these.
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _TIME_RE = re.compile(r"[0-9]{2}:[0-9]{2}:[0-9]{2}(\.[0-9]+)?")
 _PLATFORM_RE = re.compile(r"[0-9]{5}")
@@ -84,15 +85,17 @@ _HEX_W = r"[0-9A-Fa-f\t\x0b\x0c\x1c-\x1f ]"
 _STAMP = rf"({_DATE_RE.pattern}){_W}+([0-9]{{2}}(?::[0-9]{{2}}){{2}}(?:\.[0-9]{{1,6}})?)"
 _DUMP_RE = re.compile(
     rf"(?:{_W}*\n)*"
-    rf"(?:{_W}*([0-9]{{5}})(?:{_W}+[0-9]+)+(?:{_W}+[+-]?[0-9]+){{2}}{_W}+[A-Z]{_W}+[0-9]+{_W}+"
-    rf"{_STAMP}{_W}+({_NUMBER}){_W}+({_NUMBER}){_W}+({_NUMBER}){_W}+[\x00-\x08\x0e-\x1b!-\x7f]+"
+    rf"(?:{_W}*({_PLATFORM_RE.pattern})(?:{_W}+{_DIGITS_RE.pattern})+(?:{_W}+[+-]?[0-9]+){{2}}"
+    rf"{_W}+{_CLASS_RE.pattern}{_W}+{_DIGITS_RE.pattern}{_W}+{_STAMP}"
+    rf"{_W}+({_NUMBER}){_W}+({_NUMBER}){_W}+({_NUMBER}){_W}+[\x00-\x08\x0e-\x1b!-\x7f]+"
     rf"{_W}*(?:\n|\Z))?"
-    rf"(?:{_W}*{_STAMP}(?:{_W}+[0-9]+(?={_W}{_HEX_W}*(?:\n|\Z)|\n|\Z)|{_W}*(?:\n|\Z)))?"
+    rf"(?:{_W}*{_STAMP}(?:{_W}+{_DIGITS_RE.pattern}(?={_W}{_HEX_W}*(?:\n|\Z)|\n|\Z)"
+    rf"|{_W}*(?:\n|\Z)))?"
     rf"((?:{_HEX_W}|\n)*)(?:(?<=\n)|\A|\Z)"
 )
 # Whole lines of byte tokens: where a run of byte lines that fails the
 # checks in parse_stream is cut.
-_BYTE_LINES_RE = re.compile(rf"(?:{_W}*(?:[0-9A-Fa-f]{{2}}(?={_W}|\n|\Z){_W}*)*(?:\n|\Z))*")
+_BYTE_LINES_RE = re.compile(rf"(?:{_W}*(?:{_HEX_RE.pattern}(?={_W}|\n|\Z){_W}*)*(?:\n|\Z))*")
 # Hex digits to "x": three in a row are a token of more than one byte.
 _HEX_X = bytes.maketrans(b"0123456789ABCDEFabcdef", b"x" * 22)
 

@@ -207,8 +207,19 @@ def round_half_away_reference(value: float, ndigits: int) -> float:
 # --- brute-force episode mining ----------------------------------------------
 
 
+def items_of(ev) -> list[tuple[datetime, int]]:
+    """An event's (timestamp, class) samples, in order, read back from
+    its occurrence table: item i has the symbol whose positions hold i,
+    at the start plus its slot's ticks in microseconds."""
+    symbol = {i: sym for sym, positions in ev.where.items() for i in positions}
+    return [
+        (ev.start + timedelta(microseconds=ev.ticks[slot]), symbol[i])
+        for i, slot in enumerate(ev.slots)
+    ]
+
+
 def occurrences(
-    items: tuple[tuple[datetime, int], ...],
+    items: list[tuple[datetime, int]],
     episode: tuple[int, ...],
     window: timedelta,
 ) -> list[tuple[datetime, datetime]]:
@@ -244,12 +255,12 @@ def support_brute(events, antecedent, consequent, win_a, win_c, lag) -> int:
     return sum(
         1
         for ev in events
-        if rule_holds_brute(ev.items, antecedent, consequent, win_a, win_c, lag)
+        if rule_holds_brute(items_of(ev), antecedent, consequent, win_a, win_c, lag)
     )
 
 
 def episode_count_brute(events, episode, window) -> int:
-    return sum(1 for ev in events if event_contains_brute(ev.items, episode, window))
+    return sum(1 for ev in events if event_contains_brute(items_of(ev), episode, window))
 
 
 def mine_rules_brute(events, min_support, max_len, windows):
@@ -260,7 +271,7 @@ def mine_rules_brute(events, min_support, max_len, windows):
     same deterministic order the production miner uses.
     """
     win_a, win_c, lag = windows
-    alphabet = sorted({sym for ev in events for _, sym in ev.items})
+    alphabet = sorted({sym for ev in events for _, sym in items_of(ev)})
     episodes = []
     for length in range(1, max_len + 1):
         episodes.extend(itertools.product(alphabet, repeat=length))

@@ -21,11 +21,11 @@ import pytest
 from oceanmine.advisories import detect_fishing_zone, detect_strong_waves
 from oceanmine.decoder import DEFAULT_CALIBRATION, ProfileRecord
 from oceanmine.episodes import (
-    Event,
     EpisodeRule,
     confidence_series,
     frequent_episodes,
     mine_rules,
+    segment_events,
 )
 from oceanmine.oscillation import (
     IndexSample,
@@ -172,9 +172,9 @@ def test_criterion_07_strong_wave_detection():
 def test_criterion_08_fishing_zone_at_peak():
     A, B, C = 0, 1, 2
     events = [
-        Event(items=((at(1), A), (at(2), B))),
-        Event(items=((at(3), A), (at(4), C))),
-        Event(items=((at(5), B), (at(6), B))),
+        event
+        for pairs in (((1, A), (2, B)), ((3, A), (4, C)), ((5, B), (6, B)))
+        for event in segment_events([(at(t), s) for t, s in pairs], timedelta.max)
     ]
     windows = (timedelta(0), timedelta(0), timedelta(seconds=2))
     rule = EpisodeRule((A,), (B,), 1, 0.5)

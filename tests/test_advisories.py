@@ -10,7 +10,6 @@ from oceanmine.advisories import (
     KIND_STRONG_WAVE,
     Advisory,
     RegionSummary,
-    ReportTable,
     compose_report,
     detect_fishing_zone,
     detect_strong_waves,

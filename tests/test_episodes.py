@@ -3,7 +3,8 @@ from __future__ import annotations
 import random
 import struct
 import sys
-from datetime import datetime, timedelta
+from collections import Counter
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 
 from oceanmine import episodes
 from oceanmine.episodes import (
-    Event,
     EpisodeRule,
     build_events,
     confidence_series,
@@ -35,29 +35,41 @@ Z = timedelta(0)
 
 
 def ev(*pairs):
-    return Event(items=tuple((at(t), s) for t, s in pairs))
+    """One event of (seconds, class) pairs, whatever their gaps."""
+    (event,) = segment_events([(at(t), s) for t, s in pairs], timedelta.max)
+    return event
 
 
-class Walked(tuple):
-    """Event items that count full walks, and reads of any item but the
-    first and last (which give an event's start and end)."""
+class Lookups(dict):
+    """An event's symbol positions that count lookups by symbol."""
 
-    def __new__(cls, items):
-        self = super().__new__(cls, items)
-        self.walks = self.reads = 0
-        return self
+    def __init__(self, where):
+        super().__init__(where)
+        self.counts = Counter()
 
-    def __iter__(self):
-        self.walks += 1
-        return super().__iter__()
+    def get(self, key, default=None):
+        self.counts[key] += 1
+        return super().get(key, default)
 
     def __getitem__(self, key):
-        self.reads += key not in (0, -1)
+        self.counts[key] += 1
         return super().__getitem__(key)
 
 
-def walked(*pairs):
-    return Event(items=Walked((at(t), s) for t, s in pairs))
+def counted(*pairs):
+    event = ev(*pairs)
+    return event._replace(where=Lookups(event.where))
+
+
+def curve_lookups(events, rule, windows):
+    """Each event's lookups in one confidence_series call, at steps of
+    100, 10 and 1 s."""
+    out = []
+    for step_s in (100, 10, 1):
+        before = [e.where.counts.total() for e in events]
+        confidence_series(events, rule, windows, timedelta(seconds=step_s))
+        out.append([e.where.counts.total() - b for e, b in zip(events, before)])
+    return out
 
 
 def series_of(values, spacing_s=1.0, start_s=0.0):
@@ -105,23 +117,53 @@ EVENTS_ABC = [ev((1, A), (2, B)), ev((3, A), (4, C)), ev((5, B), (6, B))]
 LAG2 = timedelta(seconds=2)
 
 
+# Gaps in microseconds: ties, sub-second steps and steps of seconds.
+_gaps = st.one_of(
+    st.just(0), st.integers(1, 999_999), st.integers(1, 4).map(lambda s: s * 10**6)
+)
+_deltas = st.one_of(
+    st.just(Z),
+    st.integers(1, 3 * 10**6).map(lambda us: timedelta(microseconds=us)),
+    st.just(timedelta.max),
+)
+
+
 class TestSegmentEvents:
+    @settings(max_examples=300, deadline=None)
+    @given(steps=st.lists(st.tuples(_gaps, st.integers(0, 3)), max_size=30), delta=_deltas)
+    @example(steps=[(0, A), (0, B), (500_000, A), (0, C), (10**6, A)], delta=Z)
+    def test_table_reads_back_as_the_samples(self, steps, delta):
+        samples, t = [], at(1e9 + 0.25)
+        for gap, sym in steps:
+            t += timedelta(microseconds=gap)
+            samples.append((t, sym))
+        runs = []
+        for i, (ts, _) in enumerate(samples):
+            if i == 0 or ts - samples[i - 1][0] > delta:
+                runs.append([])
+            runs[-1].append(samples[i])
+        events = segment_events(samples, delta)
+        assert [oracles.items_of(e) for e in events] == runs
+        # an event ends at its start plus its last slot's ticks
+        ends = [e.start + timedelta(microseconds=e.ticks[-1]) for e in events]
+        assert ends == [run[-1][0] for run in runs]
+
     def test_gap_splits(self):
         samples = [(at(0), A), (at(10), B), (at(100), A), (at(110), B)]
         events = segment_events(samples, timedelta(seconds=30))
-        assert [len(e.items) for e in events] == [2, 2]
+        assert [len(e.slots) for e in events] == [2, 2]
         assert events[0].start == at(0)
         assert events[1].start == at(100)
 
     def test_single_event_when_delta_large(self):
         samples = [(at(0), A), (at(10), B), (at(100), A)]
         (event,) = segment_events(samples, timedelta(seconds=1000))
-        assert len(event.items) == 3
+        assert len(event.slots) == 3
 
     def test_equal_timestamps_never_split(self):
         samples = [(at(0), A), (at(0), B), (at(0), C)]
         (event,) = segment_events(samples, Z)
-        assert len(event.items) == 3
+        assert len(event.slots) == 3
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ConfigError):
@@ -340,18 +382,20 @@ class TestMineRules:
     @pytest.mark.parametrize("win_a_s, win_c_s", [(1, 1), (2, 1)])
     def test_each_event_walked_once(self, win_a_s, win_c_s):
         # A then B in every event, tied and not, plus symbols seen in one
-        # event only; the rare ones must not cost a walk either
+        # event only; the rare ones must never be looked up
         events = [
-            walked((10 * d, A), (10 * d, B), (10 * d + 1, A),
-                   *((10 * d + 1, 3 + 4 * d + j) for j in range(d % 4)), (10 * d + 2, B))
+            counted((10 * d, A), (10 * d, B), (10 * d + 1, A),
+                    *((10 * d + 1, 3 + 4 * d + j) for j in range(d % 4)), (10 * d + 2, B))
             for d in range(30)
         ]
         windows = (timedelta(seconds=win_a_s), timedelta(seconds=win_c_s), LAG2)
         rules = mine_rules(events, min_support=2, max_len=3, windows=windows)
         assert {(r.antecedent, r.consequent) for r in rules} >= {((A, B), (B,))}
         for rule in (rules[0], rules[-1]):
-            confidence_series(events, rule, windows, timedelta(seconds=1))
-        assert [(e.items.walks, e.items.reads) for e in events] == [(1, 0)] * 30
+            coarse, mid, fine = curve_lookups(events, rule, windows)
+            assert coarse == mid == fine
+            assert 0 not in fine
+        assert all(set(e.where.counts) <= {A, B} for e in events)
 
     def test_lag_near_longest_duration(self):
         rules = mine_rules(EVENTS_ABC, min_support=1, max_len=1, windows=(Z, Z, timedelta.max))
@@ -374,11 +418,11 @@ def profile_events(rng):
     """Events of one to three profiles GAP apart, whose levels share a timestamp."""
     events, t = [], 0
     for _ in range(rng.randint(1, 4)):
-        items = []
+        samples = []
         for _ in range(rng.randint(1, 3)):
-            items += [(at(t), rng.randrange(3)) for _ in range(rng.randint(1, 4))]
+            samples += [(at(t), rng.randrange(3)) for _ in range(rng.randint(1, 4))]
             t += GAP.total_seconds()
-        events.append(Event(items=tuple(items)))
+        events += segment_events(samples, timedelta.max)
         t += 100 * GAP.total_seconds()
     return events
 
@@ -396,7 +440,7 @@ class TestProfileShapedEvents:
             events = profile_events(rng)
             win_a, win_c, lag = (rng.choice(DURATIONS) for _ in range(3))
             params = dict(min_support=rng.randint(1, 2), max_len=rng.randint(1, 2))
-            brute_lag = min(lag, max(e.end - e.start for e in events))
+            brute_lag = min(lag, max(oracles.items_of(e)[-1][0] - e.start for e in events))
             got = mine_rules(events, **params, windows=(win_a, win_c, lag))
             assert got == oracles.mine_rules_brute(
                 events, **params, windows=(win_a, win_c, brute_lag)
@@ -461,14 +505,13 @@ class TestConfidenceSeries:
         assert checked >= 5
 
     def test_scans_independent_of_grid_points(self):
-        events = [walked((10 * d, A), (10 * d + 1, B), (10 * d + 2, A)) for d in range(30)]
+        events = [counted((10 * d, A), (10 * d + 1, B), (10 * d + 2, A)) for d in range(30)]
         rule = EpisodeRule((A,), (B,), 1, 1.0)
-        points = [
-            len(confidence_series(events, rule, (Z, Z, LAG2), timedelta(seconds=step_s)))
-            for step_s in (100, 10, 1)
-        ]
-        assert points[-1] >= 290  # one point per second over the span
-        assert [(e.items.walks, e.items.reads) for e in events] == [(1, 0)] * 30
+        points = len(confidence_series(events, rule, (Z, Z, LAG2), timedelta(seconds=1)))
+        assert points >= 290  # one point per second over the span
+        coarse, mid, fine = curve_lookups(events, rule, (Z, Z, LAG2))
+        assert coarse == mid == fine
+        assert 0 not in fine
 
     def test_step_past_calendar_rejected(self):
         rule = EpisodeRule((A,), (B,), 1, 0.5)
@@ -504,6 +547,6 @@ class TestBuildEvents:
         series = series_of([1, 2, 3, 4, 5, 6], spacing_s=10)
         events = build_events(series, timedelta(seconds=15), k=3)
         assert len(events) == 1
-        assert [s for _, s in events[0].items] == [0, 0, 1, 1, 2, 2]
+        assert [s for _, s in oracles.items_of(events[0])] == [0, 0, 1, 1, 2, 2]
         events = build_events(series, timedelta(seconds=5), k=3)
         assert len(events) == 6

@@ -8,12 +8,7 @@ import pytest
 
 from oceanmine.decoder import ProfileRecord
 from oceanmine.errors import AllSamplesRejected, ConfigError
-from oceanmine.oscillation import (
-    IndexSample,
-    band_of,
-    compute_index,
-    compute_series,
-)
+from oceanmine.oscillation import band_of, compute_index, compute_series
 from oceanmine.regions import RegionSegment
 
 import oracles
