@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from datetime import datetime
-from typing import NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
 
 from .oscillation import IndexBand, IndexSample
 
@@ -123,20 +123,16 @@ class ReportTable(NamedTuple):
     rows: list[RegionSummary]
 
 
+def in_report_order(advisories: Iterable[Advisory]) -> list[Advisory]:
+    """A report row's advisories, sorted by time, kind and rule."""
+    return sorted(advisories, key=lambda a: (a.at, a.kind, a.rule or ""))
+
+
 def compose_report(
     summaries: Sequence[RegionSummary], generated_at: datetime
 ) -> ReportTable:
-    """Assemble region summaries into a report, rows in the given order.
-
-    Each row's advisories are sorted by time, kind and rule.
-    """
-    rows = [
-        row._replace(
-            advisories=sorted(row.advisories, key=lambda a: (a.at, a.kind, a.rule or ""))
-        )
-        for row in summaries
-    ]
-    return ReportTable(generated_at=generated_at, rows=rows)
+    """Assemble region summaries into a report, rows as given."""
+    return ReportTable(generated_at=generated_at, rows=list(summaries))
 
 
 def report_jsonl(table: ReportTable, out: TextIO) -> None:
@@ -158,48 +154,32 @@ def _num(value: float | None) -> str:
     return "-" if value is None else f"{value:.6g}"
 
 
+def _count(kind: str) -> Callable[[RegionSummary], str]:
+    return lambda row: str(sum(a.kind == kind for a in row.advisories))
+
+
+# Each report.txt column: its header, and its cell for a row.
+_COLUMNS = (
+    ("region", lambda row: row.region),
+    ("status", lambda row: row.status),
+    ("samples", lambda row: str(row.sample_count)),
+    ("skipped", lambda row: str(row.skipped)),
+    ("span", lambda row: f"{row.first_seen.isoformat()}..{row.last_seen.isoformat()}"),
+    ("avg_min", lambda row: _num(row.avg_min)),
+    ("avg_max", lambda row: _num(row.avg_max)),
+    ("top_rule", lambda row: row.top_rule or "-"),
+    ("confidence", lambda row: _num(row.top_confidence)),
+    ("waves", _count(KIND_STRONG_WAVE)),
+    ("zones", _count(KIND_FISHING_ZONE)),
+)
+
+
 def report_text(table: ReportTable) -> str:
     """Human rendering: an aligned plain-text table."""
-    headers = (
-        "region",
-        "status",
-        "samples",
-        "skipped",
-        "span",
-        "avg_min",
-        "avg_max",
-        "top_rule",
-        "confidence",
-        "waves",
-        "zones",
-    )
-    body = []
-    for row in table.rows:
-        span = f"{row.first_seen.isoformat()}..{row.last_seen.isoformat()}"
-        waves = sum(1 for a in row.advisories if a.kind == KIND_STRONG_WAVE)
-        zones = sum(1 for a in row.advisories if a.kind == KIND_FISHING_ZONE)
-        body.append(
-            (
-                row.region,
-                row.status,
-                str(row.sample_count),
-                str(row.skipped),
-                span,
-                _num(row.avg_min),
-                _num(row.avg_max),
-                row.top_rule or "-",
-                _num(row.top_confidence),
-                str(waves),
-                str(zones),
-            )
-        )
-    widths = [max(map(len, col)) for col in zip(headers, *body)]
-    def fmt(cells: tuple[str, ...]) -> str:
-        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-    out = [
-        f"advisory report  generated_at={table.generated_at.isoformat()}",
-        fmt(headers),
-        fmt(tuple("-" * w for w in widths)),
-    ]
-    out.extend(fmt(r) for r in body)
-    return "\n".join(out) + "\n"
+    rows = [[header for header, _ in _COLUMNS]]
+    rows += ([cell(row) for _, cell in _COLUMNS] for row in table.rows)
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    rows.insert(1, ["-" * w for w in widths])
+    lines = [f"advisory report  generated_at={table.generated_at.isoformat()}"]
+    lines += ("  ".join(map(str.ljust, cells, widths)).rstrip() for cells in rows)
+    return "\n".join(lines) + "\n"

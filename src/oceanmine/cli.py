@@ -100,10 +100,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"oceanmine: data error [{e.stage}]: {e}", file=sys.stderr)
         return EXIT_DATA
 
-    kinds = Counter(a.kind for row in result.report.rows for a in row.advisories)
+    rows = result.report.rows
+    records = sum(row.sample_count + row.skipped for row in rows)
+    kinds = Counter(a.kind for row in rows for a in row.advisories)
     print(
-        f"oceanmine: {result.record_count} records, "
-        f"{len(result.report.rows)} regions, {kinds[KIND_STRONG_WAVE]} strong-wave alerts, "
+        f"oceanmine: {records} records, "
+        f"{len(rows)} regions, {kinds[KIND_STRONG_WAVE]} strong-wave alerts, "
         f"{kinds[KIND_FISHING_ZONE]} fishing-zone advisories"
     )
     if result.rejected_blocks:

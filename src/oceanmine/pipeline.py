@@ -22,7 +22,10 @@ output directory: the old tree is renamed aside to `.<name>.oceanmine-old`
 and removed.  Before any work, the output directory and any leftover
 staging or aside directory must hold nothing but regular files with
 output names, so no path that oceanmine did not name is ever replaced
-or removed.  A failing run removes its staging directory.
+or removed.  A failing run removes its staging directory.  One run at
+a time owns these names: a run holds an flock on the sibling file
+`.<name>.oceanmine-lock` from before its first check until after the
+swap, and a run that finds it held fails at once, touching nothing.
 
 Creating a file costs the kernel far more than filling one, and two
 processes creating files in one directory take as long as one.  So
@@ -62,6 +65,11 @@ from .errors import (
 from .oscillation import IndexSample, band_of, compute_series
 from .regions import RegionSegment, segment
 from .telemetry import HeaderFields, parse_file
+
+try:
+    import fcntl
+except ImportError:  # runs then go unlocked
+    fcntl = None
 
 # Seconds values must stay below this to fit a timedelta.
 _MAX_SECONDS = timedelta.max.total_seconds()
@@ -128,7 +136,6 @@ class PipelineConfig(NamedTuple):
 
 class RunResult(NamedTuple):
     report: adv.ReportTable
-    record_count: int
     rejected_blocks: int
 
 
@@ -211,47 +218,47 @@ _OUTPUT_NAME = re.compile(
 )
 
 
-def _outputs_in(directory: Path) -> list[str] | None:
+def _outputs_in(directory: Path, remove: bool = False) -> list[str] | None:
     """The names in an output tree, or None when nothing is at directory.
 
     Raises OSError unless directory is a directory, not a symlink, that
     holds only regular files with output names: anything else is not
-    oceanmine's to replace or remove.
+    oceanmine's to replace or remove.  With remove, the names are then
+    unlinked through the fd they were listed through, so nothing put in
+    the directory's place meanwhile is reached, and the directory goes.
     """
     try:
-        mode = os.lstat(directory).st_mode
+        if stat.S_ISLNK(os.lstat(directory).st_mode):
+            raise OSError(errno.ELOOP, "output directory is a symlink", str(directory))
     except FileNotFoundError:
         return None
-    if stat.S_ISLNK(mode):
-        raise OSError(errno.ELOOP, "output directory is a symlink", str(directory))
-    if not stat.S_ISDIR(mode):
-        raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(directory))
-    names = []
-    with os.scandir(directory) as entries:
-        for entry in entries:
-            # A symlink could point outside the directory.
-            if not entry.is_file(follow_symlinks=False):
-                code = errno.EISDIR if entry.is_dir(follow_symlinks=False) else errno.EEXIST
-                raise OSError(code, os.strerror(code), entry.path)
-            if not _OUTPUT_NAME.fullmatch(entry.name):
-                raise OSError(errno.EEXIST, "not an oceanmine output", entry.path)
-            names.append(entry.name)
+    # Refuses a non-directory, and a symlink put in place since the lstat.
+    fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW)
+    try:
+        names = []
+        with os.scandir(fd) as entries:
+            for entry in entries:
+                path = os.path.join(directory, entry.name)
+                # A symlink could point outside the directory.
+                if not entry.is_file(follow_symlinks=False):
+                    code = errno.EISDIR if entry.is_dir(follow_symlinks=False) else errno.EEXIST
+                    raise OSError(code, os.strerror(code), path)
+                if not _OUTPUT_NAME.fullmatch(entry.name):
+                    raise OSError(errno.EEXIST, "not an oceanmine output", path)
+                names.append(entry.name)
+        if remove:
+            for name in names:
+                os.unlink(name, dir_fd=fd)
+    finally:
+        os.close(fd)
+    if remove:
+        os.rmdir(directory)
     return names
-
-
-def _remove_tree(directory: Path) -> None:
-    """Remove an output tree, if there is one: its checked names, then itself."""
-    names = _outputs_in(directory)
-    if names is None:
-        return
-    for name in names:
-        os.unlink(directory / name)
-    os.rmdir(directory)
 
 
 def _swap(staging: Path, out_dir: Path, aside: Path) -> None:
     """Put the staged tree in out_dir's place and remove the old tree."""
-    _remove_tree(aside)  # left by a killed run
+    _outputs_in(aside, remove=True)  # left by a killed run
     had_old = _outputs_in(out_dir) is not None
     if had_old:
         os.rename(out_dir, aside)
@@ -261,7 +268,62 @@ def _swap(staging: Path, out_dir: Path, aside: Path) -> None:
         if had_old:
             os.rename(aside, out_dir)
         raise
-    _remove_tree(aside)
+    _outputs_in(aside, remove=True)
+
+
+def _lock(path: Path, out_dir: Path) -> int:
+    """An fd that holds an flock on the file at path, created if missing.
+
+    Raises OSError, naming out_dir, while another run holds the lock.
+    """
+    fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_NOFOLLOW, 0o666)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        # A run removes the file before it unlocks: a lock taken on a
+        # removed file locks nothing.
+        held = os.path.samestat(os.fstat(fd), os.lstat(path))
+    except (BlockingIOError, FileNotFoundError):
+        held = False
+    except BaseException:
+        os.close(fd)
+        raise
+    if not held:
+        os.close(fd)
+        raise OSError(errno.EBUSY, "another run is writing this output directory", str(out_dir))
+    return fd
+
+
+@contextlib.contextmanager
+def _claimed(out_dir: Path) -> Iterator[int | None]:
+    """Make out_dir's missing parents, and hold out_dir's lock meanwhile.
+
+    The lock is an flock on the sibling file `.<name>.oceanmine-lock`,
+    which is removed on leaving.  Yields the lock's fd, or None where
+    fcntl is missing and runs go unlocked.  If the caller fails, the
+    parents made here go too; rmdir keeps one that someone else filled.
+    """
+    created = []  # deepest first
+    parent = out_dir.parent
+    while not os.path.lexists(parent):
+        created.append(parent)
+        parent = parent.parent
+    try:
+        if created:
+            os.makedirs(created[0], exist_ok=True)
+        lock_path = out_dir.with_name(f".{out_dir.name}.oceanmine-lock")
+        lock = None if fcntl is None else _lock(lock_path, out_dir)
+        try:
+            yield lock
+        finally:
+            if lock is not None:
+                with contextlib.suppress(OSError):
+                    os.unlink(lock_path)
+                os.close(lock)
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
 
 
 # --- creating the files ahead of the writes -------------------------------
@@ -294,12 +356,14 @@ def _create_empty(directory: Path, names: list[str], parent: int) -> None:
         os.close(dir_fd)
 
 
-def _start_creating(directory: Path, names: list[str]) -> int | None:
+def _start_creating(directory: Path, names: list[str], lock: int | None) -> int | None:
     """Fork a helper that creates names in directory; its pid, or None.
 
-    No helper is started where os.fork is missing or fails, while other
-    threads run, which a fork could deadlock, or while SIGCHLD is
-    ignored, which reaps children before they can be killed and waited for.
+    The helper closes its copy of the fd lock, so that the lock goes
+    with the run that holds it.  No helper is started where os.fork is
+    missing or fails, while other threads run, which a fork could
+    deadlock, or while SIGCHLD is ignored, which reaps children before
+    they can be killed and waited for.
     """
     if (
         not hasattr(os, "fork")
@@ -314,6 +378,8 @@ def _start_creating(directory: Path, names: list[str]) -> int | None:
         return None
     if pid == 0:
         try:
+            if lock is not None:
+                os.close(lock)
             _create_empty(directory, names, parent)
         finally:
             os._exit(0)
@@ -365,7 +431,8 @@ def _analyse(
             region=seg.region, status=adv.STATUS_OK, sample_count=len(samples),
             skipped=series.skipped, first_seen=first_seen, last_seen=last_seen,
             avg_min=band.avg_min, avg_max=band.avg_max, window_len=config.window_len,
-            top_rule=top_rule, top_confidence=top_confidence, advisories=advisories,
+            top_rule=top_rule, top_confidence=top_confidence,
+            advisories=adv.in_report_order(advisories),
         )
     names = iter(_region_files(seg.region, config.write_plots))
     write(next(names), records_csv(seg.records, seg.region))
@@ -374,6 +441,43 @@ def _analyse(
         write(next(names), index_csv(samples))
         write(next(names), confidence_csv(curve, row.top_rule or ""))
     return row
+
+
+def _segments(
+    config: PipelineConfig, cal: decoder.CalibrationTable
+) -> tuple[list[RegionSegment], int]:
+    """The run's regions, and the number of blocks rejected on the way.
+
+    Each file is decoded as it is parsed, into segment: one file's
+    blocks at a time.
+    """
+    block_count = rejected_blocks = 0
+    memo = decoder.decode_memo(cal)  # this run's rounded words; records share its floats
+
+    def decoded() -> Iterator[tuple[HeaderFields, list[ProfileRecord]]]:
+        nonlocal block_count, rejected_blocks
+        for path in config.inputs:
+            try:
+                blocks = parse_file(path)
+            except DataError as e:
+                e.stage = f"parse {path}"
+                raise
+            block_count += len(blocks)
+            for block in blocks:
+                try:
+                    yield block.header, decoder.decode_block(block, memo)
+                except NonTripleWordCount:
+                    rejected_blocks += 1
+            del blocks, block
+
+    segments = segment(decoded(), config.cell_size)
+    if not segments:
+        raise DataError(
+            f"no decodable records in {block_count} blocks "
+            f"({rejected_blocks} rejected)",
+            stage="decode",
+        )
+    return segments, rejected_blocks
 
 
 def run(config: PipelineConfig) -> RunResult:
@@ -398,89 +502,51 @@ def run(config: PipelineConfig) -> RunResult:
             raise OSError(f"input is not a regular file: {path}")
         raise FileNotFoundError(f"input file not found: {path}")
 
-    # So must the output tree be replaceable, and any leftover of a killed run.
     out_dir = Path(os.path.abspath(config.out_dir))  # "." has no name or sibling
-    if _outputs_in(out_dir) is not None and os.path.samefile(out_dir, os.curdir):
-        # renamed aside, it would leave the caller in a removed directory
-        raise OSError(errno.EBUSY, "cannot replace the working directory", str(out_dir))
+    if not out_dir.name:
+        raise OSError(errno.EBUSY, "cannot replace the root directory", str(out_dir))
     staging = out_dir.with_name(f".{out_dir.name}.oceanmine-staging")
     aside = out_dir.with_name(f".{out_dir.name}.oceanmine-old")
-    _outputs_in(staging)
-    _outputs_in(aside)
-
-    # Decode each file as it is parsed, into segment: one file's blocks at a time.
-    block_count = rejected_blocks = 0
-    memo = decoder.decode_memo(cal)  # this run's rounded words; records share its floats
-
-    def decoded() -> Iterator[tuple[HeaderFields, list[ProfileRecord]]]:
-        nonlocal block_count, rejected_blocks
-        for path in config.inputs:
-            try:
-                blocks = parse_file(path)
-            except DataError as e:
-                e.stage = f"parse {path}"
-                raise
-            block_count += len(blocks)
-            for block in blocks:
-                try:
-                    yield block.header, decoder.decode_block(block, memo)
-                except NonTripleWordCount:
-                    rejected_blocks += 1
-            del blocks, block
-
-    segments = segment(decoded(), config.cell_size)
-    del memo
-    if not segments:
-        raise DataError(
-            f"no decodable records in {block_count} blocks "
-            f"({rejected_blocks} rejected)",
-            stage="decode",
-        )
-    names = [
-        name
-        for seg in segments
-        for name in _region_files(seg.region, config.write_plots)
-    ]
-    names += _REPORT_FILES
 
     def write(name: str, text: str) -> None:
         (staging / name).write_text(text, encoding="ascii", newline="")
 
-    # Parents of out_dir that this run creates, deepest first.
-    created = []
-    parent = out_dir.parent
-    while not os.path.lexists(parent):
-        created.append(parent)
-        parent = parent.parent
-    try:
-        _remove_tree(staging)  # left by a killed run
-        staging.mkdir(parents=True)
-        helper = _start_creating(staging, names)
-        try:
-            # Each region's files go to disk once it is analysed, the report last.
-            summaries = [_analyse(seg, config, write) for seg in segments]
-            if all(row.status == adv.STATUS_REJECTED for row in summaries):
-                raise DataError("every region failed the pressure floor", stage="index")
-            report = adv.compose_report(summaries, max(row.last_seen for row in summaries))
-            jsonl = staging / _REPORT_FILES[0]
-            with jsonl.open("w", encoding="ascii", newline="") as f:
-                adv.report_jsonl(report, f)
-            write(_REPORT_FILES[1], adv.report_text(report))
-        finally:
-            _stop(helper)
-        _swap(staging, out_dir, aside)
-    except BaseException:
-        # Everything here was named by this run; rmdir keeps a parent that
-        # someone else filled meanwhile.
-        with contextlib.suppress(OSError):
-            _remove_tree(staging)
-        for path in created:
-            with contextlib.suppress(OSError):
-                os.rmdir(path)
-        raise
+    with _claimed(out_dir) as lock:
+        # So must the output tree be replaceable, and any leftover of a killed run.
+        if _outputs_in(out_dir) is not None and os.path.samefile(out_dir, os.curdir):
+            # renamed aside, it would leave the caller in a removed directory
+            raise OSError(errno.EBUSY, "cannot replace the working directory", str(out_dir))
+        _outputs_in(staging)
+        _outputs_in(aside)
 
-    return RunResult(
-        report=report,
-        record_count=sum(len(seg.records) for seg in segments),
-        rejected_blocks=rejected_blocks,
-    )
+        segments, rejected_blocks = _segments(config, cal)
+        names = [
+            name
+            for seg in segments
+            for name in _region_files(seg.region, config.write_plots)
+        ]
+        names += _REPORT_FILES
+        try:
+            _outputs_in(staging, remove=True)  # left by a killed run
+            staging.mkdir()
+            helper = _start_creating(staging, names, lock)
+            try:
+                # Each region's files go to disk once it is analysed, the report last.
+                summaries = [_analyse(seg, config, write) for seg in segments]
+                if all(row.status == adv.STATUS_REJECTED for row in summaries):
+                    raise DataError("every region failed the pressure floor", stage="index")
+                report = adv.compose_report(summaries, max(r.last_seen for r in summaries))
+                jsonl = staging / _REPORT_FILES[0]
+                with jsonl.open("w", encoding="ascii", newline="") as f:
+                    adv.report_jsonl(report, f)
+                write(_REPORT_FILES[1], adv.report_text(report))
+            finally:
+                _stop(helper)
+            _swap(staging, out_dir, aside)
+        except BaseException:
+            # Everything here was named by this run.
+            with contextlib.suppress(OSError):
+                _outputs_in(staging, remove=True)
+            raise
+
+    return RunResult(report, rejected_blocks)

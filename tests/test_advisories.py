@@ -13,6 +13,7 @@ from oceanmine.advisories import (
     compose_report,
     detect_fishing_zone,
     detect_strong_waves,
+    in_report_order,
     report_jsonl,
     report_text,
 )
@@ -162,18 +163,21 @@ class TestReport:
         assert [r.region for r in table.rows] == ["99999_1_2", "02602_0_76"]
 
     def test_advisories_sorted_within_row(self):
+        # the row's order is set once, by in_report_order, as the row is
+        # built; compose_report keeps a row's advisories as given
         adv = [
             Advisory(KIND_FISHING_ZONE, at(20), 0.9, 0.8, rule="B"),
             Advisory(KIND_STRONG_WAVE, at(10), 9.0, 5.5),
             Advisory(KIND_FISHING_ZONE, at(20), 0.9, 0.8, rule="A"),
         ]
-        table = compose_report([summary("r", advisories=adv)], generated_at=at(300))
-        got = table.rows[0].advisories
+        got = in_report_order(adv)
         assert [(a.at, a.kind, a.rule) for a in got] == [
             (at(10), KIND_STRONG_WAVE, None),
             (at(20), KIND_FISHING_ZONE, "A"),
             (at(20), KIND_FISHING_ZONE, "B"),
         ]
+        table = compose_report([summary("r", advisories=adv)], generated_at=at(300))
+        assert table.rows[0].advisories == adv
 
     def test_jsonl_rendering(self):
         adv = [Advisory(KIND_STRONG_WAVE, at(10), 9.0, 5.5)]

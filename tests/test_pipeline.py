@@ -131,9 +131,9 @@ class TestCsvRoundTrips:
 class TestRunOnSample:
     def test_frozen_outcome(self, sample_path, tmp_path):
         result = run(config_for(sample_path, tmp_path / "out"))
-        assert result.record_count == 31
         assert result.rejected_blocks == 0
         (row,) = result.report.rows
+        assert row.sample_count + row.skipped == 31  # the CLI's record count
         assert row.region == SAMPLE_REGION
         assert row.status == "ok"
         assert row.sample_count == 30
@@ -145,6 +145,15 @@ class TestRunOnSample:
         assert len(waves) == 3
         assert len(zones) == 13
         assert result.report.generated_at == datetime(2003, 1, 12, 15, 31, 10)
+
+    def test_advisories_in_report_order(self, sample_path, tmp_path):
+        # _analyse sorts each row's advisories once, by time, kind and rule
+        result = run(config_for(sample_path, tmp_path / "out"))
+        (row,) = result.report.rows
+        keys = [(a.at, a.kind, a.rule or "") for a in row.advisories]
+        assert len(keys) == 16
+        assert {a.kind for a in row.advisories} == {"strong_wave", "fishing_zone"}
+        assert keys == sorted(keys)
 
     def test_output_tree(self, sample_path, tmp_path):
         out = tmp_path / "out"
@@ -197,7 +206,7 @@ class TestRunOnSample:
         blocks = parse_file(sample_path)
         assert all(b.payload for b in blocks)
         assert keyed == [b.header for b in blocks]
-        assert result.record_count > len(blocks)
+        assert sum(r.sample_count + r.skipped for r in result.report.rows) > len(blocks)
 
     def test_no_plots_drops_plot_csvs(self, sample_path, tmp_path):
         out = tmp_path / "out"
@@ -624,6 +633,13 @@ class TestOutputTree:
         assert list(out.iterdir()) == []
         assert leftovers(out) == []
 
+    def test_root_directory_is_not_replaced(self, sample_path, capsys):
+        # The root has no name, so no sibling staging, aside or lock file.
+        assert main([str(sample_path), "--out-dir", "/"]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"oceanmine: io error: [Errno {errno.EBUSY}] cannot replace the root directory: '/'\n"
+        )
+
     @pytest.mark.parametrize("suffix", ["staging", "old"])
     def test_leftover_of_a_killed_run_is_removed(self, sample_path, tmp_path, suffix):
         out, fresh = tmp_path / "out", tmp_path / "fresh"
@@ -728,6 +744,122 @@ class TestOutputTree:
         ] + ["report.jsonl", "report.txt"]
         assert [row.region for row in result.report.rows] == order
 
+    def test_removal_goes_through_the_checked_directory(self, tmp_path, monkeypatch):
+        # A symlink put in the checked directory's place between the scan
+        # and the unlinks leads nowhere: the files behind it stay.
+        aside = tmp_path / ".out.oceanmine-old"
+        moved, victim = tmp_path / "moved", tmp_path / "victim"
+        names = ("records_x.csv", "report.txt")
+        for directory in (aside, victim):
+            directory.mkdir()
+            for name in names:
+                (directory / name).write_text("keep\n", encoding="ascii")
+        unlink = os.unlink
+
+        def swapped(*args, **kwargs):
+            if not moved.exists():
+                os.rename(aside, moved)
+                aside.symlink_to(victim)
+            return unlink(*args, **kwargs)
+
+        monkeypatch.setattr(os, "unlink", swapped)
+        with pytest.raises(NotADirectoryError):
+            pipeline._outputs_in(aside, remove=True)
+        assert snapshot(victim) == {name: b"keep\n" for name in names}
+        assert snapshot(moved) == {}
+
+
+# Run A of a pair: the CLI with its helper off, which pauses after its first
+# write until told to go on.  argv: the "wrote" and "go" pipe fds, then the
+# CLI's arguments.
+PAUSED_RUN = (
+    "import os, sys\n"
+    "from pathlib import Path\n"
+    "from oceanmine import pipeline\n"
+    "from oceanmine.cli import main\n"
+    "wrote, go = map(int, sys.argv[1:3])\n"
+    "write_text = Path.write_text\n"
+    "def paused(path, *args, **kwargs):\n"
+    "    Path.write_text = write_text\n"
+    "    written = write_text(path, *args, **kwargs)\n"
+    "    os.write(wrote, b'w')\n"
+    "    os.read(go, 1)\n"
+    "    return written\n"
+    "Path.write_text = paused\n"
+    "pipeline._start_creating = lambda *args: None\n"
+    "sys.exit(main(sys.argv[3:]))\n"
+)
+
+
+class TestOneRunPerOutDir:
+    """While one run holds an output directory, another into it fails at once."""
+
+    def test_second_run_is_refused_and_touches_nothing(self, sample_path, tmp_path, capsys):
+        out, solo = tmp_path / "out", tmp_path / "solo"
+        staging = tmp_path / ".out.oceanmine-staging"
+        wrote_r, wrote_w = os.pipe()
+        go_r, go_w = os.pipe()
+        run_a = subprocess.Popen(
+            [sys.executable, "-c", PAUSED_RUN, str(wrote_w), str(go_r),
+             str(sample_path), "--out-dir", str(out)],
+            pass_fds=(wrote_w, go_r),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        os.close(wrote_w)
+        os.close(go_r)
+        try:
+            # Run A has written its first region file and holds the lock.
+            assert os.read(wrote_r, 1) == b"w"
+            staged = snapshot(staging)
+            assert list(staged) == [f"records_{SAMPLE_REGION}.csv"]
+            assert main([str(sample_path), "--out-dir", str(out)]) == EXIT_IO
+            assert capsys.readouterr().err == (
+                f"oceanmine: io error: [Errno {errno.EBUSY}] another run is "
+                f"writing this output directory: '{out}'\n"
+            )
+            assert snapshot(staging) == staged
+            assert not out.exists()
+        finally:
+            os.close(go_w)  # run A reads end of file and goes on
+            stdout, stderr = run_a.communicate(timeout=60)
+            os.close(wrote_r)
+        assert run_a.returncode == EXIT_OK, stderr
+        assert stdout.startswith("oceanmine: 31 records, 1 regions,")
+        run(config_for(sample_path, solo))
+        assert snapshot(out) == snapshot(solo)
+        # the lock file goes with its run
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "solo"]
+
+    def test_lock_goes_with_its_run_not_its_helper(self, tmp_path, monkeypatch):
+        # A killed run's helper can outlive it by a few creates; the helper
+        # closes its copy of the lock's fd, so the lock is free once the run
+        # is gone.
+        ready_r, ready_w = os.pipe()
+        go_r, go_w = os.pipe()
+
+        def blocked(*args):
+            os.write(ready_w, b"r")
+            os.read(go_r, 1)
+
+        monkeypatch.setattr(pipeline, "_create_empty", blocked)
+        path, out = tmp_path / ".out.oceanmine-lock", tmp_path / "out"
+        lock = pipeline._lock(path, out)
+        helper = pipeline._start_creating(tmp_path, ["report.txt"], lock)
+        try:
+            assert helper is not None
+            assert os.read(ready_r, 1) == b"r"
+            with pytest.raises(OSError, match="another run"):
+                pipeline._lock(path, out)
+            os.close(lock)
+            os.close(pipeline._lock(path, out))
+        finally:
+            os.write(go_w, b"g")
+            pipeline._stop(helper)
+            for fd in (ready_r, ready_w, go_r, go_w):
+                os.close(fd)
+
 
 SAMPLE_DIGEST = "1103e97faf436de1c5f97ec815035428e247eba3a77e2bb9e50f3bd01fd03119"
 
@@ -746,9 +878,9 @@ class TestCreateAhead:
         started = []
         start = pipeline._start_creating
 
-        def recorded(directory, names):
+        def recorded(directory, names, lock):
             started.append(list(names))
-            return start(directory, names)
+            return start(directory, names, lock)
 
         monkeypatch.setattr(pipeline, "_start_creating", recorded)
         written = record_writes(monkeypatch)
@@ -1018,7 +1150,8 @@ class TestCli:
         assert "oceanmine: 26 records, 1 regions," in out
         assert err == "oceanmine: 1 blocks rejected\n"
         result = run(config_for(short, tmp_path / "run"))
-        assert (result.record_count, result.rejected_blocks) == (26, 1)
+        (row,) = result.report.rows
+        assert (row.sample_count + row.skipped, result.rejected_blocks) == (26, 1)
         run(config_for(without, tmp_path / "without"))
         assert snapshot(tmp_path / "cli") == snapshot(tmp_path / "run")
         assert snapshot(tmp_path / "run") == snapshot(tmp_path / "without")
