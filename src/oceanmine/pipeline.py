@@ -95,20 +95,23 @@ class PipelineConfig(NamedTuple):
     def validate(self) -> None:
         if not self.inputs:
             raise ConfigError("at least one input file is required")
-        if not (math.isfinite(self.cell_size) and self.cell_size > 0):
-            raise ConfigError(
-                f"cell size must be positive and finite, got {self.cell_size}"
-            )
+        for name, value in (
+            ("cell size", self.cell_size),
+            ("pressure floor", self.pressure_floor),
+        ):
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         # Coordinates reach +-180 and are floored after dividing by the cell
         # size; indexes below 1e100 keep region file names under 255 bytes.
         if not 180.0 / self.cell_size < 1e100:
             raise ConfigError(f"cell size {self.cell_size} is too small to grid")
-        if not (math.isfinite(self.pressure_floor) and self.pressure_floor > 0):
-            raise ConfigError(
-                f"pressure floor must be positive and finite, got {self.pressure_floor}"
-            )
-        if self.window_len < 1:
-            raise ConfigError(f"window length must be >= 1, got {self.window_len}")
+        for name, count in (
+            ("window length", self.window_len),
+            ("max episode length", self.max_len),
+            ("min support", self.min_support),
+        ):
+            if count < 1:
+                raise ConfigError(f"{name} must be >= 1, got {count}")
         for name, seconds in (
             ("delta", self.delta_s),
             ("win_a", self.win_a_s),
@@ -121,10 +124,6 @@ class PipelineConfig(NamedTuple):
                 )
         if not 1 <= self.k <= sys.maxsize:
             raise ConfigError(f"class count must be in [1, {sys.maxsize}], got {self.k}")
-        if self.max_len < 1:
-            raise ConfigError(f"max episode length must be >= 1, got {self.max_len}")
-        if self.min_support < 1:
-            raise ConfigError(f"min support must be >= 1, got {self.min_support}")
         if not 0.0 < self.theta <= 1.0:
             raise ConfigError(f"theta must be in (0, 1], got {self.theta}")
 
@@ -271,48 +270,43 @@ def _swap(staging: Path, out_dir: Path, aside: Path) -> None:
     _outputs_in(aside, remove=True)
 
 
-def _lock(path: Path, out_dir: Path) -> int:
-    """An fd that holds an flock on the file at path, created if missing.
-
-    Raises OSError, naming out_dir, while another run holds the lock.
-    """
-    fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_NOFOLLOW, 0o666)
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        # A run removes the file before it unlocks: a lock taken on a
-        # removed file locks nothing.
-        held = os.path.samestat(os.fstat(fd), os.lstat(path))
-    except (BlockingIOError, FileNotFoundError):
-        held = False
-    except BaseException:
-        os.close(fd)
-        raise
-    if not held:
-        os.close(fd)
-        raise OSError(errno.EBUSY, "another run is writing this output directory", str(out_dir))
-    return fd
-
-
 @contextlib.contextmanager
 def _claimed(out_dir: Path) -> Iterator[int | None]:
     """Make out_dir's missing parents, and hold out_dir's lock meanwhile.
 
-    The lock is an flock on the sibling file `.<name>.oceanmine-lock`,
-    which is removed on leaving.  Yields the lock's fd, or None where
-    fcntl is missing and runs go unlocked.  If the caller fails, the
-    parents made here go too; rmdir keeps one that someone else filled.
+    The lock is an flock on the sibling file `.<name>.oceanmine-lock`.
+    Yields its fd, or None where fcntl is missing and runs go unlocked.
+    While another run holds it, raises OSError naming out_dir and leaves
+    the file alone; else the file goes on leaving, and if anything
+    failed, so do the parents made here (rmdir keeps a filled one).
     """
     created = []  # deepest first
     parent = out_dir.parent
     while not os.path.lexists(parent):
         created.append(parent)
         parent = parent.parent
+    lock_path = out_dir.with_name(f".{out_dir.name}.oceanmine-lock")
+    lock = None  # an fd on the file at lock_path, which is then this run's
     try:
-        if created:
-            os.makedirs(created[0], exist_ok=True)
-        lock_path = out_dir.with_name(f".{out_dir.name}.oceanmine-lock")
-        lock = None if fcntl is None else _lock(lock_path, out_dir)
         try:
+            if created:
+                os.makedirs(created[0], exist_ok=True)
+            if fcntl is not None:
+                lock = os.open(lock_path, os.O_RDWR | os.O_CREAT | os.O_NOFOLLOW, 0o666)
+                try:
+                    fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                    # A run removes the file before it unlocks: a lock taken
+                    # on a removed file locks nothing.
+                    held = os.path.samestat(os.fstat(lock), os.lstat(lock_path))
+                except (BlockingIOError, FileNotFoundError):
+                    held = False
+                except OSError as e:  # flock names no file
+                    raise OSError(e.errno, e.strerror, str(lock_path)) from None
+                if not held:  # the file is the holder's to remove
+                    os.close(lock)
+                    lock = None
+                    busy = "another run is writing this output directory"
+                    raise OSError(errno.EBUSY, busy, str(out_dir))
             yield lock
         finally:
             if lock is not None:

@@ -791,6 +791,28 @@ PAUSED_RUN = (
 )
 
 
+# A run that holds an output directory's claim and has started its helper,
+# until it is killed.  The helper writes "h" once started, then blocks until
+# the "go" pipe is closed and writes "e"; the run writes "c" once the helper
+# is started.  argv: the "ready" and "go" pipe fds, then the output directory.
+CLAIMING_RUN = (
+    "import os, sys\n"
+    "from pathlib import Path\n"
+    "from oceanmine import pipeline\n"
+    "ready, go = map(int, sys.argv[1:3])\n"
+    "def blocked(*args):\n"
+    "    os.write(ready, b'h')\n"
+    "    os.read(go, 1)\n"
+    "    os.write(ready, b'e')\n"
+    "pipeline._create_empty = blocked\n"
+    "out = Path(sys.argv[3])\n"
+    "with pipeline._claimed(out) as lock:\n"
+    "    assert pipeline._start_creating(out.parent, ['report.txt'], lock)\n"
+    "    os.write(ready, b'c')\n"
+    "    os.read(go, 1)\n"
+)
+
+
 class TestOneRunPerOutDir:
     """While one run holds an output directory, another into it fails at once."""
 
@@ -832,33 +854,68 @@ class TestOneRunPerOutDir:
         # the lock file goes with its run
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "solo"]
 
-    def test_lock_goes_with_its_run_not_its_helper(self, tmp_path, monkeypatch):
+    def test_lock_goes_with_its_run_not_its_helper(self, tmp_path):
         # A killed run's helper can outlive it by a few creates; the helper
         # closes its copy of the lock's fd, so the lock is free once the run
         # is gone.
+        out, lock_path = tmp_path / "out", tmp_path / ".out.oceanmine-lock"
         ready_r, ready_w = os.pipe()
         go_r, go_w = os.pipe()
-
-        def blocked(*args):
-            os.write(ready_w, b"r")
-            os.read(go_r, 1)
-
-        monkeypatch.setattr(pipeline, "_create_empty", blocked)
-        path, out = tmp_path / ".out.oceanmine-lock", tmp_path / "out"
-        lock = pipeline._lock(path, out)
-        helper = pipeline._start_creating(tmp_path, ["report.txt"], lock)
+        run_a = subprocess.Popen(
+            [sys.executable, "-c", CLAIMING_RUN, str(ready_w), str(go_r), str(out)],
+            pass_fds=(ready_w, go_r),
+        )
+        os.close(ready_w)
+        os.close(go_r)
         try:
-            assert helper is not None
-            assert os.read(ready_r, 1) == b"r"
+            # Run A holds the claim, and its helper is blocked on go.
+            assert sorted(os.read(ready_r, 1) + os.read(ready_r, 1)) == sorted(b"ch")
             with pytest.raises(OSError, match="another run"):
-                pipeline._lock(path, out)
-            os.close(lock)
-            os.close(pipeline._lock(path, out))
+                with pipeline._claimed(out):
+                    pass
+            run_a.send_signal(signal.SIGKILL)
+            assert run_a.wait(timeout=60) == -signal.SIGKILL
+            assert lock_path.exists()  # left by the killed run
+            with pipeline._claimed(out) as lock:
+                assert lock is not None
+            assert not lock_path.exists()
         finally:
-            os.write(go_w, b"g")
-            pipeline._stop(helper)
-            for fd in (ready_r, ready_w, go_r, go_w):
-                os.close(fd)
+            run_a.kill()
+            run_a.wait(timeout=60)
+            os.close(go_w)  # the helper reads end of file, writes "e" and exits
+            with os.fdopen(ready_r, "rb") as ready:
+                rest = ready.read()
+        assert rest == b"e"  # the helper lived through the claims above
+
+    def test_failed_lock_is_named_and_leaves_nothing(
+        self, sample_path, tmp_path, monkeypatch, capsys
+    ):
+        # flock on a file system without a lock manager, as on NFS
+        def failing(fd, operation):
+            raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+
+        monkeypatch.setattr(pipeline.fcntl, "flock", failing)
+        out = tmp_path / "a" / "b" / "out"
+        assert main([str(sample_path), "--out-dir", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"oceanmine: io error: [Errno {errno.ENOLCK}] {os.strerror(errno.ENOLCK)}: "
+            f"'{out.with_name('.out.oceanmine-lock')}'\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_symlink_at_the_lock_name_is_refused_and_kept(
+        self, sample_path, tmp_path, capsys
+    ):
+        lock_path = tmp_path / ".out.oceanmine-lock"
+        lock_path.symlink_to("nowhere")
+        out = tmp_path / "out"
+        assert main([str(sample_path), "--out-dir", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"oceanmine: io error: [Errno {errno.ELOOP}] {os.strerror(errno.ELOOP)}: "
+            f"'{lock_path}'\n"
+        )
+        assert os.readlink(lock_path) == "nowhere"
+        assert list(tmp_path.iterdir()) == [lock_path]
 
 
 SAMPLE_DIGEST = "1103e97faf436de1c5f97ec815035428e247eba3a77e2bb9e50f3bd01fd03119"
@@ -946,6 +1003,36 @@ class TestCreateAhead:
         assert not thread.is_alive()
         assert forks == []
         assert tree_digest(tmp_path / "out") == SAMPLE_DIGEST
+
+    def test_threads_are_counted_without_proc(
+        self, sample_path, tmp_path, monkeypatch, forks
+    ):
+        # Where /proc/self/task cannot be listed, as on macOS, Python's
+        # count of its threads decides.
+        asked = []
+        listdir = os.listdir
+
+        def no_proc(path="."):
+            if path == "/proc/self/task":
+                asked.append(path)
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+            return listdir(path)
+
+        monkeypatch.setattr(os, "listdir", no_proc)
+        run(config_for(sample_path, tmp_path / "alone"))
+        assert (len(asked), len(forks)) == (1, 1)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            run(config_for(sample_path, tmp_path / "threaded"))
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert (len(asked), len(forks)) == (2, 1)
+        for out in ("alone", "threaded"):
+            assert tree_digest(tmp_path / out) == SAMPLE_DIGEST
 
     def test_no_helper_while_sigchld_is_ignored(self, sample_path, tmp_path, forks):
         # the kernel would reap a helper before the run could kill it
