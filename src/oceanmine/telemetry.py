@@ -45,11 +45,11 @@ on the line join the payload in reading order.
 
 A block carries its data bytes as read, in one bytes payload.  They
 pair big-endian into 16-bit words, across line boundaries, within a
-block; a block ending on an unpaired byte is an error.  A dump is read
-once, from the top.  An error names the first line that cannot be read
-and the first fault in it; an unpaired byte names its block's lines.
-A run of byte lines is checked whole; a run that fails is cut at its
-first unreadable line, which goes to _refuse as every refused line does.
+block; a block ending on an unpaired byte is an error naming the
+block's lines.  A dump is read once, from the top.  A line is taken only
+through _DUMP_RE and its value checks, and _refuse alone names a refused
+line: the first in the dump, and the first fault in it.  A run of byte
+lines is checked whole; a run that fails is cut at its first refused line.
 """
 
 from __future__ import annotations
@@ -230,13 +230,10 @@ def lf_endings(text: str) -> str:
 def parse_stream(text: str) -> list[MessageBlock]:
     """Parse a telemetry dump into MessageBlocks, in input order.
 
-    Lines end at LF, CR or CRLF.  Every data line is attributed to the
-    most recent header.  Blank lines are skipped and surrounding
-    whitespace is tolerated.  The first line that cannot be read raises
-    DataError naming that line, or, for a block ending on an unpaired
-    byte, the block's lines; an input without blocks raises DataError.
-    A run of byte lines is checked whole; a run that fails is cut at its
-    first unreadable line, and _refuse raises that line's error.
+    Every data line is attributed to the most recent header; blank lines
+    are skipped and surrounding whitespace is tolerated.  Lines are taken
+    and refused as the module docstring says.  DataError is also raised
+    for a block ending on an unpaired byte, and for an input without blocks.
     """
     text = lf_endings(text)
     blocks: list[MessageBlock] = []
@@ -246,11 +243,9 @@ def parse_stream(text: str) -> list[MessageBlock]:
     while pos < len(text):
         m = _DUMP_RE.match(text, pos)
         if m.end() == pos:
-            line = text[pos:].partition("\n")[0]
-            _refuse(line, line_no, header and MessageBlock(header, payload, (first, last)))
+            _refuse(text, pos, header and MessageBlock(header, payload, (first, last)))
         pid, date, time, lat, lon, alt, block_date, block_time, data = m.groups()
         if pid:
-            n = line_no + text.count("\n", pos, m.start(1))
             if header:
                 blocks.append(_closed(MessageBlock(header, payload, (first, last))))
             try:
@@ -258,21 +253,21 @@ def parse_stream(text: str) -> list[MessageBlock]:
                 if abs(latitude) > 90.0 or abs(longitude) > 180.0 or math.isinf(float(alt)):
                     raise ValueError
                 header = HeaderFields(pid, _stamp(date, time), latitude, longitude)
-            except ValueError:  # parse_header raises, naming the fault
-                header = parse_header(text[m.start(1):].partition("\n")[0], n)
-            payload, first, last, restamped = b"", n, n, False
+            except ValueError:  # the block before it is closed
+                _refuse(text, m.start(1), None)
+            first = last = line_no + text.count("\n", pos, m.start(1))
+            payload, restamped = b"", False
         if block_date:
-            n = line_no + text.count("\n", pos, m.start(7))
-            if header is None:
-                _refuse(text[m.start(7):].partition("\n")[0], n, None)
             try:
+                if header is None:
+                    raise ValueError
                 stamp = _stamp(block_date, block_time)
-            except ValueError:  # _parse_timestamp raises, naming the fault
-                stamp = _parse_timestamp(block_date, block_time, n)
+            except ValueError:
+                _refuse(text, m.start(7), header and MessageBlock(header, payload, (first, last)))
             if not restamped:
                 header = HeaderFields(header.platform_id, stamp, header.latitude, header.longitude)
                 restamped = True
-            last = n
+            last = line_no + text.count("\n", pos, m.start(7))
         if data:
             try:
                 chunk = bytes.fromhex(data)  # fails on a token of odd length
@@ -290,9 +285,7 @@ def parse_stream(text: str) -> list[MessageBlock]:
                 last = line_no + text.count("\n", pos, m.start(9) + len(data.rstrip()))
             payload += chunk
             if cut < m.end():
-                line = text[text.rfind("\n", 0, cut) + 1:].partition("\n")[0]
-                block = header and MessageBlock(header, payload, (first, last))
-                _refuse(line, line_no + text.count("\n", pos, cut), block)
+                _refuse(text, cut, header and MessageBlock(header, payload, (first, last)))
         line_no += text.count("\n", pos, m.end())
         pos = m.end()
     if header:
@@ -310,10 +303,12 @@ def _closed(block: MessageBlock) -> MessageBlock:
     return block
 
 
-def _refuse(line: str, line_no: int, block: MessageBlock | None) -> NoReturn:
-    """Raise the error for line, the first line parse_stream refuses;
-    block is the block open before it.  The checks run in the order the
-    line is read, so the first fault in it is named."""
+def _refuse(text: str, at: int, block: MessageBlock | None) -> NoReturn:
+    """Raise the error for the line holding text[at], the first line
+    parse_stream refuses; block is the block open before it.  The checks
+    run in the order the line is read, so the first fault in it is named."""
+    line = text[text.rfind("\n", 0, at) + 1:].partition("\n")[0]
+    line_no = text.count("\n", 0, at) + 1
     if not line.isascii():
         bad = next(ch for ch in line if not ch.isascii())
         raise DataError(f"non-ASCII byte 0x{ord(bad):02x}", line=line_no)

@@ -917,6 +917,15 @@ class TestOneRunPerOutDir:
         assert os.readlink(lock_path) == "nowhere"
         assert list(tmp_path.iterdir()) == [lock_path]
 
+    def test_without_fcntl_runs_go_unlocked(self, sample_path, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(pipeline, "fcntl", None)
+        out = tmp_path / "a" / "out"
+        run(config_for(sample_path, out))
+        assert tree_digest(out) == SAMPLE_DIGEST
+        assert not out.with_name(".out.oceanmine-lock").exists()
+        assert list(out.parent.iterdir()) == [out]
+        assert len(forks) == 1
+
 
 SAMPLE_DIGEST = "1103e97faf436de1c5f97ec815035428e247eba3a77e2bb9e50f3bd01fd03119"
 

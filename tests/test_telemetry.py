@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from oceanmine import telemetry
 from oceanmine.errors import DataError
 from oceanmine.telemetry import (
     HeaderFields,
@@ -367,6 +368,27 @@ class TestParseStream:
             parse_stream(f"{SPLIT_ID_HEADER}\nGG\n35 \xe9\n")
         with pytest.raises(DataError, match="line 3: non-ASCII byte 0xe9"):
             parse_stream(f"{SPLIT_ID_HEADER}\r35 9D\r\nGG \xe9\n")
+
+    @pytest.mark.parametrize(
+        "name, accepting, line_no, old, new",
+        [
+            ("parse_header", lambda line, line_no=None: parse_header(SPLIT_ID_HEADER),
+             1, " 76.559 ", " 181.0 "),
+            ("_parse_timestamp", lambda date_tok, time_tok, line_no: datetime(2003, 1, 10),
+             2, "2003-01-10 ", "2003-02-30 "),
+        ],
+        ids=["header", "block-time"],
+    )
+    def test_a_second_grammar_cannot_accept_a_line(
+        self, sample_path, monkeypatch, name, accepting, line_no, old, new
+    ):
+        # The pattern and its value checks alone take a line: _refuse asks
+        # the token checks only to name the fault, and takes no answer.
+        monkeypatch.setattr(telemetry, name, accepting)
+        lines = sample_path.read_text().splitlines(keepends=True)
+        lines[line_no - 1] = lines[line_no - 1].replace(old, new)
+        with pytest.raises(AssertionError, match=f"^line {line_no} was refused but reads as valid$"):
+            parse_stream("".join(lines))
 
     def test_block_order_follows_input(self, sample_path):
         blocks = parse_stream(sample_path.read_text())
