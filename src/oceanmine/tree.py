@@ -5,14 +5,16 @@ was.  Each region's files are written as soon as the region is
 analysed, into a sibling staging directory `.<name>.oceanmine-staging`;
 the report files go last.  The staging directory then replaces the
 output directory: the old tree is renamed aside to `.<name>.oceanmine-old`
-and removed.  Before any work, the output directory and any leftover
-staging or aside directory must hold nothing but regular files with
-output names, and let this run unlink them, so no path that oceanmine
-did not name is ever replaced or removed, and no removal fails after
-the swap.  A run failing after these checks removes the staging
+and removed.  Before any work, the output directory must hold nothing
+but regular files with output names, and let this run unlink them, so
+no path that oceanmine did not name is ever replaced or removed, and no
+removal fails after the swap.  A staging or aside directory left by a
+killed run is checked the same way and then removed; a refused one is
+left alone.  A run failing after these checks removes the staging
 directory.  One run at a time owns these names: a run holds an flock on
 `.<name>.oceanmine-lock` from before its first check until after the
 swap, and a run that finds it held fails at once, touching nothing.
+oceanmine needs a POSIX system: flock, fork, O_DIRECTORY and dir_fd.
 
 Creating a file costs the kernel far more than filling one, and two
 processes creating files in one directory take as long as one.  So
@@ -26,17 +28,13 @@ writes alone.
 
 import contextlib
 import errno
+import fcntl
 import os
 import re
 import signal
 import stat
 from pathlib import Path
 from typing import IO, Iterator
-
-try:
-    import fcntl
-except ImportError:  # runs then go unlocked
-    fcntl = None
 
 REPORT_FILES = ("report.jsonl", "report.txt")
 _REGION_KINDS = ("records", "rules", "index", "confidence")  # the last two are plots
@@ -54,8 +52,8 @@ _OUTPUT_NAME = re.compile(
 )
 
 
-def _outputs_in(directory: Path, remove: bool = False) -> list[str] | None:
-    """The names in an output tree, or None when nothing is at directory.
+def _outputs_in(directory: Path, remove: bool = False) -> bool:
+    """Whether an output tree is at directory; False when nothing is.
 
     Raises OSError unless directory is a directory, not a symlink, that
     holds only regular files with output names and that this process may
@@ -68,7 +66,7 @@ def _outputs_in(directory: Path, remove: bool = False) -> list[str] | None:
         if stat.S_ISLNK(os.lstat(directory).st_mode):
             raise OSError(errno.ELOOP, "output directory is a symlink", str(directory))
     except FileNotFoundError:
-        return None
+        return False
     # Refuses a non-directory, and a symlink put in place since the lstat.
     fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW)
     try:
@@ -94,13 +92,12 @@ def _outputs_in(directory: Path, remove: bool = False) -> list[str] | None:
             os.rmdir(directory)
     finally:
         os.close(fd)
-    return names
+    return True
 
 
 def _swap(staging: Path, out_dir: Path, aside: Path) -> None:
     """Put the staged tree in out_dir's place and remove the old tree."""
-    _outputs_in(aside, remove=True)  # left by a killed run
-    had_old = _outputs_in(out_dir) is not None
+    had_old = _outputs_in(out_dir)
     if had_old:
         os.rename(out_dir, aside)
     try:
@@ -113,11 +110,10 @@ def _swap(staging: Path, out_dir: Path, aside: Path) -> None:
 
 
 @contextlib.contextmanager
-def _claimed(out_dir: Path) -> Iterator[int | None]:
+def _claimed(out_dir: Path) -> Iterator[int]:
     """Make out_dir's missing parents, and hold out_dir's lock meanwhile.
 
-    The lock is an flock on the sibling file `.<name>.oceanmine-lock`.
-    Yields its fd, or None where fcntl is missing and runs go unlocked.
+    Yields the fd of an flock on the sibling file `.<name>.oceanmine-lock`.
     While another run holds it, raises OSError naming out_dir and leaves
     the file alone; else the file goes on leaving, and if anything
     failed, so do the parents made here (rmdir keeps a filled one).
@@ -133,22 +129,21 @@ def _claimed(out_dir: Path) -> Iterator[int | None]:
         try:
             if created:
                 os.makedirs(created[0], exist_ok=True)
-            if fcntl is not None:
-                lock = os.open(lock_path, os.O_RDWR | os.O_CREAT | os.O_NOFOLLOW, 0o666)
-                try:
-                    fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
-                    # A run removes the file before it unlocks: a lock taken
-                    # on a removed file locks nothing.
-                    held = os.path.samestat(os.fstat(lock), os.lstat(lock_path))
-                except (BlockingIOError, FileNotFoundError):
-                    held = False
-                except OSError as e:  # flock names no file
-                    raise OSError(e.errno, e.strerror, str(lock_path)) from None
-                if not held:  # the file is the holder's to remove
-                    os.close(lock)
-                    lock = None
-                    busy = "another run is writing this output directory"
-                    raise OSError(errno.EBUSY, busy, str(out_dir))
+            lock = os.open(lock_path, os.O_RDWR | os.O_CREAT | os.O_NOFOLLOW, 0o666)
+            try:
+                fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                # A run removes the file before it unlocks: a lock taken
+                # on a removed file locks nothing.
+                held = os.path.samestat(os.fstat(lock), os.lstat(lock_path))
+            except (BlockingIOError, FileNotFoundError):
+                held = False
+            except OSError as e:  # flock names no file
+                raise OSError(e.errno, e.strerror, str(lock_path)) from None
+            if not held:  # the file is the holder's to remove
+                os.close(lock)
+                lock = None
+                busy = "another run is writing this output directory"
+                raise OSError(errno.EBUSY, busy, str(out_dir))
             yield lock
         finally:
             if lock is not None:
@@ -189,20 +184,16 @@ def _create_empty(directory: Path, names: list[str], parent: int) -> None:
         os.close(dir_fd)
 
 
-def _start_creating(directory: Path, names: list[str], lock: int | None) -> int | None:
+def _start_creating(directory: Path, names: list[str], lock: int) -> int | None:
     """Fork a helper that creates names in directory; its pid, or None.
 
     The helper closes its copy of the fd lock, so that the lock goes
-    with the run that holds it.  No helper is started where os.fork is
-    missing or fails, while other threads run, which a fork could
-    deadlock, or while SIGCHLD is ignored, which reaps children before
-    they can be killed and waited for.
+    with the run that holds it.  No helper is started where os.fork
+    fails, while other threads run, which a fork could deadlock, or
+    while SIGCHLD is ignored, which reaps children before they can be
+    killed and waited for.
     """
-    if (
-        not hasattr(os, "fork")
-        or signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN
-        or not _single_threaded()
-    ):
+    if signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN or not _single_threaded():
         return None
     parent = os.getpid()
     try:
@@ -211,8 +202,7 @@ def _start_creating(directory: Path, names: list[str], lock: int | None) -> int 
         return None
     if pid == 0:
         try:
-            if lock is not None:
-                os.close(lock)
+            os.close(lock)
             _create_empty(directory, names, parent)
         finally:
             os._exit(0)
@@ -220,16 +210,14 @@ def _start_creating(directory: Path, names: list[str], lock: int | None) -> int 
 
 
 class Staging:
-    """The staging directory of one run: started once, then filled file by file."""
+    """The staging directory of one run: made empty, then filled file by file."""
 
-    def __init__(self, directory: Path, lock: int | None) -> None:
+    def __init__(self, directory: Path, lock: int) -> None:
         self.directory, self.lock = directory, lock
         self.helper: int | None = None  # the pid of the file-creating helper
 
     def start(self, names: list[str]) -> None:
-        """Make the directory, and fork a helper creating names, then the report files."""
-        _outputs_in(self.directory, remove=True)  # left by a killed run
-        self.directory.mkdir()
+        """Fork a helper creating names, then the report files, in the directory."""
         self.helper = _start_creating(self.directory, [*names, *REPORT_FILES], self.lock)
 
     def write(self, name: str, text: str) -> None:
@@ -250,13 +238,14 @@ def replacing(out_dir: Path) -> Iterator[Staging]:
     staging = out_dir.with_name(f".{out_dir.name}.oceanmine-staging")
     aside = out_dir.with_name(f".{out_dir.name}.oceanmine-old")
     with _claimed(out_dir) as lock:
-        if _outputs_in(out_dir) is not None and os.path.samefile(out_dir, os.curdir):
+        if _outputs_in(out_dir) and os.path.samefile(out_dir, os.curdir):
             # renamed aside, it would leave the caller in a removed directory
             raise OSError(errno.EBUSY, "cannot replace the working directory", str(out_dir))
-        _outputs_in(staging)
-        _outputs_in(aside)
+        for leftover in (staging, aside):  # left by a killed run
+            _outputs_in(leftover, remove=True)
         stage = Staging(staging, lock)
         try:
+            staging.mkdir()
             try:
                 yield stage
             finally:
@@ -265,6 +254,6 @@ def replacing(out_dir: Path) -> Iterator[Staging]:
                     os.waitpid(stage.helper, 0)
             _swap(staging, out_dir, aside)
         except BaseException:
-            with contextlib.suppress(OSError):  # a leftover too holds only output names
+            with contextlib.suppress(OSError):  # it holds only this run's files
                 _outputs_in(staging, remove=True)
             raise

@@ -667,6 +667,36 @@ class TestOutputTree:
             run(config_for(bad, tmp_path / "out"))
         assert [p.name for p in tmp_path.iterdir()] == ["bad.txt"]
 
+    def test_run_failing_after_its_checks_removes_both_leftovers(self, tmp_path):
+        # Each leftover is checked like the output directory, then removed
+        # before any work, so a failing run leaves neither behind.
+        bad = tmp_path / "bad.txt"
+        bad.write_text("aa bb zz\n", encoding="ascii")
+        for suffix in ("staging", "old"):
+            leftover = tmp_path / f".out.oceanmine-{suffix}"
+            leftover.mkdir()
+            for name in ("records_x.csv", "report.txt"):
+                (leftover / name).write_text("partial\n", encoding="ascii")
+        with pytest.raises(DataError, match="data line before any header"):
+            run(config_for(bad, tmp_path / "out"))
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.txt"]
+
+    def test_foreign_aside_is_refused_after_the_staging_leftover_goes(
+        self, sample_path, tmp_path
+    ):
+        # The leftovers are checked and removed one after the other: the
+        # staging one goes, and the refused aside is left as it was.
+        staging = tmp_path / ".out.oceanmine-staging"
+        aside = tmp_path / ".out.oceanmine-old"
+        for leftover, name in ((staging, "records_x.csv"), (aside, "notes.txt")):
+            leftover.mkdir()
+            (leftover / name).write_text("mine\n", encoding="ascii")
+        with pytest.raises(OSError) as info:
+            run(config_for(sample_path, tmp_path / "out"))
+        assert info.value.filename == str(aside / "notes.txt")
+        assert snapshot(aside) == {"notes.txt": b"mine\n"}
+        assert [p.name for p in tmp_path.iterdir()] == [aside.name]
+
     @pytest.mark.parametrize("suffix", ["staging", "old"])
     def test_leftover_with_foreign_name_is_refused(self, sample_path, tmp_path, suffix):
         out = tmp_path / "out"
@@ -972,15 +1002,6 @@ class TestOneRunPerOutDir:
         assert os.readlink(lock_path) == "nowhere"
         assert list(tmp_path.iterdir()) == [lock_path]
 
-    def test_without_fcntl_runs_go_unlocked(self, sample_path, tmp_path, monkeypatch, forks):
-        monkeypatch.setattr(tree, "fcntl", None)
-        out = tmp_path / "a" / "out"
-        run(config_for(sample_path, out))
-        assert tree_digest(out) == SAMPLE_DIGEST
-        assert not out.with_name(".out.oceanmine-lock").exists()
-        assert list(out.parent.iterdir()) == [out]
-        assert len(forks) == 1
-
 
 SAMPLE_DIGEST = "1103e97faf436de1c5f97ec815035428e247eba3a77e2bb9e50f3bd01fd03119"
 
@@ -1038,18 +1059,14 @@ class TestCreateAhead:
         assert_nothing_left(out)
         assert tree_digest(out) == SAMPLE_DIGEST
 
-    @pytest.mark.parametrize("fork", ["failing", "missing"])
+    @pytest.mark.parametrize("fork", ["failing"])
     def test_without_a_helper_the_tree_is_the_same(
         self, sample_path, tmp_path, monkeypatch, fork
     ):
-        if fork == "missing":
-            monkeypatch.delattr(os, "fork")
-        else:
+        def failing():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
-            def failing():
-                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-            monkeypatch.setattr(os, "fork", failing)
+        monkeypatch.setattr(os, "fork", failing)
         out = tmp_path / "out"
         run(config_for(sample_path, out))
         assert tree_digest(out) == SAMPLE_DIGEST
