@@ -20,6 +20,7 @@ from .advisories import KIND_FISHING_ZONE, KIND_STRONG_WAVE
 from .errors import ConfigError, DataError
 from .pipeline import PipelineConfig, run
 from .telemetry import read_number
+from .tree import REPORT_TXT
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -110,9 +111,5 @@ def main(argv: list[str] | None = None) -> int:
     )
     if result.rejected_blocks:
         print(f"oceanmine: {result.rejected_blocks} blocks rejected", file=sys.stderr)
-    print(f"oceanmine: report at {config.out_dir / 'report.txt'}")
+    print(f"oceanmine: report at {config.out_dir / REPORT_TXT}")
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -16,8 +16,10 @@ import os
 import sys
 from datetime import datetime, timedelta
 from functools import cache
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from . import advisories as adv
 from . import decoder
@@ -108,32 +110,29 @@ def _fmt17(value: float) -> str:
 # --- persistence -----------------------------------------------------------
 
 
-# The levels of a block share one datetime object, so the writers below
-# format a timestamp only when it differs from the previous row's.
+def _time_runs(rows: Iterable[Any]) -> Iterator[tuple[str, Iterator[Any]]]:
+    """Each run of rows that share an observed_at, with its ISO text: a block's
+    levels share one datetime, and equal naive times print alike."""
+    for ts, group in groupby(rows, attrgetter("observed_at")):
+        yield ts.isoformat(), group
 
 
 def records_csv(records: list[ProfileRecord], region: str) -> str:
     lines = ["region,observed_at,level,temperature,salinity,pressure"]
-    ts = stamp = None
-    for r in records:
-        if r.observed_at is not ts:
-            ts = r.observed_at
-            stamp = ts.isoformat()
-        lines.append(
-            f"{region},{stamp},{r.level},"
-            f"{r.temperature:.3f},{r.salinity:.3f},{r.pressure:.1f}"
-        )
+    for stamp, group in _time_runs(records):
+        prefix = f"{region},{stamp},"
+        for r in group:
+            lines.append(
+                f"{prefix}{r.level},{r.temperature:.3f},{r.salinity:.3f},{r.pressure:.1f}"
+            )
     return "\n".join(lines) + "\n"
 
 
 def index_csv(samples: list[IndexSample]) -> str:
     lines = ["observed_at,n_value"]
-    ts = stamp = None
-    for s in samples:
-        if s.observed_at is not ts:
-            ts = s.observed_at
-            stamp = ts.isoformat()
-        lines.append(f"{stamp},{_fmt17(s.n_value)}")
+    for stamp, group in _time_runs(samples):
+        for s in group:
+            lines.append(f"{stamp},{_fmt17(s.n_value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -281,8 +280,8 @@ def run(config: PipelineConfig) -> RunResult:
         if all(row.status == adv.STATUS_REJECTED for row in summaries):
             raise DataError("every region failed the pressure floor", stage="index")
         report = adv.compose_report(summaries, max(r.last_seen for r in summaries))
-        with staging.stream(tree.REPORT_FILES[0]) as f:
+        with staging.stream(tree.REPORT_JSONL) as f:
             adv.report_jsonl(report, f)
-        staging.write(tree.REPORT_FILES[1], adv.report_text(report))
+        staging.write(tree.REPORT_TXT, adv.report_text(report))
 
     return RunResult(report, rejected_blocks)

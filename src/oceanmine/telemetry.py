@@ -66,14 +66,16 @@ from .errors import DataError
 # written and no other script's digit or letter passes.  Each token grammar
 # is stated once: _DUMP_RE and _BYTE_LINES_RE are built from these.
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-_TIME_RE = re.compile(r"[0-9]{2}:[0-9]{2}:[0-9]{2}(\.[0-9]+)?")
+_CLOCK = r"[0-9]{2}(?::[0-9]{2}){2}"
+_TIME_RE = re.compile(rf"{_CLOCK}(\.[0-9]+)?")
 _PLATFORM_RE = re.compile(r"[0-9]{5}")
 _DIGITS_RE = re.compile(r"[0-9]+")
 _CLASS_RE = re.compile(r"[A-Z]")
 _HEX_RE = re.compile(r"[0-9a-fA-F]{2}")
-# The one number grammar: read_number's, and the header's in _DUMP_RE.
-_NUMBER = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-_NUMBER_RE = re.compile(_NUMBER)
+# The int and number grammars: read_number's, and the header's in _DUMP_RE.
+_INT = r"[+-]?[0-9]+"
+_NUMBER = rf"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE]{_INT})?"
+_INT_RE, _NUMBER_RE = re.compile(_INT), re.compile(_NUMBER)
 
 # One match reads, each part optional: blank lines, a header line (any ASCII
 # token a transmitter id), a block time line, a run of byte lines.  Tokens part
@@ -82,10 +84,10 @@ _NUMBER_RE = re.compile(_NUMBER)
 # block date, time, and the bytes from after its sequence number.
 _W = r"[\t\x0b\x0c\x1c-\x1f ]"
 _HEX_W = r"[0-9A-Fa-f\t\x0b\x0c\x1c-\x1f ]"
-_STAMP = rf"({_DATE_RE.pattern}){_W}+([0-9]{{2}}(?::[0-9]{{2}}){{2}}(?:\.[0-9]{{1,6}})?)"
+_STAMP = rf"({_DATE_RE.pattern}){_W}+({_CLOCK}(?:\.[0-9]{{1,6}})?)"
 _DUMP_RE = re.compile(
     rf"(?:{_W}*\n)*"
-    rf"(?:{_W}*({_PLATFORM_RE.pattern})(?:{_W}+{_DIGITS_RE.pattern})+(?:{_W}+[+-]?[0-9]+){{2}}"
+    rf"(?:{_W}*({_PLATFORM_RE.pattern})(?:{_W}+{_DIGITS_RE.pattern})+(?:{_W}+{_INT}){{2}}"
     rf"{_W}+{_CLASS_RE.pattern}{_W}+{_DIGITS_RE.pattern}{_W}+{_STAMP}"
     rf"{_W}+({_NUMBER}){_W}+({_NUMBER}){_W}+({_NUMBER}){_W}+[\x00-\x08\x0e-\x1b!-\x7f]+"
     rf"{_W}*(?:\n|\Z))?"
@@ -111,7 +113,7 @@ def read_number(text: str, kind: type[int] | type[float]) -> int | float:
     fraction ("5." and ".5" too) and exponent.  Unlike int() and float(),
     no "_", other digits, padding, "nan" or "inf".
     """
-    if _NUMBER_RE.fullmatch(text) and (kind is float or text.lstrip("+-").isdigit()):
+    if (_NUMBER_RE if kind is float else _INT_RE).fullmatch(text):
         value = kind(text)
         if kind is int or math.isfinite(value):  # "1e999" overflows to inf
             return value

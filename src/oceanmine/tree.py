@@ -36,7 +36,8 @@ import stat
 from pathlib import Path
 from typing import IO, Iterator
 
-REPORT_FILES = ("report.jsonl", "report.txt")
+REPORT_JSONL, REPORT_TXT = "report.jsonl", "report.txt"
+REPORT_FILES = (REPORT_JSONL, REPORT_TXT)
 _REGION_KINDS = ("records", "rules", "index", "confidence")  # the last two are plots
 
 

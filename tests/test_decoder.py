@@ -245,12 +245,33 @@ class TestRoundHalfAway:
     @example(value=5e-05, ndigits=4)
     @example(value=28147321.574496735, ndigits=8)
     @example(value=-2.25, ndigits=1)
+    # a tie just off the float path's margin: a margin of 2**-60 rounds it down
+    @example(value=0.5005, ndigits=3)
+    # the last value on either side of 2.0005 that reads repr()'s digits, and
+    # the first that takes the float path
+    @example(value=2.0005000000000006, ndigits=3)
+    @example(value=2.000500000000001, ndigits=3)
+    @example(value=2.0004999999999993, ndigits=3)
+    @example(value=2.000499999999999, ndigits=3)
+    @example(value=1234.5675000000006, ndigits=3)
+    @example(value=1234.5675000000008, ndigits=3)
+    # ties on either side of the float path's ndigits <= 22, and a value that
+    # the float path, with 10.0**23 inexact, would take to 6.515929727227999e-11
+    @example(value=5e-23, ndigits=22)
+    @example(value=5e-24, ndigits=23)
+    @example(value=6.51592972722763e-11, ndigits=23)
     def test_equals_decimal_rounding(self, value, ndigits):
         # the reference needs at most 28 significant digits, as a
         # calibration's decodable range does
         assume(abs(value) < 10.0 ** (28 - ndigits))
         want = round_half_away_reference(value, ndigits)
         assert repr(round_half_away(value, ndigits)) == repr(want)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(value=_TIES)
+    def test_ties_at_three_digits(self, value):
+        want = round_half_away_reference(value, 3)
+        assert repr(round_half_away(value, 3)) == repr(want)
 
 
 class TestLoadCalibration:

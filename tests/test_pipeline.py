@@ -130,6 +130,26 @@ class TestCsvRoundTrips:
             assert float(printed) == sample.n_value
 
 
+    def test_time_column_at_run_boundaries(self):
+        # one datetime for a run of rows (A, A), a time that comes back after
+        # another (B, then A'), and equal copies of one time (A', A')
+        a, b, c = at(0), at(60.25), at(3600)
+        times = [a, a, b, at(0), at(0), c]
+        assert times[3] is not times[4] and times[3] == a
+        records = [
+            ProfileRecord(ts, level, 1.0, 2.0, 3.0) for level, ts in enumerate(times, 1)
+        ]
+        samples = [IndexSample(ts, float(i)) for i, ts in enumerate(times)]
+        record_lines = records_csv(records, "r").splitlines()[1:]
+        index_lines = index_csv(samples).splitlines()[1:]
+        assert [line.split(",")[1] for line in record_lines] == [
+            r.observed_at.isoformat() for r in records
+        ]
+        assert [line.split(",")[0] for line in index_lines] == [
+            s.observed_at.isoformat() for s in samples
+        ]
+
+
 class TestRunOnSample:
     def test_frozen_outcome(self, sample_path, tmp_path):
         result = run(config_for(sample_path, tmp_path / "out"))
