@@ -262,7 +262,8 @@ def run(config: PipelineConfig) -> RunResult:
     if config.calibration_path is not None:
         cal = load_calibration(config.calibration_path)
 
-    # All inputs must be present and readable before any work starts.
+    # All inputs must be present, as regular files, before any work starts;
+    # one that cannot be read fails when it is parsed, and nothing is written.
     for path in config.inputs:
         if Path(path).is_file():
             continue

@@ -31,7 +31,7 @@ and drops them.
 
 Dates and times are ASCII digits in exactly the layout shown; the
 time may carry 1 to 6 fractional-second digits.  A field out of the
-calendar's range, or a longer fraction, is an unparseable timestamp.
+calendar's range, or a longer fraction, makes the timestamp unparseable.
 
 Some feeds split message_id across several tokens ("29021 02" for
 "2902102").  The reader re-joins them: the tokens between platform_id
@@ -46,10 +46,12 @@ on the line join the payload in reading order.
 A block carries its data bytes as read, in one bytes payload.  They
 pair big-endian into 16-bit words, across line boundaries, within a
 block; a block ending on an unpaired byte is an error naming the
-block's lines.  A dump is read once, from the top.  A line is taken only
-through _DUMP_RE and its value checks, and _refuse alone names a refused
-line: the first in the dump, and the first fault in it.  A run of byte
-lines is checked whole; a run that fails is cut at its first refused line.
+block's lines.  A dump is read once, from the top, and its first faulty
+line is named with the first fault in it.  A line is taken only through
+_DUMP_RE and the value rules of _stamp and _position, which parse_header
+shares: a value fault in a matched line is named where it is read, and
+_refuse names a line that _DUMP_RE does not match.  A run of byte lines
+is checked whole; a run that fails is cut at its first refused line.
 """
 
 from __future__ import annotations
@@ -140,28 +142,33 @@ class MessageBlock(NamedTuple):
     source_line_span: tuple[int, int]
 
 
-def _stamp(date_tok: str, time_tok: str) -> datetime:
-    """The datetime of tokens laid out as _DATE_RE and _TIME_RE fix them, with
-    at most 6 fraction digits; ValueError when a field is out of range."""
-    return datetime(
-        int(date_tok[:4]), int(date_tok[5:7]), int(date_tok[8:]),
-        int(time_tok[:2]), int(time_tok[3:5]), int(time_tok[6:8]),
-        int(time_tok[9:].ljust(6, "0")),
-    )
-
-
-def _parse_timestamp(date_tok: str, time_tok: str, line_no: int | None) -> datetime:
-    if not _DATE_RE.fullmatch(date_tok) or not _TIME_RE.fullmatch(time_tok):
-        raise DataError(
-            f"bad timestamp tokens {date_tok!r} {time_tok!r}", line=line_no
-        )
+def _stamp(date_tok: str, time_tok: str, line_no: int | None) -> datetime:
+    """The datetime of tokens laid out as _DATE_RE and _TIME_RE fix them, else a
+    DataError for line_no: over 6 fraction digits, or a field out of range."""
     if len(time_tok) <= 15:  # at most 6 fraction digits
         try:
-            return _stamp(date_tok, time_tok)
+            return datetime(
+                int(date_tok[:4]), int(date_tok[5:7]), int(date_tok[8:]),
+                int(time_tok[:2]), int(time_tok[3:5]), int(time_tok[6:8]),
+                int(time_tok[9:].ljust(6, "0")),
+            )
         except ValueError:
             pass
-    text = f"{date_tok} {time_tok}"
-    raise DataError(f"unparseable timestamp {text!r}", line=line_no)
+    raise DataError(f"unparseable timestamp {date_tok + ' ' + time_tok!r}", line=line_no)
+
+
+def _position(lat_tok: str, lon_tok: str, alt_tok: str, line_no: int | None) -> tuple[float, float]:
+    """The latitude and longitude of coordinate tokens that float() reads; a
+    DataError for line_no when a value is not finite or out of range."""
+    latitude, longitude, altitude = float(lat_tok), float(lon_tok), float(alt_tok)
+    # Each on its own: the sum of two finite values can overflow.
+    if not (math.isfinite(latitude) and math.isfinite(longitude) and math.isfinite(altitude)):
+        raise DataError(f"bad coordinate tokens {lat_tok!r} {lon_tok!r} {alt_tok!r}", line=line_no)
+    if not -90.0 <= latitude <= 90.0:
+        raise DataError(f"latitude {latitude} out of [-90, 90]", line=line_no)
+    if not -180.0 <= longitude <= 180.0:
+        raise DataError(f"longitude {longitude} out of [-180, 180]", line=line_no)
+    return latitude, longitude
 
 
 def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
@@ -206,22 +213,14 @@ def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
     if not _DIGITS_RE.fullmatch(pass_tok):
         raise DataError(f"bad pass count {pass_tok!r}", line=line_no)
 
-    observed_at = _parse_timestamp(date_tok, time_tok, line_no)
+    if not _DATE_RE.fullmatch(date_tok) or not _TIME_RE.fullmatch(time_tok):
+        raise DataError(f"bad timestamp tokens {date_tok!r} {time_tok!r}", line=line_no)
+    observed_at = _stamp(date_tok, time_tok, line_no)
 
-    try:
-        latitude = read_number(lat_tok, float)
-        longitude = read_number(lon_tok, float)
-        read_number(alt_tok, float)
-    except ValueError:
-        raise DataError(
-            f"bad coordinate tokens {lat_tok!r} {lon_tok!r} {alt_tok!r}", line=line_no
-        ) from None
-    if not -90.0 <= latitude <= 90.0:
-        raise DataError(f"latitude {latitude} out of [-90, 90]", line=line_no)
-    if not -180.0 <= longitude <= 180.0:
-        raise DataError(f"longitude {longitude} out of [-180, 180]", line=line_no)
-
-    return HeaderFields(platform_id, observed_at, latitude, longitude)
+    # float() also reads "1_0", "nan" and other scripts' digits.
+    if not all(map(_NUMBER_RE.fullmatch, (lat_tok, lon_tok, alt_tok))):
+        raise DataError(f"bad coordinate tokens {lat_tok!r} {lon_tok!r} {alt_tok!r}", line=line_no)
+    return HeaderFields(platform_id, observed_at, *_position(lat_tok, lon_tok, alt_tok, line_no))
 
 
 def lf_endings(text: str) -> str:
@@ -250,26 +249,19 @@ def parse_stream(text: str) -> list[MessageBlock]:
         if pid:
             if header:
                 blocks.append(_closed(MessageBlock(header, payload, (first, last))))
-            try:
-                latitude, longitude = float(lat), float(lon)
-                if abs(latitude) > 90.0 or abs(longitude) > 180.0 or math.isinf(float(alt)):
-                    raise ValueError
-                header = HeaderFields(pid, _stamp(date, time), latitude, longitude)
-            except ValueError:  # the block before it is closed
-                _refuse(text, m.start(1), None)
             first = last = line_no + text.count("\n", pos, m.start(1))
+            stamp = _stamp(date, time, first)  # checked first, as in parse_header
+            latitude, longitude = _position(lat, lon, alt, first)
+            header = HeaderFields(pid, stamp, latitude, longitude)
             payload, restamped = b"", False
         if block_date:
-            try:
-                if header is None:
-                    raise ValueError
-                stamp = _stamp(block_date, block_time)
-            except ValueError:
-                _refuse(text, m.start(7), header and MessageBlock(header, payload, (first, last)))
+            if header is None:
+                _refuse(text, m.start(7), None)
+            last = line_no + text.count("\n", pos, m.start(7))
+            stamp = _stamp(block_date, block_time, last)
             if not restamped:
                 header = HeaderFields(header.platform_id, stamp, header.latitude, header.longitude)
                 restamped = True
-            last = line_no + text.count("\n", pos, m.start(7))
         if data:
             try:
                 chunk = bytes.fromhex(data)  # fails on a token of odd length
@@ -327,7 +319,7 @@ def _refuse(text: str, at: int, block: MessageBlock | None) -> NoReturn:
             raise DataError(
                 f"block time line missing time token: {line.strip()!r}", line=line_no
             )
-        _parse_timestamp(tokens[0], tokens[1], line_no)
+        _stamp(tokens[0], tokens[1], line_no)
         if len(tokens) > 2 and not _DIGITS_RE.fullmatch(tokens[2]):
             raise DataError(
                 f"block time line has bad sequence token {tokens[2]!r}", line=line_no

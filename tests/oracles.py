@@ -99,9 +99,9 @@ def read_number_reference(text: str, kind: type) -> int | float | None:
 
 # --- the line-by-line dump reading --------------------------------------------
 
-# A dump read one line at a time.  It shares parse_header and the token
-# patterns with oceanmine.telemetry; on its own it decides how lines become
-# blocks and spans, and which line an error names.
+# A dump read one line at a time.  It shares parse_header, _stamp and the
+# token patterns with oceanmine.telemetry; on its own it decides how lines
+# become blocks and spans, and which line an error names.
 
 # One line and its ending; only LF, CR and CRLF end a line.
 LINE_RE = re.compile(r"[^\r\n]*(?:\r\n?|\n)?")
@@ -165,7 +165,7 @@ def walk_lines(text: str) -> list[MessageBlock]:
                 raise DataError(
                     f"block time line missing time token: {raw.strip()!r}", line=line_no
                 )
-            stamp = telemetry._parse_timestamp(tokens[0], tokens[1], line_no)
+            stamp = telemetry._stamp(tokens[0], tokens[1], line_no)
             if not current.restamped:
                 current.header = current.header._replace(observed_at=stamp)
                 current.restamped = True

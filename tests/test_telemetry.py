@@ -31,6 +31,17 @@ from helpers import (
 SECOND_HEADER = (
     "02602 32134 73 32 K 2 2003-01-10 14:34:18 0.706 76.542 0.000 401647210"
 )
+# The line endings a dump may use; each numbers the lines alike.
+ENDINGS = ["\n", "\r\n", "\r"]
+
+
+def edited_sample(sample_path, edits, ending):
+    """The sample dump with each (line number, old, new) edit, lines ending at ending."""
+    lines = sample_path.read_text().splitlines()
+    for line_no, old, new in edits:
+        assert old in lines[line_no - 1]
+        lines[line_no - 1] = lines[line_no - 1].replace(old, new)
+    return ending.join(lines) + ending
 
 
 class TestParseHeader:
@@ -191,14 +202,26 @@ TIMESTAMP_TABLE = [
 
 class TestTimestamps:
     @pytest.mark.parametrize("date_tok, time_tok, want", TIMESTAMP_TABLE)
-    def test_header_timestamp(self, date_tok, time_tok, want):
+    def test_header_timestamp(self, sample_path, date_tok, time_tok, want):
         line = SECOND_HEADER.replace("2003-01-10 14:34:18", f"{date_tok} {time_tok}")
+        # The sample's second header, line 7, as parse_stream reads it; the
+        # block time on line 8 restamps a header it accepts.
+        edit = (7, "2003-01-10 14:34:18", f"{date_tok} {time_tok}")
         if isinstance(want, datetime):
             assert parse_header(line, line_no=4).observed_at == want
+            for ending in ENDINGS:
+                blocks = parse_stream(edited_sample(sample_path, [edit], ending))
+                assert blocks[1].header == parse_header(line)._replace(
+                    observed_at=datetime(2003, 1, 10, 15, 28, 40)
+                )
         else:
             with pytest.raises(DataError) as err:
                 parse_header(line, line_no=4)
             assert str(err.value) == f"line 4: {want}"
+            for ending in ENDINGS:
+                with pytest.raises(DataError) as err:
+                    parse_stream(edited_sample(sample_path, [edit], ending))
+                assert str(err.value) == f"line 7: {want}"
 
     @pytest.mark.parametrize("date_tok, time_tok, want", TIMESTAMP_TABLE)
     def test_block_time_line_timestamp(self, date_tok, time_tok, want):
@@ -373,9 +396,9 @@ class TestParseStream:
         "name, accepting, line_no, old, new",
         [
             ("parse_header", lambda line, line_no=None: parse_header(SPLIT_ID_HEADER),
-             1, " 76.559 ", " 181.0 "),
-            ("_parse_timestamp", lambda date_tok, time_tok, line_no: datetime(2003, 1, 10),
-             2, "2003-01-10 ", "2003-02-30 "),
+             1, " K ", " KX "),
+            ("_stamp", lambda date_tok, time_tok, line_no: datetime(2003, 1, 10),
+             2, "12:49:18 ", "12:49:18.1234567 "),
         ],
         ids=["header", "block-time"],
     )
@@ -389,6 +412,32 @@ class TestParseStream:
         lines[line_no - 1] = lines[line_no - 1].replace(old, new)
         with pytest.raises(AssertionError, match=f"^line {line_no} was refused but reads as valid$"):
             parse_stream("".join(lines))
+
+    @pytest.mark.parametrize("ending", ENDINGS, ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ([(7, " 0.706 ", " 91.0 ")], "line 7: latitude 91.0 out of [-90, 90]"),
+            ([(7, " 76.542 ", " 181.0 ")], "line 7: longitude 181.0 out of [-180, 180]"),
+            ([(7, " 0.000 ", " 1e999 ")],
+             "line 7: bad coordinate tokens '0.706' '76.542' '1e999'"),
+            # each value is finite, though their sum is not
+            ([(7, " 0.706 ", " 1e308 "), (7, " 0.000 ", " 1e308 ")],
+             "line 7: latitude 1e+308 out of [-90, 90]"),
+            # the unpaired block before a bad header is named first
+            ([(3, " 62", ""), (7, " 0.706 ", " 91.0 ")],
+             "lines 1..6: block has 29 bytes, one unpaired"),
+            # a header's timestamp is checked before its coordinates
+            ([(7, " 14:34:18 0.706 ", " 24:00:00 91.0 ")],
+             "line 7: unparseable timestamp '2003-01-10 24:00:00'"),
+        ],
+        ids=["latitude", "longitude", "altitude", "finite-sum-overflows", "unpaired-first",
+             "timestamp-first"],
+    )
+    def test_header_value_fault_named_at_its_line(self, sample_path, edits, message, ending):
+        with pytest.raises(DataError) as err:
+            parse_stream(edited_sample(sample_path, edits, ending))
+        assert str(err.value) == message
 
     def test_block_order_follows_input(self, sample_path):
         blocks = parse_stream(sample_path.read_text())
