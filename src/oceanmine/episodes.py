@@ -30,6 +30,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from datetime import datetime, timedelta
+from functools import cache
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -109,18 +110,12 @@ def discretize(series: Sequence[IndexSample], k: int) -> list[tuple[datetime, in
     so intervals are half-open with the top class closed above.  A
     constant series maps everything to class 0.  Boundaries rise with
     their rank, so each class is a binary search over them and any k
-    costs O(log k) boundary lookups per sample; each boundary is
-    computed once per call.  The search takes len(range(1, k)), so k
-    lies in [1, sys.maxsize].
+    costs O(log k) boundary lookups per sample; a functools.cache local
+    to the call computes each boundary once.  The search takes
+    len(range(1, k)), so k lies in [1, sys.maxsize].
     """
     ordered = sorted([s.n_value for s in series])
-    bounds: dict[int, float] = {}
-
-    def boundary(i: int) -> float:
-        if i not in bounds:
-            bounds[i] = _quantile(ordered, i / k)
-        return bounds[i]
-
+    boundary = cache(lambda i: _quantile(ordered, i / k))
     return [(s.observed_at, bisect_left(range(1, k), s.n_value, key=boundary)) for s in series]
 
 
@@ -313,14 +308,14 @@ def confidence_series(
 ) -> list[tuple[datetime, float]]:
     """Cumulative-prefix confidence of a rule on a step-aligned grid.
 
-    Grid points are whole multiples of step covering the events' span;
-    the value at each point is the rule's confidence, at the mining
-    run's windows (win_a, win_c, lag), over only the events that have
-    started by then.  Each event's table gives whether it holds the
-    antecedent and whether it holds the rule; the events are then sorted
-    by start and the grid is walked with running counts, so each point is
-    the same integer ratio a recomputation over the prefix would give.
-    Points before the first event carry 0.
+    Grid points are whole multiples of step after 1970-01-01, computed
+    exactly, from the last at or before the first event's start to the
+    first at or after the last event's end.  Each carries the rule's
+    confidence, at the mining run's windows (win_a, win_c, lag), over
+    only the events started by then, or 0 before the first event.  Each
+    event's table tells whether it holds the antecedent and the rule,
+    and a walk over the events sorted by start keeps running counts,
+    so each point is the ratio a recomputation over the prefix gives.
 
     A mined rule has support >= 1, so events is never empty.  The step
     (delta, in the pipeline) is positive: at delta 0 an event holds one
@@ -338,11 +333,10 @@ def confidence_series(
         held.append((ev.start, bool(ends), (_reach(ev.ticks, ends, lag) & start) != 0))
     held.sort()
     end = max(ev.start + ev.ticks[-1] * _US for ev in events)
-    step_s = step.total_seconds()
-    n0 = math.floor((held[0][0] - _EPOCH).total_seconds() / step_s)
-    n1 = math.ceil((end - _EPOCH).total_seconds() / step_s)
+    n0 = (held[0][0] - _EPOCH) // step
+    n1 = -((_EPOCH - end) // step)
     try:
-        grid = [_EPOCH + timedelta(seconds=n * step_s) for n in range(n0, n1 + 1)]
+        grid = [_EPOCH + n * step for n in range(n0, n1 + 1)]
     except OverflowError:
         raise ConfigError(f"step {step} puts grid points outside the calendar") from None
     curve = []

@@ -4,7 +4,7 @@ import random
 import struct
 import sys
 from collections import Counter
-from datetime import timedelta
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -512,6 +512,28 @@ class TestConfidenceSeries:
         coarse, mid, fine = curve_lookups(events, rule, (Z, Z, LAG2))
         assert coarse == mid == fine
         assert 0 not in fine
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        first=st.datetimes(datetime(2000, 1, 1), datetime(2100, 1, 1)),
+        step=st.timedeltas(timedelta(microseconds=1), timedelta(days=1)),
+    )
+    # first is a multiple of 123 us after the epoch; a grid placed in
+    # float seconds put a 0.0 point one step before it
+    @example(
+        first=datetime(2010, 9, 10, 19, 47, 29, 378790), step=timedelta(microseconds=123)
+    )
+    def test_grid_is_exact_multiples_of_the_step(self, first, step):
+        last = first + timedelta(microseconds=1)
+        events = segment_events([(first, A), (last, B)], step)
+        rule = EpisodeRule((A,), (B,), 1, 1.0)
+        curve = confidence_series(events, rule, (Z, Z, step), step)
+        times = [t for t, _ in curve]
+        assert times[0] == episodes._EPOCH + ((first - episodes._EPOCH) // step) * step
+        assert (times[-1] - episodes._EPOCH) % step == Z
+        assert last <= times[-1] < last + step
+        assert all(b - a == step for a, b in zip(times, times[1:]))
+        assert curve == [(t, 1.0 if t >= first else 0.0) for t in times]
 
     def test_step_past_calendar_rejected(self):
         rule = EpisodeRule((A,), (B,), 1, 0.5)

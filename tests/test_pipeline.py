@@ -21,7 +21,7 @@ import threading
 import time
 import tracemalloc
 import weakref
-from datetime import datetime
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
@@ -1450,6 +1450,25 @@ class TestCli:
             assert code == EXIT_CONFIG, flags
             assert "config error" in capsys.readouterr().err, flags
             assert not out.exists(), flags
+
+    def test_fractional_delta_puts_the_grid_on_its_multiples(self, sample_path, tmp_path):
+        # --delta is both the event gap and the confidence grid's step
+        def times(out, kind):
+            text = (out / f"{kind}_{SAMPLE_REGION}.csv").read_text(encoding="ascii")
+            return [datetime.fromisoformat(line.split(",")[0]) for line in text.splitlines()[1:]]
+
+        epoch = datetime(1970, 1, 1)
+        for delta_s, flags in (("14400.25", []), ("43200.5", ["--min-support", "1"])):
+            out = tmp_path / delta_s
+            argv = [str(sample_path), "--out-dir", str(out), "--delta", delta_s, *flags]
+            assert main(argv) == EXIT_OK, delta_s
+            step = timedelta(seconds=float(delta_s))
+            grid, index = times(out, "confidence"), times(out, "index")
+            assert grid, delta_s
+            assert all((t - epoch) % step == timedelta(0) for t in grid), delta_s
+            assert all(b - a == step for a, b in zip(grid, grid[1:])), delta_s
+            assert index[0] - step < grid[0] <= index[0], delta_s
+            assert index[-1] <= grid[-1] < index[-1] + step, delta_s
 
     def test_non_ascii_input_is_a_data_error(self, sample_path, tmp_path, capsys):
         src = tmp_path / "latin1.txt"
