@@ -1,9 +1,10 @@
 """Helpers that only the tests use.
 
 They build inputs from physical values and blocks (raw counts, payload
-bytes, dump text) and configs for validation checks, restate the index
-derivative for the gradient checks, name one block predicate, and read
-a block's payload back as words.  The package never calls them.
+bytes, dump text, edits of the sample dump) and configs for validation
+checks, restate the index derivative for the gradient checks, name one
+block predicate, and read a block's payload back as words.  The package
+never calls them.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from oceanmine.pipeline import PipelineConfig
 from oceanmine.telemetry import HeaderFields, MessageBlock
 
 WORDS_PER_RENDER_LINE = 3
+# The line endings a dump may use, by name; each numbers the lines alike.
+ENDINGS = {"lf": "\n", "crlf": "\r\n", "cr": "\r"}
 
 
 def quantize(value: float, channel: str, cal: CalibrationTable = DEFAULT_CALIBRATION) -> int:
@@ -48,6 +51,20 @@ def apply_precision(record: ProfileRecord) -> ProfileRecord:
 def config_with(**fields) -> PipelineConfig:
     """A config over a placeholder input; validate() opens no file."""
     return PipelineConfig(inputs=[Path("in.txt")], out_dir=Path("out"), **fields)
+
+
+def edited_sample(
+    sample_path: Path, edits: Iterable[tuple[int, str, str | None]], ending: str
+) -> str:
+    """The sample dump with each (line number, old, new) edit, lines ending at ending.
+
+    An edit whose new is None drops its line; the line numbers are the sample's.
+    """
+    lines: list[str | None] = list(sample_path.read_text().splitlines())
+    for line_no, old, new in edits:
+        assert old in lines[line_no - 1]
+        lines[line_no - 1] = None if new is None else lines[line_no - 1].replace(old, new)
+    return "".join(line + ending for line in lines if line is not None)
 
 
 def d_index_d_temperature(temperature: float, salinity: float) -> float:

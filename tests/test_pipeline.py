@@ -42,7 +42,7 @@ from oceanmine.oscillation import IndexSample
 from oceanmine.telemetry import HeaderFields, MessageBlock, parse_file
 
 from conftest import REPO_ROOT
-from helpers import payload_of, quantize, render_stream, words_of
+from helpers import ENDINGS, edited_sample, payload_of, quantize, render_stream, words_of
 from oracles import at
 
 SAMPLE_REGION = "02602_0_76"
@@ -51,6 +51,26 @@ NUMERIC_FLAGS = (
     "--cell-size", "--pressure-floor", "--window-len", "--delta", "--k",
     "--max-len", "--win-a", "--win-c", "--lag", "--min-support", "--theta",
 )
+INT_FLAGS = ("--window-len", "--k", "--max-len", "--min-support")
+
+# Faulty dumps, as edits of the sample (None for an empty dump), each with
+# the message naming its first faulty line, or an unpaired byte's block lines.
+FAULTY_DUMPS = {
+    "bad_hex": ([(9, "84 41", "GG 84 41")], "line 9: bad hex byte token 'GG'"),
+    "odd": ([(3, " 62", "")], "lines 1..6: block has 29 bytes, one unpaired"),
+    "latitude": ([(1, " 0.691 ", " 91.0 ")], "line 1: latitude 91.0 out of [-90, 90]"),
+    "non_ascii": ([(5, " 9A", " 9A \xe9")], "line 5: non-ASCII byte 0xe9"),
+    "longitude": ([(1, " 76.559 ", " 181.0 ")], "line 1: longitude 181.0 out of [-180, 180]"),
+    "altitude": ([(1, " 0.000 ", " 1e999 ")],
+                 "line 1: bad coordinate tokens '0.691' '76.559' '1e999'"),
+    "calendar": ([(2, "2003-01-10", "2003-02-30")],
+                 "line 2: unparseable timestamp '2003-02-30 12:49:18'"),
+    "latitude_7": ([(7, " 0.706 ", " 91.0 ")], "line 7: latitude 91.0 out of [-90, 90]"),
+    "calendar_8": ([(8, "2003-01-10", "2003-02-30")],
+                   "line 8: unparseable timestamp '2003-02-30 15:28:40'"),
+    "headless": ([(1, "02602 29021", None)], "line 1: data line before any header"),
+    "empty": (None, "no message blocks in input"),
+}
 
 
 def load_records(path):
@@ -240,6 +260,7 @@ class TestRunOnSample:
             "report.txt",
             f"rules_{SAMPLE_REGION}.csv",
         ]
+        assert leftovers(out) == []
 
     def test_calibration_file_shifts_values(self, sample_path, tmp_path):
         cal = tmp_path / "cal.txt"
@@ -1022,6 +1043,33 @@ class TestOneRunPerOutDir:
         assert os.readlink(lock_path) == "nowhere"
         assert list(tmp_path.iterdir()) == [lock_path]
 
+    @pytest.mark.parametrize("replaced", [False, True], ids=["unlinked", "replaced"])
+    def test_lock_taken_on_a_removed_file_is_refused(
+        self, sample_path, tmp_path, monkeypatch, capsys, replaced
+    ):
+        # The holder removes the lock file, and another run may make a new
+        # one, between this run's open and its flock: the flock then locks
+        # a removed file, which locks nothing, and this run gives up.
+        lock_path = tmp_path / ".out.oceanmine-lock"
+        flock = tree.fcntl.flock
+
+        def raced(fd, operation):
+            lock_path.unlink()
+            if replaced:
+                lock_path.write_text("theirs\n", encoding="ascii")
+            return flock(fd, operation)
+
+        monkeypatch.setattr(tree.fcntl, "flock", raced)
+        out = tmp_path / "out"
+        assert main([str(sample_path), "--out-dir", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"oceanmine: io error: [Errno {errno.EBUSY}] another run is "
+            f"writing this output directory: '{out}'\n"
+        )
+        if replaced:  # the new file is its maker's to remove
+            assert lock_path.read_text(encoding="ascii") == "theirs\n"
+        assert list(tmp_path.iterdir()) == ([lock_path] if replaced else [])
+
 
 SAMPLE_DIGEST = "1103e97faf436de1c5f97ec815035428e247eba3a77e2bb9e50f3bd01fd03119"
 
@@ -1355,17 +1403,20 @@ class TestCli:
         assert head["regions"] == 2
 
     def test_exit_config(self, sample_path, tmp_path, capsys):
-        nokv = tmp_path / "nokv.txt"
+        nokv, inf = tmp_path / "nokv.txt", tmp_path / "inf.txt"
         nokv.write_text("temp_offset -5\n", encoding="ascii")
+        inf.write_text("temp_offset = inf\n", encoding="ascii")
         out = tmp_path / "out"
         for flags, message in (
-            (["--theta", "0"], "config error"),
+            (["--theta", "0"], "theta must be in (0, 1], got 0.0"),
+            (["--theta", "2"], "theta must be in (0, 1], got 2.0"),
             (["--calibration", str(nokv)],
-             f"config error: {nokv}:1: expected key = value, got 'temp_offset -5'\n"),
+             f"{nokv}:1: expected key = value, got 'temp_offset -5'"),
+            (["--calibration", str(inf)], f"{inf}:1: bad value for temp_offset: 'inf'"),
         ):
             code = main([str(sample_path), "--out-dir", str(out), *flags])
             assert code == EXIT_CONFIG, flags
-            assert message in capsys.readouterr().err, flags
+            assert capsys.readouterr().err == f"oceanmine: config error: {message}\n", flags
             assert not out.exists(), flags
 
     def test_exit_io(self, sample_path, tmp_path, capsys):
@@ -1400,13 +1451,34 @@ class TestCli:
         assert snapshot(tmp_path / "cli") == snapshot(tmp_path / "run")
         assert snapshot(tmp_path / "run") == snapshot(tmp_path / "without")
 
-    def test_exit_data_with_stage(self, tmp_path, capsys):
-        src = tmp_path / "empty.txt"
-        src.write_text("\n", encoding="ascii")
-        code = main([str(src), "--out-dir", str(tmp_path / "out")])
-        assert code == EXIT_DATA
-        err = capsys.readouterr().err
-        assert "data error [parse" in err
+    @pytest.mark.parametrize(
+        "edits, ending, flags, error",
+        [
+            *(
+                pytest.param(edits, ending, [], f"[parse {{src}}]: {message}",
+                             id=f"{name}-{ending_name}")
+                for name, (edits, message) in FAULTY_DUMPS.items()
+                for ending_name, ending in ENDINGS.items()
+            ),
+            pytest.param([], "\n", ["--pressure-floor", "1e9"],
+                         "[index]: every region failed the pressure floor",
+                         id="pressure-floor"),
+        ],
+    )
+    def test_exit_data_with_stage(
+        self, sample_path, tmp_path, capsys, edits, ending, flags, error
+    ):
+        # A faulty dump stops the run at its first faulty line under every
+        # line ending, and a run whose every region fails the pressure floor
+        # stops at the index stage: one stderr line naming the stage, and
+        # no output, staging, aside or lock file.
+        src, out = tmp_path / "dump.txt", tmp_path / "out"
+        text = "" if edits is None else edited_sample(sample_path, edits, ending)
+        src.write_bytes(text.encode("latin-1"))
+        assert main([str(src), "--out-dir", str(out), *flags]) == EXIT_DATA
+        assert capsys.readouterr().err == f"oceanmine: data error {error.format(src=src)}\n"
+        assert not out.exists()
+        assert leftovers(out) == []
 
     def test_exit_data_when_nothing_decodes(self, tmp_path, capsys):
         src = tmp_path / "position_only.txt"
@@ -1546,13 +1618,18 @@ class TestCli:
         # digits ("١", "１") as their values, skip padding and read "nan" and
         # "inf", and "1e999" overflows to inf; written so, it is a usage error.
         underscored = "0.5_0" if flag == "--theta" else "1_0"
+        kind = "int" if flag in INT_FLAGS else "float"
         out = tmp_path / "out"
         for value in (underscored, "\u0661", "\uff11", " 1", "1 ",
                       "nan", "inf", "1e999"):
             with pytest.raises(SystemExit) as info:
                 main([str(sample_path), "--out-dir", str(out), flag, value])
             assert info.value.code == EXIT_CONFIG, value
-            assert f"argument {flag}: invalid" in capsys.readouterr().err, value
+            err = capsys.readouterr().err
+            assert err.startswith("usage: oceanmine "), value
+            assert err.endswith(
+                f"\noceanmine: error: argument {flag}: invalid {kind} value: {value!r}\n"
+            ), value
             assert not out.exists(), value
 
     def test_zero_delta_mines_no_rules(self, sample_path, tmp_path):
@@ -1646,21 +1723,14 @@ class TestCli:
             assert snapshot(tmp / "out") == tree_before
             assert sorted(os.listdir(tmp)) == sorted([*given_files, "out"])
 
-    def test_import_loads_no_numpy(self):
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, oceanmine.cli; assert 'numpy' not in sys.modules"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-
     def test_import_and_run_load_no_introspection_or_decimal_modules(
         self, sample_path, tmp_path
     ):
-        # The records are NamedTuples, so no run needs dataclasses or
-        # inspect; decoded values round on repr()'s digits, without decimal.
-        unused = "{'dataclasses', 'inspect', 'decimal', '_decimal', 'numbers'}"
+        # numpy is a test oracle only, installed with the tests, so only a
+        # run beside it can catch the package importing it.  The records are
+        # NamedTuples, so no run needs dataclasses or inspect; decoded values
+        # round on repr()'s digits, without decimal.
+        unused = "{'numpy', 'dataclasses', 'inspect', 'decimal', '_decimal', 'numbers'}"
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, oceanmine.cli; "
@@ -1761,6 +1831,18 @@ class TestGoldenOutput:
         assert main([str(sample_path), "--out-dir", "out", *flags]) == EXIT_OK
         assert capsys.readouterr().out == SAMPLE_STDOUT
         assert tree_digest(tmp_path / "out") == digest
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_sample_with_other_line_endings(
+        self, sample_path, tmp_path, monkeypatch, capsys, ending
+    ):
+        # The dump is read alike under every line ending.
+        monkeypatch.chdir(tmp_path)
+        text = edited_sample(sample_path, [], ending)
+        Path("sample.txt").write_text(text, encoding="ascii", newline="")
+        assert main(["sample.txt", "--out-dir", "out"]) == EXIT_OK
+        assert capsys.readouterr().out == SAMPLE_STDOUT
+        assert tree_digest(tmp_path / "out") == SAMPLE_DIGEST
 
     def test_sample_tree_with_half_way_ties(self, sample_path, tmp_path, monkeypatch, capsys):
         # A quarter-dbar pressure line puts words on exact ties at one

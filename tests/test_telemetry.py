@@ -20,7 +20,9 @@ from oceanmine.telemetry import (
 import oracles
 from conftest import SPLIT_ID_HEADER
 from helpers import (
+    ENDINGS,
     DroppedTokens,
+    edited_sample,
     is_position_only,
     payload_of,
     render_block,
@@ -31,17 +33,6 @@ from helpers import (
 SECOND_HEADER = (
     "02602 32134 73 32 K 2 2003-01-10 14:34:18 0.706 76.542 0.000 401647210"
 )
-# The line endings a dump may use; each numbers the lines alike.
-ENDINGS = ["\n", "\r\n", "\r"]
-
-
-def edited_sample(sample_path, edits, ending):
-    """The sample dump with each (line number, old, new) edit, lines ending at ending."""
-    lines = sample_path.read_text().splitlines()
-    for line_no, old, new in edits:
-        assert old in lines[line_no - 1]
-        lines[line_no - 1] = lines[line_no - 1].replace(old, new)
-    return ending.join(lines) + ending
 
 
 class TestParseHeader:
@@ -209,7 +200,7 @@ class TestTimestamps:
         edit = (7, "2003-01-10 14:34:18", f"{date_tok} {time_tok}")
         if isinstance(want, datetime):
             assert parse_header(line, line_no=4).observed_at == want
-            for ending in ENDINGS:
+            for ending in ENDINGS.values():
                 blocks = parse_stream(edited_sample(sample_path, [edit], ending))
                 assert blocks[1].header == parse_header(line)._replace(
                     observed_at=datetime(2003, 1, 10, 15, 28, 40)
@@ -218,7 +209,7 @@ class TestTimestamps:
             with pytest.raises(DataError) as err:
                 parse_header(line, line_no=4)
             assert str(err.value) == f"line 4: {want}"
-            for ending in ENDINGS:
+            for ending in ENDINGS.values():
                 with pytest.raises(DataError) as err:
                     parse_stream(edited_sample(sample_path, [edit], ending))
                 assert str(err.value) == f"line 7: {want}"
@@ -413,7 +404,7 @@ class TestParseStream:
         with pytest.raises(AssertionError, match=f"^line {line_no} was refused but reads as valid$"):
             parse_stream("".join(lines))
 
-    @pytest.mark.parametrize("ending", ENDINGS, ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("ending", ENDINGS.values(), ids=list(ENDINGS))
     @pytest.mark.parametrize(
         "edits, message",
         [
