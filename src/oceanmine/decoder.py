@@ -14,9 +14,9 @@ Default calibration (counts are unsigned 16-bit):
     salinity      0.0     0.001 PSU     0.0 .. 65.535
     pressure      0.0     0.1 dbar      0.0 .. 6553.5
 
-Published values are rounded half away from zero to the channel's
-canonical precision: three decimals for temperature and salinity, one
-for pressure.  CalibrationTable.lines() is the one channel table.
+Published values are rounded half away from zero to the decimals of
+CalibrationTable.lines(), the one channel table, and records.csv prints
+them at those decimals: three for temperature and salinity, one for pressure.
 
 A channel has at most 65,536 words, so decoding goes through an exact
 memo: decode_memo(cal) gives one dict per channel line, filled on first

@@ -103,8 +103,10 @@ class RunResult(NamedTuple):
     rejected_blocks: int
 
 
-def _fmt17(value: float) -> str:
-    return f"{value:.17g}"
+_fmt17 = "{:.17g}".format
+# A records.csv row: the region-and-time prefix, the level, then each channel in
+# payload order (a record's) at its lines() decimals, which no calibration changes.
+_record_row = ",".join(["{}{}", *(f"{{:.{d}f}}" for *_, d in DEFAULT_CALIBRATION.lines())]).format
 
 
 # --- persistence -----------------------------------------------------------
@@ -118,18 +120,16 @@ def _time_runs(rows: Iterable[Any]) -> Iterator[tuple[str, Iterator[Any]]]:
 
 
 def records_csv(records: list[ProfileRecord], region: str) -> str:
-    lines = ["region,observed_at,level,temperature,salinity,pressure"]
+    lines = [",".join(("region", *ProfileRecord._fields))]
     for stamp, group in _time_runs(records):
         prefix = f"{region},{stamp},"
-        for r in group:
-            lines.append(
-                f"{prefix}{r.level},{r.temperature:.3f},{r.salinity:.3f},{r.pressure:.1f}"
-            )
+        for _, level, t, s, p in group:
+            lines.append(_record_row(prefix, level, t, s, p))
     return "\n".join(lines) + "\n"
 
 
 def index_csv(samples: list[IndexSample]) -> str:
-    lines = ["observed_at,n_value"]
+    lines = [",".join(IndexSample._fields)]
     for stamp, group in _time_runs(samples):
         for s in group:
             lines.append(f"{stamp},{_fmt17(s.n_value)}")

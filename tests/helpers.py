@@ -148,6 +148,11 @@ def render_block(
     return "\n".join(out) + "\n"
 
 
-def render_stream(blocks: Iterable[MessageBlock]) -> str:
-    """Render a sequence of blocks to one dump."""
-    return "".join(render_block(b) for b in blocks)
+def render_stream(blocks: Iterable[MessageBlock | tuple], ending: str = "\n") -> str:
+    """Render a sequence of blocks to one dump, each line ending at ending.
+
+    An item is a block, or the arguments of render_block for one.
+    """
+    text = "".join(render_block(b) if isinstance(b, MessageBlock) else render_block(*b)
+                   for b in blocks)
+    return text.replace("\n", ending)

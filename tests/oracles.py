@@ -15,8 +15,10 @@ import math
 import re
 from datetime import datetime, timedelta
 from decimal import ROUND_HALF_UP, Decimal
+from typing import NamedTuple
 
 import mpmath
+import numpy as np
 
 from oceanmine import telemetry
 from oceanmine.errors import DataError
@@ -208,9 +210,12 @@ def round_half_away_reference(value: float, ndigits: int) -> float:
 
 
 def items_of(ev) -> list[tuple[datetime, int]]:
-    """An event's (timestamp, class) samples, in order, read back from
-    its occurrence table: item i has the symbol whose positions hold i,
-    at the start plus its slot's ticks in microseconds."""
+    """An event's (timestamp, class) samples, in order.  A list of them is
+    its own; an Event's are read back from its occurrence table: item i
+    has the symbol whose positions hold i, at the start plus its slot's
+    ticks in microseconds."""
+    if isinstance(ev, list):
+        return ev
     symbol = {i: sym for sym, positions in ev.where.items() for i in positions}
     return [
         (ev.start + timedelta(microseconds=ev.ticks[slot]), symbol[i])
@@ -323,3 +328,170 @@ def random_instance(rng):
         ),
     )
     return events, params
+
+
+# --- the whole run -------------------------------------------------------------
+
+# README's default calibration: each channel's offset, resolution and decimals
+# kept, in payload order.
+CHANNELS = (("temperature", -5.0, 0.001, 3), ("salinity", 0.0, 0.001, 3), ("pressure", 0.0, 0.1, 1))
+RECORDS_HEADER = ("region", "observed_at", "level", "temperature", "salinity", "pressure")
+RULES_HEADER = ("antecedent", "consequent", "win_a_s", "win_c_s", "lag_s", "support", "confidence")
+INDEX_HEADER = ("observed_at", "n_value")
+CONFIDENCE_HEADER = ("observed_at", "rule_id", "confidence")
+REPORT_TXT_HEADER = ("region", "status", "samples", "skipped", "span", "avg_min", "avg_max",
+                     "top_rule", "confidence", "waves", "zones")
+
+
+class RunReference(NamedTuple):
+    """A run's output, each value as it reads back from its file.
+
+    files maps each file name to its rows, header first: records.csv as
+    text cells, index.csv with 50-digit values, the other CSVs typed, and
+    report.txt as its whitespace-split lines without the dashed one.
+    report holds report.jsonl's objects, the head first.
+    """
+
+    files: dict[str, list[tuple]]
+    report: list[dict]
+    rejected_blocks: int
+
+
+def _label(episode: tuple[int, ...], k: int) -> str:
+    names = ("LOW", "MID", "HIGH") if k == 3 else [f"C{c}" for c in range(k)]
+    return "+".join(names[c] for c in episode)
+
+
+def _num(value: float | None) -> str:
+    return "-" if value is None else f"{value:.6g}"
+
+
+def run_reference(dump_texts, config, index_values=None) -> RunReference:
+    """What a run over dump_texts with config's parameters writes, from the
+    definitions: walk_lines, round_half_away_reference, index_reference,
+    mine_rules_brute, confidence_brute and plain code.  Default calibration.
+
+    index.csv's values are index_reference's.  The band, the classes and the
+    advisories start from index_values[region], the program's index.csv read
+    back, when given, so that the index's tolerance cannot flip a class; else
+    from index_reference rounded to a float.
+    """
+    assert config.calibration_path is None
+    delta = timedelta(seconds=config.delta_s)
+    lag_s = config.delta_s if config.lag_s is None else config.lag_s
+    windows = tuple(timedelta(seconds=s) for s in (config.win_a_s, config.win_c_s, lag_s))
+    spans = [w.total_seconds() for w in windows]
+
+    # Parse, decode and group by region name; a block whose words are no
+    # whole triples is rejected, and one with no words adds no region.
+    by_region: dict[str, list[tuple]] = {}
+    rejected = 0
+    for text in dump_texts:
+        for block in walk_lines(text):
+            words = [int.from_bytes(block.payload[i : i + 2], "big")
+                     for i in range(0, len(block.payload), 2)]
+            if len(words) % 3:
+                rejected += 1
+                continue
+            h = block.header
+            region = (f"{h.platform_id}_{math.floor(h.latitude / config.cell_size)}"
+                      f"_{math.floor(h.longitude / config.cell_size)}")
+            for level, i in enumerate(range(0, len(words), 3), start=1):
+                values = [
+                    round_half_away_reference(offset + word * resolution, decimals)
+                    for word, (_, offset, resolution, decimals) in zip(words[i : i + 3], CHANNELS)
+                ]
+                by_region.setdefault(region, []).append((h.observed_at, level, *values))
+
+    files: dict[str, list[tuple]] = {}
+    rows: list[dict] = []
+    for region in sorted(by_region):
+        records = sorted(by_region[region])
+        files[f"records_{region}.csv"] = [RECORDS_HEADER] + [
+            (region, ts.isoformat(), str(level),
+             *(f"{v:.{decimals}f}" for v, (*_, decimals) in zip(values, CHANNELS)))
+            for ts, level, *values in records
+        ]
+        kept = [(ts, t, s, p) for ts, _, t, s, p in records if p > config.pressure_floor]
+        times = [ts for ts, *_ in kept]
+        exact = [index_reference(t, s, p) for _, t, s, p in kept]
+        values = (index_values or {}).get(region) or [float(n) for n in exact]
+        row = dict(
+            region=region, status="ok", sample_count=len(kept),
+            skipped=len(records) - len(kept), first_seen=records[0][0],
+            last_seen=records[-1][0], avg_min=None, avg_max=None, window_len=None,
+            top_rule=None, top_confidence=None,
+        )
+        rules, curve, advisories = [], [], []
+        if not kept:
+            row["status"] = "all-samples-rejected"
+        else:
+            # the band, one loop over windows; strong waves, one comparison a sample
+            starts = range(0, len(values), config.window_len)
+            total_min = total_max = 0.0
+            for i in starts:
+                total_min += min(values[i : i + config.window_len])
+                total_max += max(values[i : i + config.window_len])
+            avg_min, avg_max = total_min / len(starts), total_max / len(starts)
+            row.update(avg_min=avg_min, avg_max=avg_max, window_len=config.window_len)
+            for ts, v in zip(times, values, strict=True):
+                if v < avg_min or v > avg_max:
+                    bound = avg_min if v < avg_min else avg_max
+                    advisories.append(("strong_wave", ts, v, bound, None))
+            # quantile classes, then events split on gaps above delta
+            bounds = np.quantile(values, [c / config.k for c in range(1, config.k)])
+            events: list[list[tuple[datetime, int]]] = []
+            for ts, v in zip(times, values):
+                if not events or ts - events[-1][-1][0] > delta:
+                    events.append([])
+                events[-1].append((ts, int((bounds < v).sum())))
+            rules = mine_rules_brute(events, config.min_support, config.max_len, windows)
+        if rules:
+            ant, cons, _, top_confidence = rules[0]
+            top = f"{_label(ant, config.k)}=>{_label(cons, config.k)}"
+            row.update(top_rule=top, top_confidence=top_confidence)
+            # every point on the delta grid from the first event's start to the
+            # last event's end, over the events started by then
+            point = _EPOCH + (events[0][0][0] - _EPOCH) // delta * delta
+            while True:
+                started = [ev for ev in events if ev[0][0] <= point]
+                curve.append((point, confidence_brute(started, ant, cons, *windows)))
+                if point >= events[-1][-1][0]:
+                    break
+                point += delta
+            peak = max(conf for _, conf in curve)
+            if peak >= config.theta:
+                advisories += [("fishing_zone", ts, conf, config.theta, top)
+                               for ts, conf in curve if conf == peak]
+        advisories.sort(key=lambda a: (a[1], a[0], a[4] or ""))
+        row["advisories"] = [
+            dict(kind=kind, at=ts.isoformat(), value=value, threshold=threshold, rule=rule)
+            for kind, ts, value, threshold, rule in advisories
+        ]
+        rows.append(row)
+        files[f"rules_{region}.csv"] = [RULES_HEADER] + [
+            (_label(ant, config.k), _label(cons, config.k), *spans, support, confidence)
+            for ant, cons, support, confidence in rules
+        ]
+        if config.write_plots:
+            files[f"index_{region}.csv"] = [INDEX_HEADER] + [
+                (ts.isoformat(), n) for ts, n in zip(times, exact)
+            ]
+            files[f"confidence_{region}.csv"] = [CONFIDENCE_HEADER] + [
+                (ts.isoformat(), row["top_rule"] or "", conf) for ts, conf in curve
+            ]
+
+    generated_at = max(row["last_seen"] for row in rows).isoformat()
+    text = [("advisory", "report", f"generated_at={generated_at}"), REPORT_TXT_HEADER]
+    for row in rows:
+        kinds = [a["kind"] for a in row["advisories"]]
+        row.update(first_seen=row["first_seen"].isoformat(), last_seen=row["last_seen"].isoformat())
+        text.append((
+            row["region"], row["status"], str(row["sample_count"]), str(row["skipped"]),
+            f"{row['first_seen']}..{row['last_seen']}", _num(row["avg_min"]),
+            _num(row["avg_max"]), row["top_rule"] or "-", _num(row["top_confidence"]),
+            str(kinds.count("strong_wave")), str(kinds.count("fishing_zone")),
+        ))
+    files["report.txt"] = text
+    report = [{"generated_at": generated_at, "regions": len(rows)}, *rows]
+    return RunReference(files, report, rejected)

@@ -169,6 +169,25 @@ class TestCsvRoundTrips:
             s.observed_at.isoformat() for s in samples
         ]
 
+    def test_records_are_the_schema(self, sample_path, tmp_path):
+        # the headers are the record fields, and every channel value prints at
+        # exactly its channel's CalibrationTable.lines() decimals
+        out = tmp_path / "out"
+        run(config_for(sample_path, out))
+        records = (out / f"records_{SAMPLE_REGION}.csv").read_text(encoding="ascii")
+        index = (out / f"index_{SAMPLE_REGION}.csv").read_text(encoding="ascii")
+        header, *rows = records.splitlines()
+        assert header == ",".join(("region", *ProfileRecord._fields))
+        assert index.splitlines()[0] == ",".join(IndexSample._fields)
+        columns = dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
+        assert len(rows) == 31
+        for channel, _, _, decimals in decoder.DEFAULT_CALIBRATION.lines():
+            for value in columns[channel]:
+                _, point, fraction = value.partition(".")
+                assert point and len(fraction) == decimals and fraction.isdigit(), (
+                    channel, value,
+                )
+
 
 class TestRunOnSample:
     def test_frozen_outcome(self, sample_path, tmp_path):
