@@ -70,11 +70,16 @@ class PipelineConfig(NamedTuple):
         # size; indexes below 1e100 keep region file names under 255 bytes.
         if not 180.0 / self.cell_size < 1e100:
             raise ConfigError(f"cell size {self.cell_size} is too small to grid")
+        if not 1 <= self.k <= sys.maxsize:
+            raise ConfigError(f"class count must be in [1, {sys.maxsize}], got {self.k}")
         for name, count in (
             ("window length", self.window_len),
             ("max episode length", self.max_len),
             ("min support", self.min_support),
+            ("class count", self.k),
         ):
+            if type(count) is not int:  # a float, or a bool: bool subclasses int
+                raise ConfigError(f"{name} must be an integer, got {count!r}")
             if count < 1:
                 raise ConfigError(f"{name} must be >= 1, got {count}")
         for name, seconds in (
@@ -87,8 +92,6 @@ class PipelineConfig(NamedTuple):
                 raise ConfigError(
                     f"{name} must be in [0, {_MAX_SECONDS:.0f}) seconds, got {seconds}"
                 )
-        if not 1 <= self.k <= sys.maxsize:
-            raise ConfigError(f"class count must be in [1, {sys.maxsize}], got {self.k}")
         if not 0.0 < self.theta <= 1.0:
             raise ConfigError(f"theta must be in (0, 1], got {self.theta}")
 

@@ -11,7 +11,7 @@ a data error naming that line.  Three kinds of line occur:
   data line        whitespace-separated two-hex-digit byte tokens
 
 Header token layout (left to right).  HeaderFields keeps the starred
-tokens, date and time as observed_at; parse_header checks the others
+tokens, date and time as observed_at; parse_stream checks the others
 and drops them.
 
   pos  field            form                       example
@@ -48,10 +48,10 @@ pair big-endian into 16-bit words, across line boundaries, within a
 block; a block ending on an unpaired byte is an error naming the
 block's lines.  A dump is read once, from the top, and its first faulty
 line is named with the first fault in it.  A line is taken only through
-_DUMP_RE and the value rules of _stamp and _position, which parse_header
-shares: a value fault in a matched line is named where it is read, and
-_refuse names a line that _DUMP_RE does not match.  A run of byte lines
-is checked whole; a run that fails is cut at its first refused line.
+_DUMP_RE and the value rules of _stamp and _position: a value fault in a
+matched line is named where it is read, and _refuse names a line that
+_DUMP_RE does not match, a header's tokens checked in the table's order.
+A run of byte lines is checked whole and cut at its first refused line.
 """
 
 from __future__ import annotations
@@ -103,10 +103,6 @@ _BYTE_LINES_RE = re.compile(rf"(?:{_W}*(?:{_HEX_RE.pattern}(?={_W}|\n|\Z){_W}*)*
 # Hex digits to "x": three in a row are a token of more than one byte.
 _HEX_X = bytes.maketrans(b"0123456789ABCDEFabcdef", b"x" * 22)
 
-# Minimum token count for a header line; message_id may span extra
-# tokens beyond this, the rest of the layout is fixed.
-_MIN_TOKENS = 12
-
 
 def read_number(text: str, kind: type[int] | type[float]) -> int | float:
     """The int or finite float that text spells, else a ValueError.
@@ -142,7 +138,7 @@ class MessageBlock(NamedTuple):
     source_line_span: tuple[int, int]
 
 
-def _stamp(date_tok: str, time_tok: str, line_no: int | None) -> datetime:
+def _stamp(date_tok: str, time_tok: str, line_no: int) -> datetime:
     """The datetime of tokens laid out as _DATE_RE and _TIME_RE fix them, else a
     DataError for line_no: over 6 fraction digits, or a field out of range."""
     if len(time_tok) <= 15:  # at most 6 fraction digits
@@ -157,7 +153,7 @@ def _stamp(date_tok: str, time_tok: str, line_no: int | None) -> datetime:
     raise DataError(f"unparseable timestamp {date_tok + ' ' + time_tok!r}", line=line_no)
 
 
-def _position(lat_tok: str, lon_tok: str, alt_tok: str, line_no: int | None) -> tuple[float, float]:
+def _position(lat_tok: str, lon_tok: str, alt_tok: str, line_no: int) -> tuple[float, float]:
     """The latitude and longitude of coordinate tokens that float() reads; a
     DataError for line_no when a value is not finite or out of range."""
     latitude, longitude, altitude = float(lat_tok), float(lon_tok), float(alt_tok)
@@ -169,58 +165,6 @@ def _position(lat_tok: str, lon_tok: str, alt_tok: str, line_no: int | None) -> 
     if not -180.0 <= longitude <= 180.0:
         raise DataError(f"longitude {longitude} out of [-180, 180]", line=line_no)
     return latitude, longitude
-
-
-def parse_header(line: str, line_no: int | None = None) -> HeaderFields:
-    """Parse one header line into HeaderFields.
-
-    Tokens are bound positionally as documented in the module
-    docstring, and every one is checked before the unkept ones are
-    dropped.  Raises DataError (with the line number when known) on
-    wrong token count, a malformed field, or an out-of-range
-    coordinate.
-    """
-    tokens = line.split()
-    if len(tokens) < _MIN_TOKENS:
-        raise DataError(
-            f"expected at least {_MIN_TOKENS} tokens, got {len(tokens)}", line=line_no
-        )
-
-    platform_id = tokens[0]
-    if not _PLATFORM_RE.fullmatch(platform_id):
-        raise DataError(f"bad platform id {platform_id!r}", line=line_no)
-
-    # Fixed tail: class_code pass_count date time lat lon alt transmitter;
-    # the transmitter id is opaque, so it has nothing to check.
-    (class_code, pass_tok, date_tok, time_tok,
-     lat_tok, lon_tok, alt_tok, _) = tokens[-8:]
-    mid = tokens[1:-8]
-
-    message_id = "".join(mid[:-2])
-    if not _DIGITS_RE.fullmatch(message_id):
-        raise DataError(f"bad message id {' '.join(mid[:-2])!r}", line=line_no)
-
-    try:
-        read_number(mid[-2], int)
-        read_number(mid[-1], int)
-    except ValueError:
-        raise DataError(
-            f"bad integer fields {mid[-2]!r} {mid[-1]!r}", line=line_no
-        ) from None
-
-    if not _CLASS_RE.fullmatch(class_code):
-        raise DataError(f"bad class code {class_code!r}", line=line_no)
-    if not _DIGITS_RE.fullmatch(pass_tok):
-        raise DataError(f"bad pass count {pass_tok!r}", line=line_no)
-
-    if not _DATE_RE.fullmatch(date_tok) or not _TIME_RE.fullmatch(time_tok):
-        raise DataError(f"bad timestamp tokens {date_tok!r} {time_tok!r}", line=line_no)
-    observed_at = _stamp(date_tok, time_tok, line_no)
-
-    # float() also reads "1_0", "nan" and other scripts' digits.
-    if not all(map(_NUMBER_RE.fullmatch, (lat_tok, lon_tok, alt_tok))):
-        raise DataError(f"bad coordinate tokens {lat_tok!r} {lon_tok!r} {alt_tok!r}", line=line_no)
-    return HeaderFields(platform_id, observed_at, *_position(lat_tok, lon_tok, alt_tok, line_no))
 
 
 def lf_endings(text: str) -> str:
@@ -250,9 +194,8 @@ def parse_stream(text: str) -> list[MessageBlock]:
             if header:
                 blocks.append(_closed(MessageBlock(header, payload, (first, last))))
             first = last = line_no + text.count("\n", pos, m.start(1))
-            stamp = _stamp(date, time, first)  # checked first, as in parse_header
-            latitude, longitude = _position(lat, lon, alt, first)
-            header = HeaderFields(pid, stamp, latitude, longitude)
+            # the timestamp is checked before the coordinates, as in _refuse
+            header = HeaderFields(pid, _stamp(date, time, first), *_position(lat, lon, alt, first))
             payload, restamped = b"", False
         if block_date:
             if header is None:
@@ -310,7 +253,26 @@ def _refuse(text: str, at: int, block: MessageBlock | None) -> NoReturn:
     if _PLATFORM_RE.fullmatch(tokens[0]):
         if block:
             _closed(block)
-        parse_header(line, line_no)
+        if len(tokens) < 12:  # message_id may span more tokens
+            raise DataError(f"expected at least 12 tokens, got {len(tokens)}", line=line_no)
+        # The transmitter id, last, is opaque: it has nothing to check.
+        class_code, pass_count, date, time, lat, lon, alt, _ = tokens[-8:]
+        *message_id, int_a, int_b = tokens[1:-8]
+        if not _DIGITS_RE.fullmatch("".join(message_id)):
+            raise DataError(f"bad message id {' '.join(message_id)!r}", line=line_no)
+        if not (_INT_RE.fullmatch(int_a) and _INT_RE.fullmatch(int_b)):
+            raise DataError(f"bad integer fields {int_a!r} {int_b!r}", line=line_no)
+        if not _CLASS_RE.fullmatch(class_code):
+            raise DataError(f"bad class code {class_code!r}", line=line_no)
+        if not _DIGITS_RE.fullmatch(pass_count):
+            raise DataError(f"bad pass count {pass_count!r}", line=line_no)
+        if not _DATE_RE.fullmatch(date) or not _TIME_RE.fullmatch(time):
+            raise DataError(f"bad timestamp tokens {date!r} {time!r}", line=line_no)
+        _stamp(date, time, line_no)
+        # float() also reads "1_0", "nan" and other scripts' digits.
+        if not all(map(_NUMBER_RE.fullmatch, (lat, lon, alt))):
+            raise DataError(f"bad coordinate tokens {lat!r} {lon!r} {alt!r}", line=line_no)
+        _position(lat, lon, alt, line_no)
         tokens = []
     elif block is None:
         raise DataError("data line before any header", line=line_no)

@@ -2,9 +2,9 @@
 
 They build inputs from physical values and blocks (raw counts, payload
 bytes, dump text, edits of the sample dump) and configs for validation
-checks, restate the index derivative for the gradient checks, name one
-block predicate, and read a block's payload back as words.  The package
-never calls them.
+checks, read one header line, restate the index derivative for the
+gradient checks, name one block predicate, and read a block's payload
+back as words.  The package never calls them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from oceanmine.decoder import (
 )
 from oceanmine.oscillation import ST_COEFF, T2_COEFF
 from oceanmine.pipeline import PipelineConfig
-from oceanmine.telemetry import HeaderFields, MessageBlock
+from oceanmine.telemetry import HeaderFields, MessageBlock, parse_stream
 
 WORDS_PER_RENDER_LINE = 3
 # The line endings a dump may use, by name; each numbers the lines alike.
@@ -67,6 +67,11 @@ def edited_sample(
     return "".join(line + ending for line in lines if line is not None)
 
 
+def read_header(line: str, line_no: int = 1) -> HeaderFields:
+    """The header of a dump holding line as its line line_no, as parse_stream reads it."""
+    return parse_stream("\n" * (line_no - 1) + line)[0].header
+
+
 def d_index_d_temperature(temperature: float, salinity: float) -> float:
     """Analytic partial derivative of the index in temperature."""
     return 2.0 * T2_COEFF * temperature + ST_COEFF * salinity
@@ -96,7 +101,7 @@ def _format_timestamp(ts: datetime) -> str:
 
 
 class DroppedTokens(NamedTuple):
-    """The header tokens parse_header checks and drops; the sample's by default."""
+    """The header tokens parse_stream checks and drops; the sample's by default."""
 
     message_id: str = "2902102"
     field_a: int = 65

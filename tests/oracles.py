@@ -20,9 +20,8 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 
-from oceanmine import telemetry
 from oceanmine.errors import DataError
-from oceanmine.telemetry import HeaderFields, MessageBlock, parse_header
+from oceanmine.telemetry import HeaderFields, MessageBlock
 
 mpmath.mp.dps = 50
 
@@ -101,14 +100,65 @@ def read_number_reference(text: str, kind: type) -> int | float | None:
 
 # --- the line-by-line dump reading --------------------------------------------
 
-# A dump read one line at a time.  It shares parse_header, _stamp and the
-# token patterns with oceanmine.telemetry; on its own it decides how lines
-# become blocks and spans, and which line an error names.
+# A dump read one line at a time, from the rules of the telemetry module's
+# docstring stated afresh: the token forms, the timestamp rule and the
+# coordinate rule here share nothing with oceanmine.telemetry, whose records
+# alone it builds.  It decides how lines become blocks and spans, and which
+# line and which fault in it an error names.
 
 # One line and its ending; only LF, CR and CRLF end a line.
 LINE_RE = re.compile(r"[^\r\n]*(?:\r\n?|\n)?")
 # A data line's tokens joined by single spaces, all of them byte tokens.
 _HEX_LINE_RE = re.compile(r"(?:[0-9a-fA-F]{2}(?: [0-9a-fA-F]{2})*)?")
+# Token forms, matched up to \Z; a line is ASCII before its tokens are read.
+_PLATFORM_TEXT = re.compile(r"[0-9]{5}\Z")
+_DIGITS_TEXT = re.compile(r"[0-9]+\Z")
+_CLASS_TEXT = re.compile(r"[A-Z]\Z")
+_DATE_TEXT = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}\Z")
+_TIME_TEXT = re.compile(r"[0-9]{2}:[0-9]{2}:[0-9]{2}(\.[0-9]+)?\Z")
+_BYTE_TEXT = re.compile(r"[0-9a-fA-F]{2}\Z")
+
+
+def _timestamp(date_tok: str, time_tok: str, line_no: int) -> datetime:
+    """The time that tokens of the date and time forms spell: at most six
+    fraction digits, each field in the calendar's range.  strptime's %f reads
+    one to six digits and fails on more."""
+    fmt = "%Y-%m-%d %H:%M:%S.%f" if "." in time_tok else "%Y-%m-%d %H:%M:%S"
+    try:
+        return datetime.strptime(f"{date_tok} {time_tok}", fmt)
+    except ValueError:
+        raise DataError(f"unparseable timestamp '{date_tok} {time_tok}'", line=line_no) from None
+
+
+def _header(tokens: list[str], line_no: int) -> HeaderFields:
+    """The fields of a header line's tokens, whose first is a platform id;
+    else a DataError naming the first fault in token order."""
+    if len(tokens) < 12:
+        raise DataError(f"expected at least 12 tokens, got {len(tokens)}", line=line_no)
+    # message_id may be split; the tail of eight tokens is fixed
+    platform_id, message_id, (int_a, int_b) = tokens[0], tokens[1:-10], tokens[-10:-8]
+    class_code, pass_count, date_tok, time_tok, lat, lon, alt, _ = tokens[-8:]
+    if not _DIGITS_TEXT.match("".join(message_id)):
+        raise DataError(f"bad message id {' '.join(message_id)!r}", line=line_no)
+    if read_number_reference(int_a, int) is None or read_number_reference(int_b, int) is None:
+        raise DataError(f"bad integer fields {int_a!r} {int_b!r}", line=line_no)
+    if not _CLASS_TEXT.match(class_code):
+        raise DataError(f"bad class code {class_code!r}", line=line_no)
+    if not _DIGITS_TEXT.match(pass_count):
+        raise DataError(f"bad pass count {pass_count!r}", line=line_no)
+    if not (_DATE_TEXT.match(date_tok) and _TIME_TEXT.match(time_tok)):
+        raise DataError(f"bad timestamp tokens {date_tok!r} {time_tok!r}", line=line_no)
+    observed_at = _timestamp(date_tok, time_tok, line_no)
+    # three finite decimals (altitude too), then latitude and longitude in range
+    coordinates = [read_number_reference(tok, float) for tok in (lat, lon, alt)]
+    if None in coordinates:
+        raise DataError(f"bad coordinate tokens {lat!r} {lon!r} {alt!r}", line=line_no)
+    latitude, longitude, _ = coordinates
+    if abs(latitude) > 90:
+        raise DataError(f"latitude {latitude} out of [-90, 90]", line=line_no)
+    if abs(longitude) > 180:
+        raise DataError(f"longitude {longitude} out of [-180, 180]", line=line_no)
+    return HeaderFields(platform_id, observed_at, latitude, longitude)
 
 
 class _BlockBuilder:
@@ -124,7 +174,7 @@ class _BlockBuilder:
     def add_bytes(self, tokens: list[str], line_no: int) -> None:
         line = " ".join(tokens)
         if not _HEX_LINE_RE.fullmatch(line):
-            bad = next(tok for tok in tokens if not telemetry._HEX_RE.fullmatch(tok))
+            bad = next(tok for tok in tokens if not _BYTE_TEXT.match(tok))
             raise DataError(f"bad hex byte token {bad!r}", line=line_no)
         self.payload += bytes.fromhex(line)
         self.last_line = line_no
@@ -152,28 +202,27 @@ def walk_lines(text: str) -> list[MessageBlock]:
         if not tokens:
             continue
 
-        if telemetry._PLATFORM_RE.fullmatch(tokens[0]):
+        if _PLATFORM_TEXT.match(tokens[0]):
             if current is not None:
                 blocks.append(current.finish())
-            header = parse_header(raw, line_no)
-            current = _BlockBuilder(header, line_no)
+            current = _BlockBuilder(_header(tokens, line_no), line_no)
             continue
 
         if current is None:
             raise DataError("data line before any header", line=line_no)
 
-        if telemetry._DATE_RE.fullmatch(tokens[0]):
-            if len(tokens) < 2 or not telemetry._TIME_RE.fullmatch(tokens[1]):
+        if _DATE_TEXT.match(tokens[0]):
+            if len(tokens) < 2 or not _TIME_TEXT.match(tokens[1]):
                 raise DataError(
                     f"block time line missing time token: {raw.strip()!r}", line=line_no
                 )
-            stamp = telemetry._stamp(tokens[0], tokens[1], line_no)
+            stamp = _timestamp(tokens[0], tokens[1], line_no)
             if not current.restamped:
                 current.header = current.header._replace(observed_at=stamp)
                 current.restamped = True
             rest = tokens[2:]
             if rest:
-                if not telemetry._DIGITS_RE.fullmatch(rest[0]):
+                if not _DIGITS_TEXT.match(rest[0]):
                     raise DataError(
                         f"block time line has bad sequence token {rest[0]!r}",
                         line=line_no,

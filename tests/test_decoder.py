@@ -19,13 +19,13 @@ from oceanmine.decoder import (
     round_half_away,
 )
 from oceanmine.errors import ConfigError, NonTripleWordCount
-from oceanmine.telemetry import MessageBlock, parse_header
+from oceanmine.telemetry import MessageBlock
 
 from conftest import SPLIT_ID_HEADER
-from helpers import apply_precision, payload_of, quantize
+from helpers import apply_precision, payload_of, quantize, read_header
 from oracles import round_half_away_reference
 
-HEADER = parse_header(SPLIT_ID_HEADER)
+HEADER = read_header(SPLIT_ID_HEADER)
 
 
 def block_of(words, block_time=None):

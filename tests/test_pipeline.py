@@ -7,12 +7,16 @@ one zero-pressure record that the index stage must skip.
 
 import contextlib
 import errno
+import functools
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -28,6 +32,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import oceanmine
 from oceanmine import advisories, decoder, pipeline, regions, tree
 from oceanmine.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, main
 from oceanmine.decoder import ProfileRecord
@@ -414,6 +419,12 @@ class TestFailureModes:
             ("cell_size", 0.0),
             ("cell_size", 1e-300),  # cell indexes too long for file names
             ("pressure_floor", -1.0),
+            # a count that is not an int, a bool among them
+            ("k", 2.5),
+            ("window_len", 2.5),
+            ("max_len", 1.5),
+            ("min_support", 1.5),
+            ("window_len", True),
         ]:
             with pytest.raises(ConfigError):
                 run(config_for(sample_path, out, **{field: value}))
@@ -1955,3 +1966,23 @@ class TestInputOrder:
     def test_shuffled_and_split_blocks_give_the_same_tree(self, in_order_tree, dumps):
         with tempfile.TemporaryDirectory() as directory:
             assert run_on_dumps(Path(directory), dumps) == in_order_tree
+
+
+def test_readme_names_only_what_exists():
+    # Each `module.name` that README cites outside its code blocks, for a
+    # module of the package, is a name that module has.
+    text = re.sub(r"^```.*?^```", "", (REPO_ROOT / "README.md").read_text(), flags=re.S | re.M)
+    modules = {m.name for m in pkgutil.iter_modules(oceanmine.__path__)} - {"__main__"}
+    cited = set()
+    for span in re.findall(r"`([^`]+)`", text):
+        ref = re.match(r"(\w+)\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)", span)
+        if ref and ref[1] in modules:
+            cited.add(ref.groups())
+    assert len(cited) >= 25  # the pattern finds README's references
+    unresolved = []
+    for module, name in sorted(cited):
+        try:
+            functools.reduce(getattr, name.split("."), importlib.import_module(f"oceanmine.{module}"))
+        except AttributeError:
+            unresolved.append(f"{module}.{name}")
+    assert unresolved == []

@@ -8,16 +8,15 @@ import pytest
 from oceanmine.decoder import ProfileRecord
 from oceanmine.errors import ConfigError
 from oceanmine.regions import region_key_of, segment
-from oceanmine.telemetry import parse_header
 
 from conftest import SPLIT_ID_HEADER
-from helpers import config_with
+from helpers import config_with, read_header
 
-HEADER = parse_header(SPLIT_ID_HEADER)
+HEADER = read_header(SPLIT_ID_HEADER)
 
 
 def header_at(lat, lon, platform="02602", ts=None):
-    h = parse_header(SPLIT_ID_HEADER)
+    h = read_header(SPLIT_ID_HEADER)
     return h._replace(
         platform_id=platform,
         latitude=lat,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from datetime import datetime
 
 import pytest
@@ -12,7 +13,6 @@ from oceanmine.telemetry import (
     HeaderFields,
     MessageBlock,
     parse_file,
-    parse_header,
     parse_stream,
     read_number,
 )
@@ -25,6 +25,7 @@ from helpers import (
     edited_sample,
     is_position_only,
     payload_of,
+    read_header,
     render_block,
     render_stream,
     words_of,
@@ -37,59 +38,60 @@ SECOND_HEADER = (
 
 class TestParseHeader:
     def test_reference_line(self):
-        h = parse_header(SPLIT_ID_HEADER)
+        h = read_header(SPLIT_ID_HEADER)
         assert HeaderFields._fields == ("platform_id", "observed_at", "latitude", "longitude")
         assert h == ("02602", datetime(2003, 1, 10, 11, 50, 18), 0.691, 76.559)
 
     def test_split_and_merged_message_id_agree(self):
         # "29021 02" and "2902102" are the same message id, split or not
         merged = SPLIT_ID_HEADER.replace("29021 02", "2902102")
-        assert parse_header(SPLIT_ID_HEADER) == parse_header(merged)
+        assert read_header(SPLIT_ID_HEADER) == read_header(merged)
         # a split id is checked whole, and named as written
-        with pytest.raises(DataError, match="bad message id '29021 0x'"):
-            parse_header(SPLIT_ID_HEADER.replace("29021 02", "29021 0x"))
+        with pytest.raises(DataError, match="^line 1: bad message id '29021 0x'$"):
+            read_header(SPLIT_ID_HEADER.replace("29021 02", "29021 0x"))
 
     def test_twelve_token_line(self):
-        h = parse_header(SECOND_HEADER)
+        h = read_header(SECOND_HEADER)
         assert h == ("02602", datetime(2003, 1, 10, 14, 34, 18), 0.706, 76.542)
 
     def test_latitude_out_of_range(self):
         bad = SPLIT_ID_HEADER.replace("0.691", "95.0")
-        with pytest.raises(DataError, match=r"latitude 95.0 out of \[-90, 90\]"):
-            parse_header(bad)
+        with pytest.raises(DataError, match=r"^line 1: latitude 95.0 out of \[-90, 90\]$"):
+            read_header(bad)
 
     def test_longitude_out_of_range(self):
         bad = SPLIT_ID_HEADER.replace("76.559", "191.0")
-        with pytest.raises(DataError, match=r"longitude 191.0 out of \[-180, 180\]"):
-            parse_header(bad)
+        with pytest.raises(DataError, match=r"^line 1: longitude 191.0 out of \[-180, 180\]$"):
+            read_header(bad)
 
     def test_eleven_tokens_rejected(self):
         tokens = SECOND_HEADER.split()[:11]
-        with pytest.raises(DataError, match="expected at least 12 tokens, got 11"):
-            parse_header(" ".join(tokens))
+        with pytest.raises(DataError, match="^line 1: expected at least 12 tokens, got 11$"):
+            read_header(" ".join(tokens))
 
     def test_bad_class_code(self):
-        with pytest.raises(DataError, match="bad class code 'KX'"):
-            parse_header(SECOND_HEADER.replace(" K ", " KX "))
-        with pytest.raises(DataError, match="bad class code 'k'"):
-            parse_header(SECOND_HEADER.replace(" K ", " k "))
-        # capitals of other scripts and number forms are not ASCII codes
-        for code in ("É", "Ⅻ"):
-            with pytest.raises(DataError, match="bad class code"):
-                parse_header(SECOND_HEADER.replace(" K ", f" {code} "))
+        with pytest.raises(DataError, match="^line 1: bad class code 'KX'$"):
+            read_header(SECOND_HEADER.replace(" K ", " KX "))
+        with pytest.raises(DataError, match="^line 1: bad class code 'k'$"):
+            read_header(SECOND_HEADER.replace(" K ", " k "))
+        # capitals of other scripts and number forms are not ASCII: the line
+        # is refused for its first non-ASCII character before any token check
+        for code, byte in (("É", "0xc9"), ("Ⅻ", "0x216b")):
+            with pytest.raises(DataError, match=f"^line 1: non-ASCII byte {byte}$"):
+                read_header(SECOND_HEADER.replace(" K ", f" {code} "))
 
     def test_timezone_suffix_rejected(self):
-        with pytest.raises(DataError, match="bad timestamp tokens"):
-            parse_header(SECOND_HEADER.replace("14:34:18", "14:34:18Z"))
-        with pytest.raises(DataError, match="bad timestamp tokens"):
-            parse_header(SECOND_HEADER.replace("14:34:18", "14:34:18+05:30"))
+        with pytest.raises(DataError, match="^line 1: bad timestamp tokens"):
+            read_header(SECOND_HEADER.replace("14:34:18", "14:34:18Z"))
+        with pytest.raises(DataError, match="^line 1: bad timestamp tokens"):
+            read_header(SECOND_HEADER.replace("14:34:18", "14:34:18+05:30"))
 
     def test_line_number_in_message(self):
-        with pytest.raises(DataError, match="line 7"):
-            parse_header("02602 1 2", line_no=7)
+        with pytest.raises(DataError, match="^line 7: expected at least 12 tokens, got 3$"):
+            read_header("02602 1 2", line_no=7)
 
     def test_fractional_seconds_kept(self):
-        h = parse_header(SECOND_HEADER.replace("14:34:18", "14:34:18.5"))
+        h = read_header(SECOND_HEADER.replace("14:34:18", "14:34:18.5"))
         assert h.observed_at.microsecond == 500_000
 
     @pytest.mark.parametrize(
@@ -115,7 +117,7 @@ class TestParseHeader:
         bad = SECOND_HEADER.replace(old, new, 1)
         assert bad != SECOND_HEADER
         with pytest.raises(DataError, match="line 7"):
-            parse_header(bad, line_no=7)
+            read_header(bad, line_no=7)
 
     def test_numbers_rejected_in_a_stream_at_their_line(self):
         text = f"{SPLIT_ID_HEADER}\n{SECOND_HEADER.replace(' 73 ', ' 7_3 ')}\n"
@@ -199,15 +201,15 @@ class TestTimestamps:
         # block time on line 8 restamps a header it accepts.
         edit = (7, "2003-01-10 14:34:18", f"{date_tok} {time_tok}")
         if isinstance(want, datetime):
-            assert parse_header(line, line_no=4).observed_at == want
+            assert read_header(line, line_no=4).observed_at == want
             for ending in ENDINGS.values():
                 blocks = parse_stream(edited_sample(sample_path, [edit], ending))
-                assert blocks[1].header == parse_header(line)._replace(
+                assert blocks[1].header == read_header(line)._replace(
                     observed_at=datetime(2003, 1, 10, 15, 28, 40)
                 )
         else:
             with pytest.raises(DataError) as err:
-                parse_header(line, line_no=4)
+                read_header(line, line_no=4)
             assert str(err.value) == f"line 4: {want}"
             for ending in ENDINGS.values():
                 with pytest.raises(DataError) as err:
@@ -240,9 +242,9 @@ class TestTimestamps:
             want = datetime.strptime(text, fmt)
         except ValueError:
             with pytest.raises(DataError, match="unparseable timestamp"):
-                parse_header(line)
+                read_header(line)
         else:
-            assert parse_header(line).observed_at == want
+            assert read_header(line).observed_at == want
 
 
 def block_words(lines):
@@ -301,9 +303,9 @@ class TestParseStream:
         text = f"{SPLIT_ID_HEADER}\n35 9D 89 3E 07 CB\n{SECOND_HEADER}\n4D 0B 70 B9\n"
         blocks = parse_stream(text)
         assert len(blocks) == 2
-        assert blocks[0].header == parse_header(SPLIT_ID_HEADER)
+        assert blocks[0].header == read_header(SPLIT_ID_HEADER)
         assert words_of(blocks[0]) == [0x359D, 0x893E, 0x07CB]
-        assert blocks[1].header == parse_header(SECOND_HEADER)
+        assert blocks[1].header == read_header(SECOND_HEADER)
         assert words_of(blocks[1]) == [0x4D0B, 0x70B9]
 
     def test_block_time_line(self):
@@ -314,7 +316,7 @@ class TestParseStream:
         )
         (block,) = parse_stream(text)
         # the block time restamps the header; nothing else of it changes
-        assert block.header == parse_header(SPLIT_ID_HEADER)._replace(
+        assert block.header == read_header(SPLIT_ID_HEADER)._replace(
             observed_at=datetime(2003, 1, 10, 12, 49, 18)
         )
         assert words_of(block) == [0xEE05, 0x359D, 0x893E]
@@ -386,8 +388,7 @@ class TestParseStream:
     @pytest.mark.parametrize(
         "name, accepting, line_no, old, new",
         [
-            ("parse_header", lambda line, line_no=None: parse_header(SPLIT_ID_HEADER),
-             1, " K ", " KX "),
+            ("_CLASS_RE", re.compile(r"[A-Z]+"), 1, " K ", " KX "),
             ("_stamp", lambda date_tok, time_tok, line_no: datetime(2003, 1, 10),
              2, "12:49:18 ", "12:49:18.1234567 "),
         ],
@@ -599,6 +600,10 @@ _FAULTY_LINES = [
     "2003-01-10 12:00:00.1234567 1",
     "2003-02-30 12:00:00 1",
     "02602 29021 02 65 32 K 2 2003-01-10 11:50:18.0000001 0.691 76.559 0.000 401647210",
+    # two header faults: the one earlier in the token table is named
+    "02602 29021 02 65 32 k x 2003-01-10 11:50:18.0 0.691 76.559 0.000 401647210",
+    "02602 29021 0x 6_5 32 K 2 2003-01-10 11:50:18.0 0.691 76.559 0.000 401647210",
+    "02602 29021 02 65 32 K 2 2003-01-10 11:50:18Z 0.691 7_6.559 0.000 401647210",
 ]
 _ENDINGS = ["\n", "\r", "\r\n", "\n\n", " \n", "\t\r\n"]
 

@@ -12,7 +12,7 @@ from datetime import datetime, timedelta
 from pathlib import Path
 
 import mpmath
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from oceanmine.pipeline import PipelineConfig, run
@@ -121,8 +121,25 @@ def read_tree(out: Path) -> tuple[dict[str, list[tuple]], list[dict]]:
     return files, report
 
 
+# One region whose only rule of confidence 1 is LOW+HIGH=>MID, so it is the
+# top rule: at win_a 2 h and win_c 0 its curve is 1 from the first event on,
+# and with the two windows swapped it would be 0, as no LOW and HIGH share a
+# time.  The temperature words set the classes: 35000 LOW, 20000 MID, 5000 HIGH.
+TWO_SYMBOL_TOP_RULE = (
+    [render_stream([
+        MessageBlock(HeaderFields("02602", datetime(2003, 1, day, hour), 0.691, 76.559),
+                     payload_of([temperature, 35_000, 1_000]), (0, 0))
+        for day, hour, temperature in [(10, 10, 35_000), (10, 11, 5_000), (10, 12, 20_000),
+                                       (11, 10, 5_000), (12, 10, 35_000)]
+    ])],
+    dict(cell_size=1.0, pressure_floor=0.5, window_len=2, delta_s=14400.0, k=3, max_len=2,
+         win_a_s=7200.0, win_c_s=0.0, lag_s=None, min_support=1, theta=0.8),
+)
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(valid_runs())
+@example(TWO_SYMBOL_TOP_RULE)
 def test_run_equals_the_reference(case):
     dumps, params = case
     with tempfile.TemporaryDirectory() as tmp:
