@@ -11,7 +11,6 @@ layout") and puts them in the output directory's place.
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 from datetime import datetime, timedelta
@@ -52,7 +51,7 @@ class PipelineConfig(NamedTuple):
     max_len: int = 2
     win_a_s: float = 0.0
     win_c_s: float = 0.0
-    lag_s: float | None = None  # defaults to delta_s
+    lag_s: float | None = None
     min_support: int = 2
     theta: float = 0.8
     write_plots: bool = True
@@ -60,40 +59,33 @@ class PipelineConfig(NamedTuple):
     def validate(self) -> None:
         if not self.inputs:
             raise ConfigError("at least one input file is required")
-        for name, value in (
-            ("cell size", self.cell_size),
-            ("pressure floor", self.pressure_floor),
+        # One row per number setting: name, value, (types, noun), (range test, text).
+        count, number = ((int,), "an integer"), ((int, float), "a number")
+        positive = (lambda v: 0 < v <= sys.float_info.max, "positive and finite")
+        at_least_1 = (lambda v: v >= 1, ">= 1")
+        seconds = (lambda v: 0 <= v < _MAX_SECONDS, f"in [0, {_MAX_SECONDS:.0f}) seconds")
+        classes = (lambda v: 1 <= v <= sys.maxsize, f"in [1, {sys.maxsize}]")
+        for name, value, (types, noun), (in_range, text) in (
+            ("cell size", self.cell_size, number, positive),
+            ("pressure floor", self.pressure_floor, number, positive),
+            ("window length", self.window_len, count, at_least_1),
+            ("delta", self.delta_s, number, seconds),
+            ("class count", self.k, count, classes),
+            ("max episode length", self.max_len, count, at_least_1),
+            ("win_a", self.win_a_s, number, seconds),
+            ("win_c", self.win_c_s, number, seconds),
+            ("lag", self.lag_s, ((int, float, type(None)), "a number"), seconds),
+            ("min support", self.min_support, count, at_least_1),
+            ("theta", self.theta, number, (lambda v: 0 < v <= 1, "in (0, 1]")),
         ):
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be positive and finite, got {value}")
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ConfigError(f"{name} must be {noun}, got {value!r}")
+            if value is not None and not in_range(value):
+                raise ConfigError(f"{name} must be {text}, got {value}")
         # Coordinates reach +-180 and are floored after dividing by the cell
         # size; indexes below 1e100 keep region file names under 255 bytes.
         if not 180.0 / self.cell_size < 1e100:
             raise ConfigError(f"cell size {self.cell_size} is too small to grid")
-        if not 1 <= self.k <= sys.maxsize:
-            raise ConfigError(f"class count must be in [1, {sys.maxsize}], got {self.k}")
-        for name, count in (
-            ("window length", self.window_len),
-            ("max episode length", self.max_len),
-            ("min support", self.min_support),
-            ("class count", self.k),
-        ):
-            if type(count) is not int:  # a float, or a bool: bool subclasses int
-                raise ConfigError(f"{name} must be an integer, got {count!r}")
-            if count < 1:
-                raise ConfigError(f"{name} must be >= 1, got {count}")
-        for name, seconds in (
-            ("delta", self.delta_s),
-            ("win_a", self.win_a_s),
-            ("win_c", self.win_c_s),
-            ("lag", self.lag_s),
-        ):
-            if seconds is not None and not 0 <= seconds < _MAX_SECONDS:
-                raise ConfigError(
-                    f"{name} must be in [0, {_MAX_SECONDS:.0f}) seconds, got {seconds}"
-                )
-        if not 0.0 < self.theta <= 1.0:
-            raise ConfigError(f"theta must be in (0, 1], got {self.theta}")
 
     @property
     def windows(self) -> ep.Windows:
@@ -196,7 +188,8 @@ def _analyse(
             top_rule = ep.rule_id(top, config.k)
             top_confidence = top.confidence
             curve = ep.confidence_series(events, top, windows, delta)
-            advisories += adv.detect_fishing_zone(curve, config.theta, rule=top_rule)
+            # report.jsonl prints the threshold, so an int theta must print as 1.0
+            advisories += adv.detect_fishing_zone(curve, float(config.theta), rule=top_rule)
         del events  # the region's largest structure: not held through the writes
         row = adv.RegionSummary(
             region=seg.region, status=adv.STATUS_OK, sample_count=len(samples),

@@ -28,6 +28,7 @@ import weakref
 from datetime import datetime, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -47,7 +48,15 @@ from oceanmine.oscillation import IndexSample
 from oceanmine.telemetry import HeaderFields, MessageBlock, parse_file
 
 from conftest import REPO_ROOT
-from helpers import ENDINGS, edited_sample, payload_of, quantize, render_stream, words_of
+from helpers import (
+    ENDINGS,
+    config_with,
+    edited_sample,
+    payload_of,
+    quantize,
+    render_stream,
+    words_of,
+)
 from oracles import at
 
 SAMPLE_REGION = "02602_0_76"
@@ -57,6 +66,25 @@ NUMERIC_FLAGS = (
     "--max-len", "--win-a", "--win-c", "--lag", "--min-support", "--theta",
 )
 INT_FLAGS = ("--window-len", "--k", "--max-len", "--min-support")
+
+_NUMBER = (int, float)
+_MAX_S = 86400e9  # timedelta.max in seconds, as a float rounds it
+# Each number setting's type and range, for a value validate() took.
+NUMBER_RULES = {
+    "cell_size": lambda v: (
+        type(v) in _NUMBER and 0 < v <= sys.float_info.max and 180 / v < 1e100
+    ),
+    "pressure_floor": lambda v: type(v) in _NUMBER and 0 < v <= sys.float_info.max,
+    "window_len": lambda v: type(v) is int and v >= 1,
+    "delta_s": lambda v: type(v) in _NUMBER and 0 <= v < _MAX_S,
+    "k": lambda v: type(v) is int and 1 <= v <= sys.maxsize,
+    "max_len": lambda v: type(v) is int and v >= 1,
+    "win_a_s": lambda v: type(v) in _NUMBER and 0 <= v < _MAX_S,
+    "win_c_s": lambda v: type(v) in _NUMBER and 0 <= v < _MAX_S,
+    "lag_s": lambda v: v is None or type(v) in _NUMBER and 0 <= v < _MAX_S,
+    "min_support": lambda v: type(v) is int and v >= 1,
+    "theta": lambda v: type(v) in _NUMBER and 0 < v <= 1,
+}
 
 # Faulty dumps, as edits of the sample (None for an empty dump), each with
 # the message naming its first faulty line, or an unpaired byte's block lines.
@@ -425,12 +453,86 @@ class TestFailureModes:
             ("max_len", 1.5),
             ("min_support", 1.5),
             ("window_len", True),
+            # a number setting that is not a number, a bool among them
+            ("delta_s", None),
+            ("win_a_s", None),
+            ("cell_size", None),
+            ("k", None),
+            ("theta", "0.8"),
+            ("pressure_floor", "1"),
+            ("theta", True),
+            ("win_a_s", True),
+            ("cell_size", True),
         ]:
             with pytest.raises(ConfigError):
                 run(config_for(sample_path, out, **{field: value}))
         with pytest.raises(ConfigError, match="at least one input file is required"):
             run(config_for(sample_path, out)._replace(inputs=[]))
         assert not out.exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("cell_size", 0.0, "cell size must be positive and finite, got 0.0"),
+        ("pressure_floor", -1.0, "pressure floor must be positive and finite, got -1.0"),
+        ("window_len", 0, "window length must be >= 1, got 0"),
+        ("delta_s", -5.0, "delta must be in [0, 86400000000000) seconds, got -5.0"),
+        ("k", sys.maxsize + 1,
+         f"class count must be in [1, {sys.maxsize}], got {sys.maxsize + 1}"),
+        ("max_len", 0, "max episode length must be >= 1, got 0"),
+        ("win_a_s", math.inf, "win_a must be in [0, 86400000000000) seconds, got inf"),
+        ("win_c_s", math.nan, "win_c must be in [0, 86400000000000) seconds, got nan"),
+        ("lag_s", 86400e9,
+         "lag must be in [0, 86400000000000) seconds, got 86400000000000.0"),
+        ("min_support", 0, "min support must be >= 1, got 0"),
+        ("theta", 1.0001, "theta must be in (0, 1], got 1.0001"),
+        # the type comes before the range, and the grid after both
+        ("k", 0.5, "class count must be an integer, got 0.5"),
+        ("theta", "0.8", "theta must be a number, got '0.8'"),
+        ("lag_s", True, "lag must be a number, got True"),
+        ("cell_size", 1e-300, "cell size 1e-300 is too small to grid"),
+        # an int beyond the float range is not finite as a float
+        pytest.param("pressure_floor", 2 ** 1024,
+                     f"pressure floor must be positive and finite, got {2 ** 1024}",
+                     id="pressure_floor-2**1024"),
+    ])
+    def test_each_setting_names_its_rule(self, field, value, message):
+        with pytest.raises(ConfigError) as info:
+            config_with(**{field: value}).validate()
+        assert str(info.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        field=st.sampled_from(sorted(NUMBER_RULES)),
+        value=st.one_of(
+            st.none(),
+            st.booleans(),
+            st.text(max_size=4),
+            st.integers(-(2 ** 70), 2 ** 70),
+            st.sampled_from([0, 1, sys.maxsize, sys.maxsize + 1, 2 ** 1024]),
+            st.floats(),
+            st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]),
+        ),
+    )
+    def test_any_number_setting_is_refused_or_in_range(self, field, value):
+        # What test_any_numeric_flag_value_exits_cleanly asks of the CLI, for
+        # the Python API: validate() returns or raises ConfigError, and what
+        # it takes has the setting's type and lies in its range.
+        try:
+            config_with(**{field: value}).validate()
+        except ConfigError:
+            return
+        assert NUMBER_RULES[field](value), (field, value)
+
+    @pytest.mark.parametrize("field, value, plain", [
+        ("lag_s", None, PipelineConfig._field_defaults["delta_s"]),
+        ("theta", 1, 1.0),
+        ("theta", np.float64(0.8), 0.8),
+    ])
+    def test_other_forms_of_a_setting_run_as_the_plain_float(
+        self, sample_path, tmp_path, field, value, plain
+    ):
+        run(config_for(sample_path, tmp_path / "given", **{field: value}))
+        run(config_for(sample_path, tmp_path / "plain", **{field: plain}))
+        assert snapshot(tmp_path / "given") == snapshot(tmp_path / "plain")
 
     def test_unwritable_target_writes_nothing(self, sample_path, tmp_path):
         out = tmp_path / "out"
@@ -1970,19 +2072,34 @@ class TestInputOrder:
 
 def test_readme_names_only_what_exists():
     # Each `module.name` that README cites outside its code blocks, for a
-    # module of the package, is a name that module has.
+    # module of the package, is a name that module has; so is each
+    # `Class.attr`, for a public class that one of those modules defines.
     text = re.sub(r"^```.*?^```", "", (REPO_ROOT / "README.md").read_text(), flags=re.S | re.M)
-    modules = {m.name for m in pkgutil.iter_modules(oceanmine.__path__)} - {"__main__"}
+    modules = {
+        m.name: importlib.import_module(f"oceanmine.{m.name}")
+        for m in pkgutil.iter_modules(oceanmine.__path__)
+        if m.name != "__main__"
+    }
+    classes = {
+        name: value
+        for module in modules.values()
+        for name, value in vars(module).items()
+        if isinstance(value, type) and value.__module__ == module.__name__
+        and not name.startswith("_")
+    }
+    owners = {**modules, **classes}
     cited = set()
     for span in re.findall(r"`([^`]+)`", text):
         ref = re.match(r"(\w+)\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)", span)
-        if ref and ref[1] in modules:
+        if ref and ref[1] in owners:
             cited.add(ref.groups())
-    assert len(cited) >= 25  # the pattern finds README's references
+    # the pattern finds README's references of both kinds
+    assert len({ref for ref in cited if ref[0] in modules}) >= 25
+    assert len({ref for ref in cited if ref[0] in classes}) >= 5
     unresolved = []
-    for module, name in sorted(cited):
+    for owner, name in sorted(cited):
         try:
-            functools.reduce(getattr, name.split("."), importlib.import_module(f"oceanmine.{module}"))
+            functools.reduce(getattr, name.split("."), owners[owner])
         except AttributeError:
-            unresolved.append(f"{module}.{name}")
+            unresolved.append(f"{owner}.{name}")
     assert unresolved == []
